@@ -1,7 +1,7 @@
 """Truncated-oscillator toolkit: exact spectra and shot-sampled VQE for
 quantum-mechanical potentials and Wheeler-DeWitt mini-superspace models."""
 
-from .circuits import AnsatzShape, Circuit, CNOT, U3, build_ansatz, expectation, run, sample_counts
+from .circuits import AnsatzShape, Circuit, CNOT, U3, build_ansatz, expectation, run
 from .oscillator import (
     Family,
     ModelSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "reconstruct",
     "reconstruct_wavefunction",
     "run",
-    "sample_counts",
     "spsa_minimize",
     "vqe_run",
 ]

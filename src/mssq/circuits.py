@@ -11,7 +11,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .pauli import MeasurementGroup, PauliSum, group_by_basis, string_action
+from .pauli import PauliSum, group_by_basis, string_action
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,8 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-# basis changes mapping X and Y measurement onto the computational basis
-X_BASIS_ROTATION = (np.pi / 2, 0.0, np.pi)
-Y_BASIS_ROTATION = (np.pi / 2, 0.0, np.pi / 2)
+# u3 angles of the basis changes mapping X and Y measurement onto the computational basis
+_BASIS_ROTATION = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
 
 
 def _apply_u3(state: np.ndarray, gate: U3, n: int) -> np.ndarray:
@@ -132,17 +131,6 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_counts(state: np.ndarray, shots: int, seed) -> dict[str, int]:
-    """Multinomial shot histogram over basis bit strings, deterministic per seed."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    counts = _as_rng(seed).multinomial(shots, probs)
-    n = len(state).bit_length() - 1
-    return {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
-
-
 def _parity_signs(mask_bits: np.ndarray, dim: int) -> np.ndarray:
     """(-1)^popcount(i & mask) for all basis indices i; mask given per qubit."""
     signs = np.ones(dim)
@@ -152,16 +140,6 @@ def _parity_signs(mask_bits: np.ndarray, dim: int) -> np.ndarray:
         bit = (idx >> (n - 1 - q)) & 1
         signs *= 1 - 2 * bit
     return signs
-
-
-def _group_circuit(circuit: Circuit, group: MeasurementGroup) -> Circuit:
-    extra = []
-    for q, basis in enumerate(group.basis):
-        if basis == "X":
-            extra.append(U3(q, *X_BASIS_ROTATION))
-        elif basis == "Y":
-            extra.append(U3(q, *Y_BASIS_ROTATION))
-    return Circuit(circuit.n_qubits, circuit.gates + tuple(extra))
 
 
 def expectation(
@@ -175,7 +153,8 @@ def expectation(
     Exact mode (shots=None): per-string statevector contraction, stderr 0.
     Shot mode: strings are grouped qubit-wise, each group is measured in its
     rotated basis with a multinomial draw, and each string's expectation comes
-    from the bit-parity average over its non-identity qubits.
+    from the bit-parity average over its non-identity qubits.  The circuit is
+    simulated once; each group applies its basis rotations to that state.
     """
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
@@ -187,12 +166,15 @@ def expectation(
             value += coeff * np.real(np.vdot(state, phase * state[perm]))
         return float(value), 0.0
     rng = _as_rng(seed)
-    dim = len(state)
+    n, dim = circuit.n_qubits, len(state)
     value = 0.0
     var_sum = 0.0
     for group in group_by_basis(observable):
-        rotated = _group_circuit(circuit, group)
-        probs = np.abs(run(rotated)) ** 2
+        rotated = state
+        for q, basis in enumerate(group.basis):
+            if basis in _BASIS_ROTATION:
+                rotated = _apply_u3(rotated, U3(q, *_BASIS_ROTATION[basis]), n)
+        probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
         freq = counts / shots
         for coeff, string in group.terms:
@@ -204,31 +186,3 @@ def expectation(
             value += coeff * est
             var_sum += coeff**2 * max(1.0 - est**2, 0.0) / shots
     return float(value), float(np.sqrt(var_sum))
-
-
-def to_text(circuit: Circuit) -> str:
-    """Gate-per-line text form: header "qubits N", then "u3 q t p l" / "cx c t"."""
-    lines = [f"qubits {circuit.n_qubits}"]
-    for gate in circuit.gates:
-        if isinstance(gate, U3):
-            lines.append(f"u3 {gate.qubit} {gate.theta:.17g} {gate.phi:.17g} {gate.lam:.17g}")
-        else:
-            lines.append(f"cx {gate.control} {gate.target}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ValueError('circuit text must start with a "qubits N" header')
-    n = int(lines[0].split()[1])
-    gates: list[Gate] = []
-    for line in lines[1:]:
-        parts = line.split()
-        if parts[0] == "u3":
-            gates.append(U3(int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4])))
-        elif parts[0] == "cx":
-            gates.append(CNOT(int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"unknown gate line: {line}")
-    return Circuit(n, tuple(gates))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectrum as spec_mod
-from .circuits import AnsatzShape, build_ansatz
+from .circuits import AnsatzShape, build_ansatz, run
 from .config import ConfigError, ExperimentConfig, parse_config
 from .oscillator import Family, ModelSpec, ONE_MODE_FAMILIES, build_model
 from .pauli import decompose
@@ -154,64 +154,41 @@ def _write_vqe_outputs(cfg, outdir: Path, model: ModelSpec, result) -> None:
     (outdir / "result.txt").write_text("\n".join(lines) + "\n")
 
 
-def cmd_vqe(cfg: ExperimentConfig) -> Path:
+def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
+    """VQE on <H> ("energy") or on <H^2> ("constraint"), then the density CSVs.
+
+    Energy mode pairs the optimized density with the exact ground (or
+    nearest-zero) state; constraint mode pairs it with the |0>|0> reference.
+    """
     outdir = _prepare_outdir(cfg)
     model = _model_spec(cfg)
-    seed = _seed(cfg)
-    shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
-    result = vqe_run(
-        model,
-        shape,
-        objective_kind="energy",
-        shots=cfg["run.shots"],
-        spsa=_spsa_config(cfg, seed),
-        repetitions=cfg["run.repetitions"],
-        restarts=cfg["spsa.restarts"],
-        refinements=cfg["spsa.refinements"],
-    )
-    _write_vqe_outputs(cfg, outdir, model, result)
-    xs = _grid(cfg)
-    axes = (xs,) * model.n_modes
-    from .circuits import run as run_circuit
-
-    vqe_state = run_circuit(result.circuit)
-    vqe_grid = spec_mod.reconstruct_wavefunction(vqe_state, axes, model.omega)
-    _, exact_vec, _ = spec_mod.ground_or_nearest_zero(model)
-    exact_grid = spec_mod.reconstruct_wavefunction(exact_vec, axes, model.omega)
-    header = "x,density" if model.n_modes == 1 else "x_a,x_chi,density"
-    _write_csv(outdir / "vqe_density.csv", header, _density_rows(vqe_grid))
-    _write_csv(outdir / "exact_density.csv", header, _density_rows(exact_grid))
-    return outdir
-
-
-def cmd_constraint(cfg: ExperimentConfig) -> Path:
-    outdir = _prepare_outdir(cfg)
-    model = _model_spec(cfg)
-    if model.family in ONE_MODE_FAMILIES:
+    constraint = objective_kind == "constraint"
+    if constraint and model.family in ONE_MODE_FAMILIES:
         raise ConfigError("constraint command needs a two-mode family")
-    seed = _seed(cfg)
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     result = vqe_run(
         model,
         shape,
-        objective_kind="constraint",
+        objective_kind=objective_kind,
         shots=cfg["run.shots"],
-        spsa=_spsa_config(cfg, seed),
+        spsa=_spsa_config(cfg, _seed(cfg)),
         repetitions=cfg["run.repetitions"],
         restarts=cfg["spsa.restarts"],
         refinements=cfg["spsa.refinements"],
     )
     _write_vqe_outputs(cfg, outdir, model, result)
-    xs = _grid(cfg)
-    axes = (xs, xs)
-    from .circuits import run as run_circuit
-
-    state_grid = spec_mod.reconstruct_wavefunction(run_circuit(result.circuit), axes, model.omega)
-    _write_csv(outdir / "density_2d.csv", "x_a,x_chi,density", _density_rows(state_grid))
-    reference = np.zeros(model.dim)
-    reference[0] = 1.0
-    ref_grid = spec_mod.reconstruct_wavefunction(reference, axes, model.omega)
-    _write_csv(outdir / "reference_density.csv", "x_a,x_chi,density", _density_rows(ref_grid))
+    if constraint:
+        names = ("density_2d.csv", "reference_density.csv")
+        reference = np.zeros(model.dim)
+        reference[0] = 1.0
+    else:
+        names = ("vqe_density.csv", "exact_density.csv")
+        _, reference, _ = spec_mod.ground_or_nearest_zero(model)
+    axes = (_grid(cfg),) * model.n_modes
+    header = "x,density" if model.n_modes == 1 else "x_a,x_chi,density"
+    for name, coeffs in zip(names, (run(result.circuit), reference)):
+        density = spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega)
+        _write_csv(outdir / name, header, _density_rows(density))
     return outdir
 
 
@@ -265,8 +242,8 @@ def cmd_noise_scan(cfg: ExperimentConfig) -> Path:
 
 COMMANDS = {
     "spectrum": cmd_spectrum,
-    "vqe": cmd_vqe,
-    "constraint": cmd_constraint,
+    "vqe": lambda cfg: cmd_variational(cfg, "energy"),
+    "constraint": lambda cfg: cmd_variational(cfg, "constraint"),
     "noise-scan": cmd_noise_scan,
 }
 

@@ -57,6 +57,13 @@ DEFAULT_COUPLINGS = {
 }
 
 
+def _check_hermitian(entries: np.ndarray) -> None:
+    """Reject a matrix unless |H - H^dagger| <= 1e-12 * max(1, max|H|) entrywise."""
+    bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
+    if np.max(np.abs(entries - entries.conj().T)) > bound:
+        raise ValueError(f"matrix is not Hermitian to {bound:.3g}")
+
+
 class DimensionError(ValueError):
     """Raised for truncation dimensions that cannot hold a ladder operator."""
 
@@ -126,8 +133,7 @@ class OperatorMatrix:
             raise ValueError(f"entries must be square with power-of-two size, got {entries.shape}")
         if dim != 2 ** sum(n for _, n in self.layout):
             raise ValueError("layout qubit count does not match matrix dimension")
-        if np.max(np.abs(entries - entries.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("operator is not Hermitian to 1e-12")
+        _check_hermitian(entries)
 
     @property
     def dim(self) -> int:
@@ -210,11 +216,3 @@ def matrix_square(op: OperatorMatrix) -> OperatorMatrix:
     sq = op.entries @ op.entries
     sq = (sq + sq.conj().T) / 2
     return OperatorMatrix(sq, op.layout)
-
-
-def export_csv(op: OperatorMatrix | np.ndarray, path) -> None:
-    """Write a matrix as row-major CSV with "re,im" cell pairs."""
-    entries = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op)
-    with open(path, "w") as fh:
-        for row in entries:
-            fh.write(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oscillator import _check_hermitian
+
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
 IMAG_TOL = 1e-10
@@ -57,15 +59,6 @@ def string_action(string: str) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
-def string_matrix(string: str) -> np.ndarray:
-    """Dense matrix of a Pauli string."""
-    dim = 2 ** len(string)
-    perm, phase = string_action(string)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[np.arange(dim), perm] = phase
-    return mat
-
-
 def all_strings(n_qubits: int):
     """All 4^n strings in lexicographic (I, X, Y, Z) order, msq first."""
     strings = [""]
@@ -81,8 +74,7 @@ def decompose(h: np.ndarray) -> PauliSum:
     n = dim.bit_length() - 1
     if h.shape != (dim, dim) or 2**n != dim:
         raise ValueError("matrix dimension must be a power of two")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10:
-        raise ValueError("decompose requires a Hermitian matrix")
+    _check_hermitian(h)
     rows = np.arange(dim)
     terms = []
     for string in all_strings(n):
@@ -135,25 +127,3 @@ def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:
             basis = [c if c != "I" else None for c in string]
             groups.append([basis, [(coeff, string)]])
     return [MeasurementGroup(tuple(basis), tuple(terms)) for basis, terms in groups]
-
-
-def to_text(psum: PauliSum) -> str:
-    """One term per line: "coefficient pauli-string", 17 significant digits."""
-    lines = [f"{coeff:.17g} {string}" for coeff, string in psum.terms]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def from_text(text: str, n_qubits: int | None = None) -> PauliSum:
-    """Parse the one-term-per-line text format."""
-    terms = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        coeff_str, string = line.split()
-        terms.append((float(coeff_str), string))
-    if n_qubits is None:
-        if not terms:
-            raise ValueError("cannot infer qubit count from empty text")
-        n_qubits = len(terms[0][1])
-    return PauliSum(n_qubits, tuple(terms))

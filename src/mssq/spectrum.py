@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oscillator import (
-    HERMITICITY_ATOL,
     Family,
     ModelSpec,
     ONE_MODE_FAMILIES,
     OperatorMatrix,
+    _check_hermitian,
     build_model,
 )
 
@@ -36,20 +36,17 @@ class WavefunctionGrid:
     norm: float
 
 
-def _as_matrix(h) -> np.ndarray:
-    entries = h.entries if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
-    if np.max(np.abs(entries - entries.conj().T)) > max(HERMITICITY_ATOL, 1e-12 * np.abs(entries).max()):
-        raise ValueError("eigendecompose requires a Hermitian matrix")
-    return entries
-
-
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
     """Eigendecompose a Hermitian matrix (LAPACK dense solver).
 
     Eigenvectors within a degenerate cluster (gap < 1e-9) are re-orthonormalized
     by a QR pass; ordering inside a cluster is unspecified.
     """
-    entries = _as_matrix(h)
+    if isinstance(h, OperatorMatrix):
+        entries = h.entries  # checked when the operator was built
+    else:
+        entries = np.asarray(h, dtype=complex)
+        _check_hermitian(entries)
     vals, vecs = np.linalg.eigh(entries)
     # re-orthonormalize degenerate clusters
     start = 0

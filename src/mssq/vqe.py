@@ -69,12 +69,10 @@ class VqeResult:
 
 def _smoothed(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
     """Trailing moving average; entry k averages values[max(0, k-window+1) .. k]."""
-    out = np.empty_like(values)
-    csum = np.cumsum(values)
-    for k in range(len(values)):
-        lo = max(0, k - window + 1)
-        out[k] = (csum[k] - (csum[lo - 1] if lo else 0.0)) / (k - lo + 1)
-    return out
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    stop = np.arange(1, len(values) + 1)
+    start = np.maximum(stop - window, 0)
+    return (csum[stop] - csum[start]) / (stop - start)
 
 
 def spsa_minimize(objective, initial, config: SpsaConfig):

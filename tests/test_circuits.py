@@ -8,13 +8,11 @@ from mssq.circuits import (
     U3,
     build_ansatz,
     expectation,
-    from_text,
     run,
-    sample_counts,
-    to_text,
     u3_matrix,
 )
-from mssq.pauli import PauliSum, decompose
+from mssq import circuits
+from mssq.pauli import PauliSum, decompose, group_by_basis
 from mssq.oscillator import Family, ModelSpec, build_model
 
 
@@ -141,18 +139,6 @@ def test_ansatz_reaches_real_states():
         assert best < 1e-3
 
 
-def test_sample_counts_deterministic_and_exact():
-    assert sample_counts(np.array([1.0, 0, 0, 0]), 100, seed=0) == {"00": 100}
-    state = run(Circuit(2, (U3(0, np.pi / 2, 0, np.pi), CNOT(0, 1))))
-    counts = sample_counts(state, 8192, seed=5)
-    assert set(counts) == {"00", "11"}
-    sigma = np.sqrt(8192 * 0.25)
-    assert abs(counts["00"] - 4096) < 4 * sigma
-    assert counts == sample_counts(state, 8192, seed=5)
-    with pytest.raises(ValueError):
-        sample_counts(state, 0, seed=1)
-
-
 def test_expectation_exact_z():
     value, stderr = expectation(Circuit(1, ()), PauliSum(1, ((1.0, "Z"),)))
     assert (value, stderr) == (1.0, 0.0)
@@ -204,9 +190,57 @@ def test_stderr_scales_as_inverse_sqrt_shots():
     assert -0.55 < slope < -0.45
 
 
-def test_text_roundtrip():
-    rng = np.random.default_rng(17)
-    circuit = random_circuit(rng)
-    again = from_text(to_text(circuit))
-    assert again == circuit
-    assert np.allclose(run(again), run(circuit), atol=1e-15)
+def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, seed):
+    """Reference shot-mode estimator that re-simulates the circuit for every group.
+
+    Each group's X/Y basis rotations are appended as u3 gates and the extended
+    circuit is run from |0...0>; parities come from bit counts of i & mask.
+    """
+    rotations = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
+    rng = np.random.default_rng(seed)
+    n = circuit.n_qubits
+    idx = np.arange(2**n)
+    value = var_sum = 0.0
+    for group in group_by_basis(observable):
+        extra = tuple(U3(q, *rotations[b]) for q, b in enumerate(group.basis) if b in rotations)
+        probs = np.abs(run(Circuit(n, circuit.gates + extra))) ** 2
+        freq = rng.multinomial(shots, probs / probs.sum()) / shots
+        for coeff, string in group.terms:
+            mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
+            if not mask:
+                value += coeff
+                continue
+            est = float(freq @ np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0))
+            value += coeff * est
+            var_sum += coeff**2 * max(1.0 - est**2, 0.0) / shots
+    return float(value), float(np.sqrt(var_sum))
+
+
+def test_shot_expectation_matches_resimulating_oracle():
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        circuit = random_circuit(rng)
+        dim = 2**circuit.n_qubits
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        observable = decompose((a + a.conj().T) / 2)
+        bases = {b for group in group_by_basis(observable) for b in group.basis}
+        assert bases >= {"X", "Y", "Z"}
+        for seed in (trial, 1000 + trial, 2**40 + trial):
+            shots = int(rng.choice([1, 64, 4096]))
+            got = expectation(circuit, observable, shots=shots, seed=seed)
+            assert got == resimulated_expectation(circuit, observable, shots, seed)
+
+
+def test_shot_expectation_runs_circuit_once(monkeypatch):
+    calls = []
+
+    def counting_run(circuit, initial=0):
+        calls.append(circuit)
+        return run(circuit, initial)
+
+    monkeypatch.setattr(circuits, "run", counting_run)
+    circuit = build_ansatz(AnsatzShape(3, 1), np.random.default_rng(5).uniform(-np.pi, np.pi, 18))
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    assert len(group_by_basis(observable)) > 1
+    expectation(circuit, observable, shots=1024, seed=0)
+    assert calls == [circuit]

@@ -121,6 +121,23 @@ def test_vqe_command_outputs_and_determinism(tmp_path):
     assert (rerun / "trajectory.csv").exists()
 
 
+def test_vqe_two_mode_writes_two_axis_densities(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "model.family = ClosedFree\nmodel.qubits_per_mode = 1\nansatz.depth = 1\n"
+        "spsa.iterations = 5\nspsa.calibration_samples = 2\nrun.repetitions = 3\n"
+        f"grid.points = 21\noutput.dir = {out}\n",
+    )
+    assert main(["vqe", "-c", str(cfg)]) == 0
+    for name in ["vqe_density.csv", "exact_density.csv"]:
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "x_a,x_chi,density"
+        assert len(lines) == 1 + 21 * 21
+    assert not (out / "density_2d.csv").exists()
+    assert "objective = energy" in (out / "result.txt").read_text()
+
+
 def test_constraint_rejects_one_mode(tmp_path):
     cfg = write_config(
         tmp_path, f"model.family = DoubleWell\noutput.dir = {tmp_path}/o\n"

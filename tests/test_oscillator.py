@@ -125,16 +125,3 @@ def test_matrix_square_eigenvalues():
 def test_operator_matrix_rejects_non_hermitian():
     with pytest.raises(ValueError):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (("x", 1),))
-
-
-def test_export_csv_roundtrip(tmp_path):
-    from mssq.oscillator import export_csv
-
-    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 2))
-    path = tmp_path / "h.csv"
-    export_csv(h, path)
-    rows = [line.split(",") for line in path.read_text().splitlines()]
-    parsed = np.array(
-        [[complex(float(row[2 * j]), float(row[2 * j + 1])) for j in range(4)] for row in rows]
-    )
-    assert np.allclose(parsed, h.entries)

@@ -5,7 +5,7 @@ from mssq.circuits import AnsatzShape, Circuit, U3
 from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.pauli import PauliSum, decompose
 from mssq.spectrum import eigendecompose
-from mssq.vqe import SpsaConfig, SpsaDiverged, estimate_error, spsa_minimize, vqe_run
+from mssq.vqe import SpsaConfig, SpsaDiverged, _smoothed, estimate_error, spsa_minimize, vqe_run
 
 
 def test_spsa_quadratic():
@@ -184,3 +184,19 @@ def test_vqe_restarts_and_refinements_run():
         refinements=((10, 0.05, 4096),),
     )
     assert len(result.trajectory) == 15 * 2 + 10
+
+
+def test_smoothed_matches_loop_reference():
+    def loop_smoothed(values, window):
+        out = np.empty_like(values)
+        csum = np.cumsum(values)
+        for k in range(len(values)):
+            lo = max(0, k - window + 1)
+            out[k] = (csum[k] - (csum[lo - 1] if lo else 0.0)) / (k - lo + 1)
+        return out
+
+    rng = np.random.default_rng(31)
+    for length in (0, 1, 4, 5, 6, 97):
+        values = rng.normal(scale=rng.uniform(0.1, 100.0), size=length)
+        for window in (1, 5, 8):
+            assert np.array_equal(_smoothed(values, window), loop_smoothed(values, window))
