@@ -25,7 +25,7 @@ exact = eigendecompose(build_model(spec))
 result = vqe_run(spec, AnsatzShape(3, 3), spsa=SpsaConfig(iterations=500, seed=0))
 
 print(f"exact E0 (dim 8):  {exact.eigenvalues[0]:+.5f}")
-print(f"VQE upper bound:   {result.energy:+.5f} +- {result.stderr:.5f}")
+print(f"VQE upper bound:   {result.h_mean:+.5f} +- {result.h_stderr:.5f}")
 
 xs = default_grid()
 vqe_grid = reconstruct_wavefunction(run_circuit(result.circuit), (xs,))

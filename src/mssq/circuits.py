@@ -11,7 +11,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .pauli import PauliSum, group_by_basis, string_action
+from .pauli import PauliSum, string_action
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,6 @@ def build_ansatz(shape: AnsatzShape, params) -> Circuit:
     return Circuit(shape.n_qubits, tuple(gates))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def _parity_signs(mask_bits: np.ndarray, dim: int) -> np.ndarray:
-    """(-1)^popcount(i & mask) for all basis indices i; mask given per qubit."""
-    signs = np.ones(dim)
-    n = dim.bit_length() - 1
-    idx = np.arange(dim)
-    for q in np.flatnonzero(mask_bits):
-        bit = (idx >> (n - 1 - q)) & 1
-        signs *= 1 - 2 * bit
-    return signs
-
-
 def expectation(
     circuit: Circuit,
     observable: PauliSum,
@@ -151,9 +134,9 @@ def expectation(
     """<psi|O|psi> for the circuit's output state.
 
     Exact mode (shots=None): per-string statevector contraction, stderr 0.
-    Shot mode: strings are grouped qubit-wise, each group is measured in its
-    rotated basis with a multinomial draw, and each string's expectation comes
-    from the bit-parity average over its non-identity qubits.  The circuit is
+    Shot mode: each of the observable's qubit-wise groups is measured in its
+    rotated basis with a multinomial draw, and each string's expectation is
+    the histogram average of the group's parity vector for it.  The circuit is
     simulated once; each group applies its basis rotations to that state.
     """
     if observable.n_qubits != circuit.n_qubits:
@@ -165,24 +148,22 @@ def expectation(
             perm, phase = string_action(string)
             value += coeff * np.real(np.vdot(state, phase * state[perm]))
         return float(value), 0.0
-    rng = _as_rng(seed)
-    n, dim = circuit.n_qubits, len(state)
+    rng = np.random.default_rng(seed)
     value = 0.0
     var_sum = 0.0
-    for group in group_by_basis(observable):
+    for group in observable.groups:
         rotated = state
         for q, basis in enumerate(group.basis):
             if basis in _BASIS_ROTATION:
-                rotated = _apply_u3(rotated, U3(q, *_BASIS_ROTATION[basis]), n)
+                rotated = _apply_u3(rotated, U3(q, *_BASIS_ROTATION[basis]), circuit.n_qubits)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
         freq = counts / shots
-        for coeff, string in group.terms:
-            mask = np.array([c != "I" for c in string])
-            if not mask.any():
+        for (coeff, _), parity in zip(group.terms, group.parities):
+            if parity is None:
                 value += coeff
                 continue
-            est = float(freq @ _parity_signs(mask, dim))
+            est = float(freq @ parity)
             value += coeff * est
             var_sum += coeff**2 * max(1.0 - est**2, 0.0) / shots
     return float(value), float(np.sqrt(var_sum))

@@ -37,11 +37,15 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """A header line, then row i of the equal-length columns per line.
+
+    Integer columns (indices and counts, exact in float64) print with %d and
+    all others as `_fmt` prints them.
+    """
+    columns = [np.asarray(c) for c in columns]
+    fmt = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
+    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
@@ -49,13 +53,16 @@ def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
         family = Family(cfg["model.family"])
     except ValueError as exc:
         raise ConfigError(f"unknown model.family {cfg['model.family']!r}") from exc
-    return ModelSpec(
-        family=family,
-        qubits_per_mode=cfg["model.qubits_per_mode"],
-        lambda_abs=cfg["model.lambda_abs"],
-        quartic_c=cfg["model.quartic_c"],
-        omega=cfg["model.omega"],
-    )
+    try:
+        return ModelSpec(
+            family=family,
+            qubits_per_mode=cfg["model.qubits_per_mode"],
+            lambda_abs=cfg["model.lambda_abs"],
+            quartic_c=cfg["model.quartic_c"],
+            omega=cfg["model.omega"],
+        )
+    except ValueError as exc:  # ModelSpec names the bad field first, as in its model.* key
+        raise ConfigError(f"model.{exc}") from exc
 
 
 def _spsa_config(cfg: ExperimentConfig, seed: int) -> SpsaConfig:
@@ -80,78 +87,48 @@ def _prepare_outdir(cfg: ExperimentConfig) -> Path:
 
 def _seed(cfg: ExperimentConfig) -> int:
     env = os.environ.get("MSSQ_SEED")
-    return int(env) if env else cfg["run.seed"]
+    if not env:
+        return cfg["run.seed"]
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"MSSQ_SEED (run.seed) must be an integer, got {env!r}") from exc
 
 
 def _grid(cfg: ExperimentConfig) -> np.ndarray:
     return spec_mod.default_grid(cfg["grid.extent"], cfg["grid.points"])
 
 
-def _density_rows(grid_result: spec_mod.WavefunctionGrid):
-    if len(grid_result.axes) == 1:
-        (xs,) = grid_result.axes
-        return [(float(x), float(d)) for x, d in zip(xs, grid_result.density)]
-    xa, xc = grid_result.axes
-    return [
-        (float(xa[i]), float(xc[j]), float(grid_result.density[i, j]))
-        for i in range(len(xa))
-        for j in range(len(xc))
-    ]
+def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
+    """One row per grid point, the first axis varying slowest."""
+    header = "x,density" if len(grid_result.axes) == 1 else "x_a,x_chi,density"
+    points = np.meshgrid(*grid_result.axes, indexing="ij")
+    _write_csv(path, header, *(p.ravel() for p in points), grid_result.density.ravel())
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     outdir = _prepare_outdir(cfg)
     model = _model_spec(cfg)
     result = spec_mod.eigendecompose(build_model(model))
-    _write_csv(
-        outdir / "spectrum.csv",
-        "index,eigenvalue",
-        [(i, float(v)) for i, v in enumerate(result.eigenvalues)],
-    )
-    dims = [d for d in cfg["spectrum.scan_dims"] if model.n_modes == 1 or d <= 16]
-    scan = spec_mod.convergence_scan(model, dims)
-    _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan)
-    ground = float(result.eigenvalues[0])
+    vals = result.eigenvalues
+    _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(vals)), vals)
+    # a two-mode scan dim d needs a d^2 x d^2 dense eigensolve
+    dropped = [d for d in cfg["spectrum.scan_dims"] if model.n_modes == 2 and d > 16]
+    dims = [d for d in cfg["spectrum.scan_dims"] if d not in dropped]
+    scan = np.reshape(spec_mod.convergence_scan(model, dims), (-1, 3))
+    _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan[:, 0].astype(int), *scan.T[1:])
     near_zero = spec_mod.nearest_zero_state(result, 1)[0][0]
-    (outdir / "summary.txt").write_text(
+    summary = (
         f"family = {model.family.value}\n"
         f"dim = {model.dim}\n"
-        f"ground_energy = {_fmt(ground)}\n"
+        f"ground_energy = {_fmt(vals[0])}\n"
         f"nearest_zero_eigenvalue = {_fmt(near_zero)}\n"
         f"max_residual = {_fmt(result.residual)}\n"
     )
+    if dropped:
+        summary += f"dropped_scan_dims = {','.join(map(str, dropped))}\n"
+    (outdir / "summary.txt").write_text(summary)
     return outdir
-
-
-def _write_vqe_outputs(cfg, outdir: Path, model: ModelSpec, result) -> None:
-    _write_csv(
-        outdir / "trajectory.csv",
-        "iteration,objective," + ",".join(f"p{i}" for i in range(len(result.best_params))),
-        [
-            (k, float(obj), *[float(p) for p in params])
-            for k, (params, obj) in enumerate(result.trajectory)
-        ],
-    )
-    _write_csv(
-        outdir / "probabilities.csv",
-        "basis_index,probability",
-        [(i, float(p)) for i, p in enumerate(result.final_probabilities)],
-    )
-    lines = [
-        f"family = {model.family.value}",
-        f"objective = {result.objective_kind}",
-        f"seed = {result.seed}",
-        f"energy = {_fmt(result.energy)}",
-        f"stderr = {_fmt(result.stderr)}",
-        f"h_mean = {_fmt(result.h_mean)}",
-        f"h_stderr = {_fmt(result.h_stderr)}",
-    ]
-    if result.h2_mean is not None:
-        lines.append(f"h2_mean = {_fmt(result.h2_mean)}")
-        lines.append(f"h2_stderr = {_fmt(result.h2_stderr)}")
-    lines.append("config:")
-    lines.extend("  " + ln for ln in cfg.echo_text().splitlines())
-    (outdir / "result.txt").write_text("\n".join(lines) + "\n")
 
 
 def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
@@ -176,7 +153,28 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
         restarts=cfg["spsa.restarts"],
         refinements=cfg["spsa.refinements"],
     )
-    _write_vqe_outputs(cfg, outdir, model, result)
+    params, objectives = zip(*result.trajectory)
+    header = "iteration,objective," + ",".join(f"p{i}" for i in range(len(result.best_params)))
+    columns = (np.arange(len(objectives)), objectives, *np.transpose(params))
+    _write_csv(outdir / "trajectory.csv", header, *columns)
+    state = run(result.circuit)
+    indices = np.arange(len(state))
+    _write_csv(outdir / "probabilities.csv", "basis_index,probability", indices, np.abs(state) ** 2)
+    lines = [
+        f"family = {model.family.value}",
+        f"objective = {result.objective_kind}",
+        f"seed = {result.seed}",
+        f"energy = {_fmt(result.h_mean)}",
+        f"stderr = {_fmt(result.h_stderr)}",
+        f"h_mean = {_fmt(result.h_mean)}",
+        f"h_stderr = {_fmt(result.h_stderr)}",
+    ]
+    if result.h2_mean is not None:
+        lines.append(f"h2_mean = {_fmt(result.h2_mean)}")
+        lines.append(f"h2_stderr = {_fmt(result.h2_stderr)}")
+    lines.append("config:")
+    lines.extend("  " + ln for ln in cfg.echo_text().splitlines())
+    (outdir / "result.txt").write_text("\n".join(lines) + "\n")
     if constraint:
         names = ("density_2d.csv", "reference_density.csv")
         reference = np.zeros(model.dim)
@@ -185,10 +183,8 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
         names = ("vqe_density.csv", "exact_density.csv")
         _, reference, _ = spec_mod.ground_or_nearest_zero(model)
     axes = (_grid(cfg),) * model.n_modes
-    header = "x,density" if model.n_modes == 1 else "x_a,x_chi,density"
-    for name, coeffs in zip(names, (run(result.circuit), reference)):
-        density = spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega)
-        _write_csv(outdir / name, header, _density_rows(density))
+    for name, coeffs in zip(names, (state, reference)):
+        _write_density(outdir / name, spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega))
     return outdir
 
 
@@ -227,11 +223,7 @@ def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
 def cmd_noise_scan(cfg: ExperimentConfig) -> Path:
     outdir = _prepare_outdir(cfg)
     report = noise_scan(cfg)
-    _write_csv(
-        outdir / "noise.csv",
-        "shots,stddev",
-        list(zip(report.shots_grid, report.stddevs)),
-    )
+    _write_csv(outdir / "noise.csv", "shots,stddev", report.shots_grid, report.stddevs)
     (outdir / "noise_report.txt").write_text(
         f"fit_A = {_fmt(report.fit_a)}\n"
         f"fit_exponent = {_fmt(report.fit_exponent)}\n"

@@ -58,6 +58,8 @@ SCHEMA = {
 }
 
 REQUIRED_KEYS = ("model.family", "output.dir")
+# smallest accepted value of the integer keys that have one
+MINIMUMS = {"run.shots": 1, "run.repetitions": 2, "noise.repetitions": 2, "grid.points": 2}
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class ExperimentConfig:
                 continue
             if isinstance(value, tuple):
                 if value and isinstance(value[0], tuple):
-                    value = ",".join(f"{i}:{c:g}:{s}" for i, c, s in value)
+                    value = ",".join(f"{i}:{c!r}:{s}" for i, c, s in value)
                 else:
                     value = ",".join(str(v) for v in value)
             elif isinstance(value, float):
@@ -110,6 +112,8 @@ def resolve(assignments, source: str = "<config>", overrides=()) -> ExperimentCo
             values[key] = convert(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+        if key in MINIMUMS and values[key] < MINIMUMS[key]:
+            raise ConfigError(f"{where}: {key} must be at least {MINIMUMS[key]}, got {values[key]}")
         seen.add(key)
     missing = [key for key in REQUIRED_KEYS if values[key] is None]
     if missing:

@@ -48,7 +48,8 @@ class Family(str, Enum):
 ONE_MODE_FAMILIES = (Family.HARMONIC_OSC, Family.ANHARMONIC_OSC, Family.DOUBLE_WELL)
 TWO_MODE_FAMILIES = (Family.CLOSED_FREE, Family.CLOSED_PHI4, Family.OPEN_PHI4)
 
-# Default couplings per family; families absent here ignore both coefficients.
+# Default (lambda_abs, quartic_c) per family, absent families (0.0, 0.0).  A
+# default of 0.0 marks a term the family's Hamiltonian lacks; it must stay 0.
 DEFAULT_COUPLINGS = {
     Family.ANHARMONIC_OSC: (0.0, float(COEFF_0275_OVER_4)),
     Family.DOUBLE_WELL: (0.0, float(COEFF_015_OVER_4)),
@@ -73,8 +74,10 @@ class ModelSpec:
     """Declarative description of which Hamiltonian to build.
 
     lambda_abs is |Lambda| (the a^4 coefficient magnitude) and quartic_c is c
-    (the chi^4 / x^4 coefficient); hbar = 1 throughout.  omega sets the
-    frequency scale of the ladder basis used for the quadratures.
+    (the chi^4 / x^4 coefficient); hbar = 1 throughout.  A coupling left None
+    takes the family's default; one the family's Hamiltonian lacks must be 0.
+    omega sets the frequency scale of the ladder basis used for the
+    quadratures.  Each ValueError for a bad field starts with the field's name.
     """
 
     family: Family
@@ -90,13 +93,16 @@ class ModelSpec:
             raise ValueError("qubits_per_mode must be positive")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        default_lam, default_c = DEFAULT_COUPLINGS.get(family, (0.0, 0.0))
-        if self.lambda_abs is None:
-            object.__setattr__(self, "lambda_abs", default_lam)
-        if self.quartic_c is None:
-            object.__setattr__(self, "quartic_c", default_c)
-        if self.lambda_abs < 0 or self.quartic_c < 0:
-            raise ValueError("lambda_abs and quartic_c must be nonnegative")
+        defaults = DEFAULT_COUPLINGS.get(family, (0.0, 0.0))
+        for name, default in zip(("lambda_abs", "quartic_c"), defaults):
+            value = getattr(self, name)
+            if value is None:
+                value = default
+                object.__setattr__(self, name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if value and not default:
+                raise ValueError(f"{name} must be 0: {family.value} has no such term, got {value}")
 
     @property
     def n_modes(self) -> int:

@@ -9,6 +9,7 @@ trace-based decomposition at O(dim) per string.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from .oscillator import _check_hermitian
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
 IMAG_TOL = 1e-10
+# measuring X or Y after its basis rotation reads out like measuring Z
+_MEASURED_AS_Z = str.maketrans("XY", "ZZ")
 
 # per-qubit (perm, phase) for I, X, Y, Z
 _SINGLE = {
@@ -46,6 +49,11 @@ class PauliSum:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def groups(self) -> list[MeasurementGroup]:
+        """The qubit-wise measurement groups, computed once; the sum is frozen."""
+        return group_by_basis(self)
 
 
 def string_action(string: str) -> tuple[np.ndarray, np.ndarray]:
@@ -107,6 +115,15 @@ class MeasurementGroup:
 
     basis: tuple[str | None, ...]
     terms: tuple[tuple[float, str], ...]
+
+    @cached_property
+    def parities(self) -> list[np.ndarray | None]:
+        """Per term, its +-1 readout of each basis state in this basis (None for I...I).
+
+        Computed once and shared by every evaluation; callers must not modify it.
+        """
+        zs = [string.translate(_MEASURED_AS_Z) for _, string in self.terms]
+        return [np.ascontiguousarray(string_action(z)[1].real) if "Z" in z else None for z in zs]
 
 
 def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:

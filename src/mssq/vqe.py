@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pauli
-from .circuits import AnsatzShape, Circuit, build_ansatz, expectation, run
+from .circuits import AnsatzShape, Circuit, build_ansatz, expectation
 from .oscillator import ModelSpec, build_model, matrix_square
 
 DEFAULT_CALIBRATION_STEP = 0.1  # radians, first-iteration parameter change
@@ -54,10 +54,7 @@ class SpsaConfig:
 @dataclass
 class VqeResult:
     best_params: np.ndarray
-    energy: float
-    stderr: float
     trajectory: list[tuple[np.ndarray, float]]
-    final_probabilities: np.ndarray
     seed: int
     objective_kind: str
     h_mean: float
@@ -157,9 +154,9 @@ def vqe_run(
     """Full variational run: build, decompose, SPSA-minimize, re-measure.
 
     objective_kind "energy" minimizes <H>; "constraint" minimizes <H^2> and
-    reports <H> of the optimized state alongside it.  The final energy and
-    stderr come from `repetitions` fresh shot-mode evaluations at the best
-    parameters; final_probabilities are exact statevector probabilities.
+    reports <H> of the optimized state alongside it.  h_mean and h_stderr
+    come from `repetitions` fresh shot-mode evaluations at the best
+    parameters; circuit is the ansatz at those parameters.
 
     restarts > 1 runs that many independently-initialized SPSA passes and
     keeps the one with the lowest tail objective.  Each (iterations, c, shots)
@@ -232,10 +229,7 @@ def vqe_run(
     h_stderr = h_std / np.sqrt(repetitions)
     result = VqeResult(
         best_params=best_params,
-        energy=h_mean,
-        stderr=float(h_stderr),
         trajectory=trajectory,
-        final_probabilities=np.abs(run(best_circuit)) ** 2,
         seed=spsa.seed,
         objective_kind=objective_kind,
         h_mean=h_mean,

@@ -79,9 +79,9 @@ def test_criterion_2_vqe_bounds(family, qubits, depth, iterations):
             shots=8192,
             spsa=SpsaConfig(iterations=iterations, seed=seed),
         )
-        bounds.append(result.energy)
-        within = abs(result.energy - exact) <= 0.03 * abs(exact)
-        not_below = result.energy >= exact - 2 * result.stderr
+        bounds.append(result.h_mean)
+        within = abs(result.h_mean - exact) <= 0.03 * abs(exact)
+        not_below = result.h_mean >= exact - 2 * result.h_stderr
         successes += within and not_below
     report(
         f"criterion 2 ({family.value} VQE bound)",

@@ -11,7 +11,7 @@ from mssq.circuits import (
     run,
     u3_matrix,
 )
-from mssq import circuits
+from mssq import circuits, pauli
 from mssq.pauli import PauliSum, decompose, group_by_basis
 from mssq.oscillator import Family, ModelSpec, build_model
 
@@ -244,3 +244,19 @@ def test_shot_expectation_runs_circuit_once(monkeypatch):
     assert len(group_by_basis(observable)) > 1
     expectation(circuit, observable, shots=1024, seed=0)
     assert calls == [circuit]
+
+
+def test_shot_expectation_groups_observable_once(monkeypatch):
+    calls = []
+
+    def counting_group_by_basis(psum):
+        calls.append(psum)
+        return group_by_basis(psum)
+
+    monkeypatch.setattr(pauli, "group_by_basis", counting_group_by_basis)
+    circuit = build_ansatz(AnsatzShape(3, 1), np.random.default_rng(6).uniform(-np.pi, np.pi, 18))
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        expectation(circuit, observable, shots=256, seed=rng)
+    assert len(calls) == 1 and calls[0] is observable

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mssq.cli import main, noise_scan
+from mssq.cli import _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, parse_config, resolve
+from mssq.spectrum import default_grid, reconstruct_wavefunction
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -66,9 +67,15 @@ def test_resolve_overrides():
 
 
 def test_echo_roundtrip(tmp_path):
+    refinements = "1000:0.04:65536,800:0.012:524288,800:0.004:4194304,10:0.0123456789:4096"
     cfg = parse_config(
-        write_config(tmp_path, f"model.family = DoubleWell\noutput.dir = {tmp_path}/o\n")
+        write_config(
+            tmp_path,
+            f"model.family = DoubleWell\nspsa.refinements = {refinements}\n"
+            f"output.dir = {tmp_path}/o\n",
+        )
     )
+    assert f"spsa.refinements = {refinements}\n" in cfg.echo_text()
     echoed = write_config(tmp_path, cfg.echo_text(), "echo.cfg")
     assert parse_config(echoed).values == cfg.values
 
@@ -106,6 +113,69 @@ def test_spectrum_closed_free_near_zero(tmp_path):
         (out / "summary.txt").read_text().split("nearest_zero_eigenvalue = ")[1].split()[0]
     )
     assert abs(near) < 1e-9
+
+
+def test_spectrum_reports_dropped_scan_dims(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "model.family = ClosedFree\nmodel.qubits_per_mode = 1\n"
+        f"spectrum.scan_dims = 4,8,32,64\noutput.dir = {out}\n",
+    )
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    assert (out / "summary.txt").read_text().endswith("dropped_scan_dims = 32,64\n")
+    rows = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [4, 8]
+    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=32,64"]) == 0
+    assert (out / "convergence.csv").read_text() == "dim,energy,delta\n"
+    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=4,8"]) == 0
+    assert "dropped_scan_dims" not in (out / "summary.txt").read_text()
+
+
+def parent_write_csv(path, header, rows):
+    """The row-loop CSV writer the column writer replaced; the byte reference."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def parent_density_rows(grid_result):
+    """The per-point density rows of the row-loop writer; the byte reference."""
+    if len(grid_result.axes) == 1:
+        (xs,) = grid_result.axes
+        return [(float(x), float(d)) for x, d in zip(xs, grid_result.density)]
+    xa, xc = grid_result.axes
+    return [
+        (float(xa[i]), float(xc[j]), float(grid_result.density[i, j]))
+        for i in range(len(xa))
+        for j in range(len(xc))
+    ]
+
+
+def test_column_writer_matches_row_writer(tmp_path):
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    rng = np.random.default_rng(19)
+    xs, ys = default_grid(4.0, 33), default_grid(3.0, 18)
+    densities = [
+        (reconstruct_wavefunction(rng.normal(size=8), (xs,)), "x,density"),
+        (
+            reconstruct_wavefunction(rng.normal(size=16) + 1j * rng.normal(size=16), (xs, ys)),
+            "x_a,x_chi,density",
+        ),
+    ]
+    for grid, header in densities:
+        _write_density(new, grid)
+        parent_write_csv(old, header, parent_density_rows(grid))
+        assert new.read_bytes() == old.read_bytes()
+    ints = [0, 1, -7, 2**40, 12]
+    floats = [float("nan"), -0.0, 1e-300, 1 / 3, -np.inf]
+    _write_csv(new, "index,value", np.array(ints), np.array(floats))
+    parent_write_csv(old, "index,value", list(zip(ints, floats)))
+    assert new.read_bytes() == old.read_bytes()
+    _write_csv(new, "dim,energy,delta", np.array([], dtype=int), np.array([]), np.array([]))
+    parent_write_csv(old, "dim,energy,delta", [])
+    assert new.read_bytes() == old.read_bytes() == b"dim,energy,delta\n"
 
 
 def test_vqe_command_outputs_and_determinism(tmp_path):
@@ -182,6 +252,35 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_unknown_family_exit_code(tmp_path):
     cfg = write_config(tmp_path, f"model.family = Nope\noutput.dir = {tmp_path}/o\n")
     assert main(["spectrum", "-c", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,overrides,env_seed,key",
+    [
+        ("vqe", ["run.shots=0"], None, "run.shots"),
+        ("vqe", ["run.repetitions=1"], None, "run.repetitions"),
+        ("noise-scan", ["noise.repetitions=1"], None, "noise.repetitions"),
+        ("spectrum", ["model.qubits_per_mode=0"], None, "model.qubits_per_mode"),
+        ("spectrum", ["model.omega=0"], None, "model.omega"),
+        ("vqe", ["grid.points=1"], None, "grid.points"),
+        ("vqe", [], "abc", "MSSQ_SEED"),
+        ("spectrum", ["model.family=ClosedFree", "model.lambda_abs=0.1"], None, "model.lambda_abs"),
+        ("spectrum", ["model.family=ClosedFree", "model.quartic_c=0.1"], None, "model.quartic_c"),
+        ("spectrum", ["model.quartic_c=0.1"], None, "model.quartic_c"),
+        ("spectrum", ["model.family=DoubleWell", "model.lambda_abs=0.1"], None, "model.lambda_abs"),
+    ],
+)
+def test_bad_value_exits_2_naming_key(
+    tmp_path, monkeypatch, capsys, command, overrides, env_seed, key
+):
+    cfg = write_config(tmp_path, FAST_VQE.format(out=tmp_path / "out"))
+    if env_seed is None:
+        monkeypatch.delenv("MSSQ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MSSQ_SEED", env_seed)
+    args = ["--set=" + item for item in overrides]
+    assert main([command, "-c", str(cfg), *args]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_set_override(tmp_path):

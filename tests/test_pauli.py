@@ -4,6 +4,7 @@ import pytest
 from mssq.oscillator import Family, ModelSpec, build_model, quadratures
 from mssq.pauli import (
     PauliSum,
+    all_strings,
     decompose,
     group_by_basis,
     reconstruct,
@@ -148,3 +149,24 @@ def test_grouped_estimator_unbiased():
         combined = np.sqrt(err_g**2 + err_sq)
         assert abs(grouped - ungrouped_val) < 3 * max(combined, 1e-12)
         assert abs(grouped - exact) < 5 * max(err_g, 1e-12)
+
+
+def test_parities_match_bit_count_oracle():
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        n = int(rng.integers(1, 6))
+        strings = rng.choice(all_strings(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
+        psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
+        assert psum.groups is psum.groups
+        assert psum.groups == group_by_basis(psum)
+        idx = np.arange(2**n)
+        for group in psum.groups:
+            assert len(group.parities) == len(group.terms)
+            for (_, string), parity in zip(group.terms, group.parities):
+                mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
+                if not mask:
+                    assert parity is None
+                    continue
+                expected = np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0)
+                assert parity.dtype == np.float64 and parity.flags.c_contiguous
+                assert np.array_equal(parity, expected)

@@ -115,8 +115,8 @@ def test_vqe_harmonic_upper_bound():
     spec = ModelSpec(Family.HARMONIC_OSC, 2)
     exact = eigendecompose(build_model(spec)).eigenvalues[0]
     result = vqe_run(spec, AnsatzShape(2, 2), spsa=SpsaConfig(iterations=200, seed=4))
-    assert abs(result.energy - exact) <= 0.03 * abs(exact)
-    assert result.energy >= exact - 2 * result.stderr
+    assert abs(result.h_mean - exact) <= 0.03 * abs(exact)
+    assert result.h_mean >= exact - 2 * result.h_stderr
 
 
 def test_vqe_result_contents():
@@ -128,7 +128,6 @@ def test_vqe_result_contents():
         repetitions=5,
     )
     assert len(result.trajectory) == 20
-    assert result.final_probabilities.sum() == pytest.approx(1.0, abs=1e-9)
     assert result.h2_mean is None
     assert result.objective_kind == "energy"
 
@@ -160,7 +159,7 @@ def test_vqe_deterministic_trajectory():
     obj0 = [o for _, o in runs[0].trajectory]
     obj1 = [o for _, o in runs[1].trajectory]
     assert obj0 == obj1
-    assert runs[0].energy == runs[1].energy
+    assert runs[0].h_mean == runs[1].h_mean
 
 
 def test_vqe_rejects_mismatched_shape():
