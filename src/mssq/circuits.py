@@ -11,7 +11,7 @@ from math import cos, sin
 
 import numpy as np
 
-from .pauli import PauliSum, string_action
+from .pauli import PauliSum
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,11 @@ def _apply_cnot(state: np.ndarray, gate: CNOT, n: int) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def run(circuit: Circuit, initial: int = 0) -> np.ndarray:
-    """Apply the circuit's gates in order to basis state |initial>."""
+def run(circuit: Circuit) -> np.ndarray:
+    """Apply the circuit's gates in order to |0...0>."""
     n = circuit.n_qubits
-    dim = 2**n
-    if not 0 <= initial < dim:
-        raise ValueError(f"initial basis index {initial} out of range for {n} qubits")
-    state = np.zeros(dim, dtype=complex)
-    state[initial] = 1.0
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
     for gate in circuit.gates:
         if isinstance(gate, U3):
             state = _apply_u3(state, gate, n)
@@ -125,32 +122,20 @@ def build_ansatz(shape: AnsatzShape, params) -> Circuit:
     return Circuit(shape.n_qubits, tuple(gates))
 
 
-def expectation(
-    circuit: Circuit,
-    observable: PauliSum,
-    shots: int | None = None,
-    seed=None,
-) -> tuple[float, float]:
-    """<psi|O|psi> for the circuit's output state.
+def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None) -> float:
+    """Shot-sampled <psi|O|psi> for the circuit's output state.
 
-    Exact mode (shots=None): per-string statevector contraction, stderr 0.
-    Shot mode: each of the observable's qubit-wise groups is measured in its
-    rotated basis with a multinomial draw, and each string's expectation is
+    Each of the observable's qubit-wise groups is measured in its rotated
+    basis with a multinomial draw of `shots`, and each string's expectation is
     the histogram average of the group's parity vector for it.  The circuit is
     simulated once; each group applies its basis rotations to that state.
+    Error bars come from repeated evaluations (`vqe.estimate_error`).
     """
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     state = run(circuit)
-    if shots is None:
-        value = 0.0
-        for coeff, string in observable.terms:
-            perm, phase = string_action(string)
-            value += coeff * np.real(np.vdot(state, phase * state[perm]))
-        return float(value), 0.0
     rng = np.random.default_rng(seed)
     value = 0.0
-    var_sum = 0.0
     for group in observable.groups:
         rotated = state
         for q, basis in enumerate(group.basis):
@@ -163,7 +148,5 @@ def expectation(
             if parity is None:
                 value += coeff
                 continue
-            est = float(freq @ parity)
-            value += coeff * est
-            var_sum += coeff**2 * max(1.0 - est**2, 0.0) / shots
-    return float(value), float(np.sqrt(var_sum))
+            value += coeff * float(freq @ parity)
+    return float(value)

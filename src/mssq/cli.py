@@ -48,25 +48,38 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
 
 
+def _from_section(section: str, build, **fields):
+    """build(**fields), a ValueError re-raised as a config error on `section.<field>`.
+
+    ModelSpec and SpsaConfig start each ValueError with the bad field's name,
+    which is its key within the section.
+    """
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
     try:
         family = Family(cfg["model.family"])
     except ValueError as exc:
         raise ConfigError(f"unknown model.family {cfg['model.family']!r}") from exc
-    try:
-        return ModelSpec(
-            family=family,
-            qubits_per_mode=cfg["model.qubits_per_mode"],
-            lambda_abs=cfg["model.lambda_abs"],
-            quartic_c=cfg["model.quartic_c"],
-            omega=cfg["model.omega"],
-        )
-    except ValueError as exc:  # ModelSpec names the bad field first, as in its model.* key
-        raise ConfigError(f"model.{exc}") from exc
+    return _from_section(
+        "model",
+        ModelSpec,
+        family=family,
+        qubits_per_mode=cfg["model.qubits_per_mode"],
+        lambda_abs=cfg["model.lambda_abs"],
+        quartic_c=cfg["model.quartic_c"],
+        omega=cfg["model.omega"],
+    )
 
 
 def _spsa_config(cfg: ExperimentConfig, seed: int) -> SpsaConfig:
-    return SpsaConfig(
+    return _from_section(
+        "spsa",
+        SpsaConfig,
         iterations=cfg["spsa.iterations"],
         a=cfg["spsa.a"],
         c=cfg["spsa.c"],
@@ -107,8 +120,8 @@ def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:
-    outdir = _prepare_outdir(cfg)
     model = _model_spec(cfg)
+    outdir = _prepare_outdir(cfg)
     result = spec_mod.eigendecompose(build_model(model))
     vals = result.eigenvalues
     _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(vals)), vals)
@@ -117,7 +130,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     dims = [d for d in cfg["spectrum.scan_dims"] if d not in dropped]
     scan = np.reshape(spec_mod.convergence_scan(model, dims), (-1, 3))
     _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan[:, 0].astype(int), *scan.T[1:])
-    near_zero = spec_mod.nearest_zero_state(result, 1)[0][0]
+    near_zero, _ = spec_mod.nearest_zero_state(result)
     summary = (
         f"family = {model.family.value}\n"
         f"dim = {model.dim}\n"
@@ -137,18 +150,19 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
     Energy mode pairs the optimized density with the exact ground (or
     nearest-zero) state; constraint mode pairs it with the |0>|0> reference.
     """
-    outdir = _prepare_outdir(cfg)
     model = _model_spec(cfg)
     constraint = objective_kind == "constraint"
     if constraint and model.family in ONE_MODE_FAMILIES:
-        raise ConfigError("constraint command needs a two-mode family")
+        raise ConfigError(f"constraint needs a two-mode model.family, got {model.family.value}")
+    spsa = _spsa_config(cfg, _seed(cfg))
+    outdir = _prepare_outdir(cfg)
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     result = vqe_run(
         model,
         shape,
         objective_kind=objective_kind,
         shots=cfg["run.shots"],
-        spsa=_spsa_config(cfg, _seed(cfg)),
+        spsa=spsa,
         repetitions=cfg["run.repetitions"],
         restarts=cfg["spsa.restarts"],
         refinements=cfg["spsa.refinements"],
@@ -191,10 +205,6 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
 def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
     """Measure stddev-vs-shots for a fixed seeded circuit and fit A / x^beta."""
     grid = cfg["noise.shots_grid"]
-    if len(grid) < 4:
-        raise ConfigError("noise.shots_grid needs at least 4 points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("noise.shots_grid must be strictly increasing")
     repetitions = cfg["noise.repetitions"]
     model = _model_spec(cfg)
     observable = decompose(build_model(model).entries)
@@ -221,8 +231,8 @@ def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
 
 
 def cmd_noise_scan(cfg: ExperimentConfig) -> Path:
-    outdir = _prepare_outdir(cfg)
     report = noise_scan(cfg)
+    outdir = _prepare_outdir(cfg)
     _write_csv(outdir / "noise.csv", "shots,stddev", report.shots_grid, report.stddevs)
     (outdir / "noise_report.txt").write_text(
         f"fit_A = {_fmt(report.fit_a)}\n"

@@ -18,6 +18,22 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _shots_grid(text: str) -> tuple[int, ...]:
+    """At least 4 strictly increasing shot counts, the first at least 1."""
+    grid = _int_list(text)
+    if len(grid) < 4 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"needs at least 4 strictly increasing shot counts >= 1, got {text!r}")
+    return grid
+
+
+def _scan_dims(text: str) -> tuple[int, ...]:
+    """Per-mode truncation dims, each a power of two >= 2."""
+    dims = _int_list(text)
+    if any(d < 2 or d & (d - 1) for d in dims):
+        raise ValueError(f"each dim must be a power of two >= 2, got {text!r}")
+    return dims
+
+
 def _refinement_list(text: str) -> tuple[tuple[int, float, int], ...]:
     """Comma-separated iterations:c:shots triples, e.g. "1000:0.04:65536"."""
     if not text.strip():
@@ -25,7 +41,10 @@ def _refinement_list(text: str) -> tuple[tuple[int, float, int], ...]:
     stages = []
     for part in text.split(","):
         iters, c, shots = part.split(":")
-        stages.append((int(iters), float(c), int(shots)))
+        iters, c, shots = int(iters), float(c), int(shots)
+        if iters < 1 or not c > 0 or shots < 1:
+            raise ValueError(f"stage {part!r} needs iterations >= 1, c > 0 and shots >= 1")
+        stages.append((iters, c, shots))
     return tuple(stages)
 
 
@@ -49,9 +68,9 @@ SCHEMA = {
     "run.shots": (int, 8192),
     "run.repetitions": (int, 30),
     "run.seed": (int, 0),
-    "noise.shots_grid": (_int_list, (256, 512, 1024, 2048, 4096, 8192, 16384)),
+    "noise.shots_grid": (_shots_grid, (256, 512, 1024, 2048, 4096, 8192, 16384)),
     "noise.repetitions": (int, 100),
-    "spectrum.scan_dims": (_int_list, (4, 8, 16, 32, 64, 128, 256)),
+    "spectrum.scan_dims": (_scan_dims, (4, 8, 16, 32, 64, 128, 256)),
     "grid.extent": (float, 8.0),
     "grid.points": (int, 321),
     "output.dir": (str, None),
@@ -59,7 +78,14 @@ SCHEMA = {
 
 REQUIRED_KEYS = ("model.family", "output.dir")
 # smallest accepted value of the integer keys that have one
-MINIMUMS = {"run.shots": 1, "run.repetitions": 2, "noise.repetitions": 2, "grid.points": 2}
+MINIMUMS = {
+    "ansatz.depth": 0,
+    "spsa.restarts": 1,
+    "run.shots": 1,
+    "run.repetitions": 2,
+    "noise.repetitions": 2,
+    "grid.points": 2,
+}
 
 
 @dataclass(frozen=True)

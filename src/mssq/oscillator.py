@@ -65,10 +65,6 @@ def _check_hermitian(entries: np.ndarray) -> None:
         raise ValueError(f"matrix is not Hermitian to {bound:.3g}")
 
 
-class DimensionError(ValueError):
-    """Raised for truncation dimensions that cannot hold a ladder operator."""
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of which Hamiltonian to build.
@@ -123,13 +119,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A dense Hermitian operator with its mode/qubit layout.
-
-    layout maps mode labels to qubit counts, most significant block first.
-    """
+    """A dense Hermitian operator of power-of-two size."""
 
     entries: np.ndarray
-    layout: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -137,17 +129,11 @@ class OperatorMatrix:
         dim = entries.shape[0]
         if entries.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
             raise ValueError(f"entries must be square with power-of-two size, got {entries.shape}")
-        if dim != 2 ** sum(n for _, n in self.layout):
-            raise ValueError("layout qubit count does not match matrix dimension")
         _check_hermitian(entries)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return sum(n for _, n in self.layout)
 
 
 def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +142,7 @@ def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     lower[n-1, n] = sqrt(n); raising is the conjugate transpose.
     """
     if dim < 2:
-        raise DimensionError(f"ladder needs dim >= 2, got {dim}")
+        raise ValueError(f"ladder needs dim >= 2, got {dim}")
     lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
     return lower, lower.conj().T
 
@@ -208,17 +194,15 @@ def build_model(spec: ModelSpec) -> OperatorMatrix:
     """Build the dense Hamiltonian for a model spec."""
     if spec.family in ONE_MODE_FAMILIES:
         h = _one_mode_hamiltonian(spec.family, spec)
-        layout = (("x", spec.qubits_per_mode),)
     else:
         h = _two_mode_hamiltonian(spec)
-        layout = (("a", spec.qubits_per_mode), ("chi", spec.qubits_per_mode))
     # enforce exact Hermiticity against float roundoff in the products
     h = (h + h.conj().T) / 2
-    return OperatorMatrix(h, layout)
+    return OperatorMatrix(h)
 
 
 def matrix_square(op: OperatorMatrix) -> OperatorMatrix:
     """H -> H @ H, the objective for zero-eigenstate searches."""
     sq = op.entries @ op.entries
     sq = (sq + sq.conj().T) / 2
-    return OperatorMatrix(sq, op.layout)
+    return OperatorMatrix(sq)

@@ -60,14 +60,13 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
     return SpectrumResult(vals, vecs, residual)
 
 
-def nearest_zero_state(spectrum: SpectrumResult, k: int = 1) -> list[tuple[float, np.ndarray]]:
-    """The k eigenpairs with smallest |eigenvalue|; ties go to the more negative one."""
+def nearest_zero_state(spectrum: SpectrumResult) -> tuple[float, np.ndarray]:
+    """The eigenpair with smallest |eigenvalue|; a tie goes to the more negative one."""
     vals = spectrum.eigenvalues
     if len(vals) == 0:
         raise ValueError("empty spectrum")
-    k = min(k, len(vals))
-    order = sorted(range(len(vals)), key=lambda i: (abs(vals[i]), vals[i]))
-    return [(float(vals[i]), spectrum.eigenvectors[:, i]) for i in order[:k]]
+    i = min(range(len(vals)), key=lambda j: (abs(vals[j]), vals[j]))
+    return float(vals[i]), spectrum.eigenvectors[:, i]
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -131,7 +130,7 @@ def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray, Spectrum
     result = eigendecompose(build_model(spec))
     if spec.family in ONE_MODE_FAMILIES:
         return float(result.eigenvalues[0]), result.eigenvectors[:, 0], result
-    val, vec = nearest_zero_state(result, 1)[0]
+    val, vec = nearest_zero_state(result)
     return val, vec, result
 
 

@@ -41,8 +41,12 @@ class SpsaConfig:
             raise ValueError("alpha must lie in (0.5, 1]")
         if not 0 < self.gamma <= 0.5:
             raise ValueError("gamma must lie in (0, 0.5]")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
+        if self.a is not None and not self.a > 0:
+            raise ValueError("a must be positive")
+        if self.stability is not None and not self.stability >= 0:
+            raise ValueError("stability must be nonnegative")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
 
@@ -131,7 +135,7 @@ def estimate_error(circuit: Circuit, observable: pauli.PauliSum, shots, repetiti
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(repetitions)
     values = [
-        expectation(circuit, observable, shots=shots, seed=np.random.default_rng(child))[0]
+        expectation(circuit, observable, shots=shots, seed=np.random.default_rng(child))
         for child in children
     ]
     return float(np.mean(values)), float(np.std(values, ddof=1))
@@ -192,7 +196,7 @@ def vqe_run(
     def objective(params):
         return expectation(
             build_ansatz(shape, params), objective_sum, shots=current_shots, seed=shot_rng
-        )[0]
+        )
 
     def tail_mean(traj):
         objs = [obj for _, obj in traj[-20:]]

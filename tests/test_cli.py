@@ -268,6 +268,19 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("spectrum", ["model.family=ClosedFree", "model.quartic_c=0.1"], None, "model.quartic_c"),
         ("spectrum", ["model.quartic_c=0.1"], None, "model.quartic_c"),
         ("spectrum", ["model.family=DoubleWell", "model.lambda_abs=0.1"], None, "model.lambda_abs"),
+        ("vqe", ["spsa.iterations=0"], None, "spsa.iterations"),
+        ("vqe", ["spsa.c=0"], None, "spsa.c"),
+        ("vqe", ["spsa.alpha=2"], None, "spsa.alpha"),
+        ("vqe", ["spsa.restarts=0"], None, "spsa.restarts"),
+        ("vqe", ["spsa.refinements=0:0.04:1000"], None, "spsa.refinements"),
+        ("vqe", ["ansatz.depth=-1"], None, "ansatz.depth"),
+        ("noise-scan", ["noise.shots_grid=0,256,512,1024"], None, "noise.shots_grid"),
+        ("noise-scan", ["noise.shots_grid=256,512"], None, "noise.shots_grid"),
+        ("spectrum", ["spectrum.scan_dims=3,8"], None, "spectrum.scan_dims"),
+        ("constraint", [], None, "model.family"),
+        ("vqe", ["spsa.c=nan"], None, "spsa.c"),
+        ("vqe", ["spsa.a=-1"], None, "spsa.a"),
+        ("vqe", ["spsa.stability=-5"], None, "spsa.stability"),
     ],
 )
 def test_bad_value_exits_2_naming_key(
@@ -281,6 +294,7 @@ def test_bad_value_exits_2_naming_key(
     args = ["--set=" + item for item in overrides]
     assert main([command, "-c", str(cfg), *args]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # a rejected config writes nothing
 
 
 def test_cli_set_override(tmp_path):

@@ -129,26 +129,31 @@ def test_duplicate_strings_rejected():
 
 
 def test_grouped_estimator_unbiased():
-    # grouped and ungrouped shot estimates agree within 3 combined stderr
-    from mssq.circuits import Circuit, U3, expectation
+    # grouped and ungrouped shot estimates agree within 3 combined standard errors,
+    # each taken from the spread of repeated estimates
+    from mssq.circuits import Circuit, U3, expectation, run
 
     rng = np.random.default_rng(0)
+    reps = 20
     for seed in range(3):
-        psum = decompose(random_hermitian(4, 100 + seed))
+        h = random_hermitian(4, 100 + seed)
+        psum = decompose(h)
         gates = tuple(U3(q, *rng.uniform(-np.pi, np.pi, 3)) for q in range(2))
         circuit = Circuit(2, gates)
-        exact, _ = expectation(circuit, psum)
-        grouped, err_g = expectation(circuit, psum, shots=10**5, seed=seed)
-        ungrouped_val = 0.0
-        err_sq = 0.0
-        for coeff, string in psum.terms:
-            single = PauliSum(2, ((coeff, string),))
-            v, e = expectation(circuit, single, shots=10**5, seed=1000 + seed)
-            ungrouped_val += v
-            err_sq += e**2
-        combined = np.sqrt(err_g**2 + err_sq)
-        assert abs(grouped - ungrouped_val) < 3 * max(combined, 1e-12)
-        assert abs(grouped - exact) < 5 * max(err_g, 1e-12)
+        psi = run(circuit)
+        exact = np.vdot(psi, h @ psi).real
+        grouped = [expectation(circuit, psum, 10**5, seed=reps * seed + r) for r in range(reps)]
+        ungrouped = [
+            sum(
+                expectation(circuit, PauliSum(2, (term,)), 10**5, seed=1000 + reps * seed + r)
+                for term in psum.terms
+            )
+            for r in range(reps)
+        ]
+        err_g = np.std(grouped, ddof=1) / np.sqrt(reps)
+        combined = np.sqrt(err_g**2 + np.var(ungrouped, ddof=1) / reps)
+        assert abs(np.mean(grouped) - np.mean(ungrouped)) < 3 * max(combined, 1e-12)
+        assert abs(np.mean(grouped) - exact) < 5 * max(err_g, 1e-12)
 
 
 def test_parities_match_bit_count_oracle():

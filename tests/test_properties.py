@@ -1,0 +1,59 @@
+"""Properties checked over random inputs drawn by hypothesis."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mssq.circuits import AnsatzShape, build_ansatz, run
+from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
+from mssq.pauli import decompose, reconstruct
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_matrices(draw, max_qubits=4):
+    dim = 2 ** draw(st.integers(1, max_qubits))
+    parts = draw(arrays(np.float64, (2, dim, dim), elements=finite))
+    a = parts[0] + 1j * parts[1]
+    return (a + a.conj().T) / 2
+
+
+@st.composite
+def ansatz_points(draw, n_qubits, max_depth=3):
+    shape = AnsatzShape(n_qubits, draw(st.integers(0, max_depth)))
+    params = draw(arrays(np.float64, shape.parameter_count, elements=st.floats(-7, 7)))
+    return shape, params
+
+
+@PROPERTY_SETTINGS
+@given(hermitian_matrices())
+def test_pauli_roundtrip_property(h):
+    assert np.max(np.abs(reconstruct(decompose(h)) - h)) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4).flatmap(ansatz_points))
+def test_ansatz_state_has_unit_norm(point):
+    shape, params = point
+    assert abs(np.linalg.norm(run(build_ansatz(shape, params))) - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(Family.DOUBLE_WELL, 3), ModelSpec(Family.CLOSED_PHI4, 2)],
+    ids=lambda spec: spec.family.value,
+)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_dense_energy_and_variance_bounds(spec, data):
+    model = build_model(spec)
+    h, h2 = model.entries, matrix_square(model).entries
+    tol = 1e-9 * max(1.0, np.abs(h2).max())
+    psi = run(build_ansatz(*data.draw(ansatz_points(spec.total_qubits, max_depth=2))))
+    energy = np.vdot(psi, h @ psi).real
+    assert energy >= np.linalg.eigvalsh(h)[0] - tol
+    assert np.vdot(psi, h2 @ psi).real >= energy**2 - tol

@@ -53,26 +53,20 @@ def test_trace_preservation():
 
 def test_nearest_zero_simple():
     result = SpectrumResult(np.array([-1.0, 0.2, 3.0]), np.eye(3, dtype=complex), 0.0)
-    val, vec = nearest_zero_state(result, 1)[0]
+    val, vec = nearest_zero_state(result)
     assert val == 0.2
     assert np.allclose(vec, [0, 1, 0])
 
 
 def test_nearest_zero_tie_breaks_negative():
     result = SpectrumResult(np.array([-0.2, 0.2]), np.eye(2, dtype=complex), 0.0)
-    assert nearest_zero_state(result, 1)[0][0] == -0.2
-
-
-def test_nearest_zero_truncates_k():
-    result = SpectrumResult(np.array([1.0, 2.0]), np.eye(2, dtype=complex), 0.0)
-    assert len(nearest_zero_state(result, 5)) == 2
+    assert nearest_zero_state(result)[0] == -0.2
 
 
 def test_closed_free_zero_modes():
     # the +/- pair at equal truncation has exact zero eigenvalues
     result = eigendecompose(build_model(ModelSpec(Family.CLOSED_FREE, 2)))
-    near = nearest_zero_state(result, 4)
-    assert sum(1 for v, _ in near if abs(v) < 1e-9) >= 2
+    assert np.sum(np.abs(result.eigenvalues) < 1e-9) >= 2
 
 
 def test_ground_state_density_gaussian():
