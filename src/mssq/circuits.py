@@ -7,6 +7,7 @@ most-significant-first convention of the Pauli strings in `pauli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import cos, sin
 
 import numpy as np
@@ -56,25 +57,23 @@ def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-# u3 angles of the basis changes mapping X and Y measurement onto the computational basis
-_BASIS_ROTATION = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
+# u3 basis changes mapping X and Y measurement onto the computational basis
+_BASIS_CHANGE = {"X": u3_matrix(np.pi / 2, 0.0, np.pi), "Y": u3_matrix(np.pi / 2, 0.0, np.pi / 2)}
 
 
-def _apply_u3(state: np.ndarray, gate: U3, n: int) -> np.ndarray:
-    mat = u3_matrix(gate.theta, gate.phi, gate.lam)
-    psi = state.reshape([2] * n)
-    psi = np.moveaxis(psi, gate.qubit, 0)
-    psi = np.tensordot(mat, psi, axes=([1], [0]))
-    return np.moveaxis(psi, 0, gate.qubit).reshape(-1)
+def _apply_u3(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    """Apply `mat` to qubit q: one (2, 2) @ (2, dim/2) matmul, the same gemm shape for every q."""
+    pairs = state.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    return (mat @ pairs).reshape(2, 2**q, -1).swapaxes(0, 1).reshape(-1)
 
 
-def _apply_cnot(state: np.ndarray, gate: CNOT, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    idx1 = [slice(None)] * n
-    idx1[gate.control] = 1
-    sub = psi[tuple(idx1)]
-    psi[tuple(idx1)] = np.flip(sub, axis=gate.target if gate.target < gate.control else gate.target - 1)
-    return psi.reshape(-1)
+@cache
+def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
+    """Read-only gather indices applying CNOT(control, target) as state[perm]."""
+    idx = np.arange(2**n)
+    perm = idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))
+    perm.flags.writeable = False
+    return perm
 
 
 def run(circuit: Circuit) -> np.ndarray:
@@ -84,9 +83,9 @@ def run(circuit: Circuit) -> np.ndarray:
     state[0] = 1.0
     for gate in circuit.gates:
         if isinstance(gate, U3):
-            state = _apply_u3(state, gate, n)
+            state = _apply_u3(state, u3_matrix(gate.theta, gate.phi, gate.lam), gate.qubit)
         else:
-            state = _apply_cnot(state, gate, n)
+            state = state[_cnot_permutation(n, gate.control, gate.target)]
     return state
 
 
@@ -139,8 +138,8 @@ def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None) -
     for group in observable.groups:
         rotated = state
         for q, basis in enumerate(group.basis):
-            if basis in _BASIS_ROTATION:
-                rotated = _apply_u3(rotated, U3(q, *_BASIS_ROTATION[basis]), circuit.n_qubits)
+            if basis in _BASIS_CHANGE:
+                rotated = _apply_u3(rotated, _BASIS_CHANGE[basis], q)
         probs = np.abs(rotated) ** 2
         counts = rng.multinomial(shots, probs / probs.sum())
         freq = counts / shots

@@ -34,6 +34,14 @@ def _scan_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _extent(text: str) -> float:
+    """A finite half-width > 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise ValueError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _refinement_list(text: str) -> tuple[tuple[int, float, int], ...]:
     """Comma-separated iterations:c:shots triples, e.g. "1000:0.04:65536"."""
     if not text.strip():
@@ -71,7 +79,7 @@ SCHEMA = {
     "noise.shots_grid": (_shots_grid, (256, 512, 1024, 2048, 4096, 8192, 16384)),
     "noise.repetitions": (int, 100),
     "spectrum.scan_dims": (_scan_dims, (4, 8, 16, 32, 64, 128, 256)),
-    "grid.extent": (float, 8.0),
+    "grid.extent": (_extent, 8.0),
     "grid.points": (int, 321),
     "output.dir": (str, None),
 }
@@ -81,6 +89,7 @@ REQUIRED_KEYS = ("model.family", "output.dir")
 MINIMUMS = {
     "ansatz.depth": 0,
     "spsa.restarts": 1,
+    "spsa.calibration_samples": 1,
     "run.shots": 1,
     "run.repetitions": 2,
     "noise.repetitions": 2,

@@ -59,7 +59,9 @@ DEFAULT_COUPLINGS = {
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
-    """Reject a matrix unless |H - H^dagger| <= 1e-12 * max(1, max|H|) entrywise."""
+    """Reject a non-finite matrix, or one with |H - H^dagger| > 1e-12 * max(1, max|H|) entrywise."""
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix has non-finite entries")
     bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
     if np.max(np.abs(entries - entries.conj().T)) > bound:
         raise ValueError(f"matrix is not Hermitian to {bound:.3g}")
@@ -87,16 +89,16 @@ class ModelSpec:
         object.__setattr__(self, "family", family)
         if self.qubits_per_mode < 1:
             raise ValueError("qubits_per_mode must be positive")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (self.omega > 0 and np.isfinite(self.omega)):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         defaults = DEFAULT_COUPLINGS.get(family, (0.0, 0.0))
         for name, default in zip(("lambda_abs", "quartic_c"), defaults):
             value = getattr(self, name)
             if value is None:
                 value = default
                 object.__setattr__(self, name, value)
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not (value >= 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
             if value and not default:
                 raise ValueError(f"{name} must be 0: {family.value} has no such term, got {value}")
 

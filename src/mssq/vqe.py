@@ -49,6 +49,8 @@ class SpsaConfig:
             raise ValueError("stability must be nonnegative")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
+        if self.calibration_samples < 1:
+            raise ValueError("calibration_samples must be positive")
 
     @property
     def stability_const(self) -> float:
@@ -102,9 +104,8 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
     a = config.a
     if a is None:
         # calibrate so the first update has magnitude ~config.calibration_step
-        samples = max(config.calibration_samples, 1)
         mags = []
-        for s in range(samples):
+        for _ in range(config.calibration_samples):
             delta = rng.choice([-1.0, 1.0], size=theta.shape)
             diff = check(objective(theta + config.c * delta), -1) - check(
                 objective(theta - config.c * delta), -1

@@ -245,3 +245,39 @@ def test_shot_expectation_groups_observable_once(monkeypatch):
     for _ in range(50):
         expectation(circuit, observable, shots=256, seed=rng)
     assert len(calls) == 1 and calls[0] is observable
+
+
+def tensordot_u3(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Reference u3 kernel: move qubit q's axis to the front and contract with tensordot."""
+    psi = np.moveaxis(state.reshape([2] * n), q, 0)
+    psi = np.tensordot(mat, psi, axes=([1], [0]))
+    return np.moveaxis(psi, 0, q).reshape(-1)
+
+
+def flip_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
+    """Reference CNOT kernel: flip the target axis of the control=1 half."""
+    psi = state.reshape([2] * n).copy()
+    idx1 = [slice(None)] * n
+    idx1[control] = 1
+    sub = psi[tuple(idx1)]
+    psi[tuple(idx1)] = np.flip(sub, axis=target if target < control else target - 1)
+    return psi.reshape(-1)
+
+
+def test_gate_kernels_match_tensordot_reference():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        for _ in range(5):
+            state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            for q in range(n):
+                mat = u3_matrix(*rng.uniform(-np.pi, np.pi, 3))
+                got = circuits._apply_u3(state, mat, q)
+                assert np.array_equal(got, tensordot_u3(state, mat, q, n))
+            for control in range(n):
+                for target in range(n):
+                    if control != target:
+                        got = state[circuits._cnot_permutation(n, control, target)]
+                        assert np.array_equal(got, flip_cnot(state, control, target, n))
+    perm = circuits._cnot_permutation(3, 2, 0)
+    with pytest.raises(ValueError):
+        perm[0] = 1

@@ -281,6 +281,16 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("vqe", ["spsa.c=nan"], None, "spsa.c"),
         ("vqe", ["spsa.a=-1"], None, "spsa.a"),
         ("vqe", ["spsa.stability=-5"], None, "spsa.stability"),
+        ("vqe", ["spsa.calibration_samples=0"], None, "spsa.calibration_samples"),
+        ("vqe", ["grid.extent=0"], None, "grid.extent"),
+        ("vqe", ["grid.extent=-3"], None, "grid.extent"),
+        ("vqe", ["grid.extent=nan"], None, "grid.extent"),
+        ("vqe", ["grid.extent=inf"], None, "grid.extent"),
+        ("spectrum", ["model.omega=nan"], None, "model.omega"),
+        ("spectrum", ["model.omega=inf"], None, "model.omega"),
+        ("spectrum", ["model.family=DoubleWell", "model.quartic_c=nan"], None, "model.quartic_c"),
+        ("spectrum", ["model.family=DoubleWell", "model.quartic_c=inf"], None, "model.quartic_c"),
+        ("spectrum", ["model.family=ClosedPhi4", "model.lambda_abs=nan"], None, "model.lambda_abs"),
     ],
 )
 def test_bad_value_exits_2_naming_key(

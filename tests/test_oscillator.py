@@ -124,3 +124,12 @@ def test_matrix_square_eigenvalues():
 def test_operator_matrix_rejects_non_hermitian():
     with pytest.raises(ValueError):
         OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_operator_matrix_rejects_non_finite(bad):
+    # symmetric placements: a NaN bound used to turn the Hermiticity test false
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))

@@ -1,5 +1,10 @@
 """Properties checked over random inputs drawn by hypothesis."""
 
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, build_ansatz, run
+from mssq.cli import main
 from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
 
@@ -57,3 +63,31 @@ def test_dense_energy_and_variance_bounds(spec, data):
     energy = np.vdot(psi, h @ psi).real
     assert energy >= np.linalg.eigvalsh(h)[0] - tol
     assert np.vdot(psi, h2 @ psi).real >= energy**2 - tol
+
+
+TINY_VQE = """
+model.family = HarmonicOsc
+model.qubits_per_mode = 1
+ansatz.depth = 1
+spsa.iterations = 4
+spsa.calibration_samples = 2
+run.shots = 64
+run.repetitions = 2
+grid.points = 11
+output.dir = {out}
+"""
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32))
+def test_rerun_determinism_under_env_seed(seed):
+    env = {"MSSQ_SEED": str(seed)}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+        outputs = []
+        for label in ("a", "b"):
+            cfg = Path(tmp) / f"{label}.cfg"
+            cfg.write_text(TINY_VQE.format(out=Path(tmp) / label))
+            assert main(["vqe", "-c", str(cfg)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in (Path(tmp) / label).glob("*.csv")})
+        assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+        assert f"seed = {seed}\n" in (Path(tmp) / "a" / "result.txt").read_text()

@@ -55,6 +55,8 @@ def test_spsa_config_validation():
         SpsaConfig(iterations=10, gamma=0.6)
     with pytest.raises(ValueError):
         SpsaConfig(iterations=10, c=0.0)
+    with pytest.raises(ValueError, match="^calibration_samples"):
+        SpsaConfig(iterations=10, calibration_samples=0)
 
 
 def test_spsa_deterministic():
