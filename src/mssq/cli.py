@@ -24,6 +24,15 @@ from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
+# an eighth of physical memory: temporaries, the complex ladder matrices and
+# the Hermiticity checks lift a run's peak RSS to 2-6x its counted arrays
+MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+# dim x dim float64 matrices each command holds at once: the model, H^2 for
+# constraint, the eigenvectors for spectrum, and the complex copy (two floats
+# per entry) that pauli.decompose makes
+MATRICES_HELD = {"spectrum": 2, "vqe": 3, "constraint": 4, "noise-scan": 3}
+
+
 @dataclass(frozen=True)
 class ShotNoiseReport:
     shots_grid: tuple[int, ...]
@@ -103,9 +112,33 @@ def _seed(cfg: ExperimentConfig) -> int:
     if not env:
         return cfg["run.seed"]
     try:
-        return int(env)
+        seed = int(env)
     except ValueError as exc:
         raise ConfigError(f"MSSQ_SEED (run.seed) must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"MSSQ_SEED (run.seed) must be at least 0, got {seed}")
+    return seed
+
+
+def _check_memory(command: str, cfg: ExperimentConfig) -> None:
+    """Refuse, naming the key, a run whose largest arrays alone exceed MEMORY_BOUND.
+
+    Counted at 8 B per float: the command's dim x dim matrices and, for the
+    density-writing commands, the Hermite tables (mode_dim x grid.points per
+    mode) and the density grid (grid.points^n_modes).
+    """
+    model = _model_spec(cfg)
+    matrices = 8 * MATRICES_HELD[command] * model.dim**2
+    grid = 0
+    if command in ("vqe", "constraint"):
+        points = cfg["grid.points"]
+        grid = 8 * (model.n_modes * model.mode_dim * points + points**model.n_modes)
+    if matrices + grid > MEMORY_BOUND:
+        key = "model.qubits_per_mode" if matrices >= grid else "grid.points"
+        raise ConfigError(
+            f"{key} = {cfg[key]} needs an estimated {(matrices + grid) / 2**30:.3g} GiB,"
+            f" more than the {MEMORY_BOUND / 2**30:.3g} GiB bound (physical memory / 8)"
+        )
 
 
 def _grid(cfg: ExperimentConfig) -> np.ndarray:
@@ -128,7 +161,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     # a two-mode scan dim d needs a d^2 x d^2 dense eigensolve
     dropped = [d for d in cfg["spectrum.scan_dims"] if model.n_modes == 2 and d > 16]
     dims = [d for d in cfg["spectrum.scan_dims"] if d not in dropped]
-    scan = np.reshape(spec_mod.convergence_scan(model, dims), (-1, 3))
+    scan = np.reshape(spec_mod.convergence_scan(model, dims, top=result), (-1, 3))
     _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan[:, 0].astype(int), *scan.T[1:])
     near_zero, _ = spec_mod.nearest_zero_state(result)
     summary = (
@@ -273,6 +306,7 @@ def main(argv=None) -> int:
             key, _, value = item.partition("=")
             overrides.append((key.strip(), value.strip()))
         cfg = parse_config(args.config, overrides)
+        _check_memory(args.command, cfg)
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -92,6 +92,7 @@ MINIMUMS = {
     "spsa.calibration_samples": 1,
     "run.shots": 1,
     "run.repetitions": 2,
+    "run.seed": 0,
     "noise.repetitions": 2,
     "grid.points": 2,
 }

@@ -121,12 +121,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A dense Hermitian operator of power-of-two size."""
+    """A dense Hermitian operator of power-of-two size; real input stays float64."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
         object.__setattr__(self, "entries", entries)
         dim = entries.shape[0]
         if entries.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
@@ -159,11 +159,16 @@ def quadratures(dim: int, omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     return x, p
 
 
-def _one_mode_hamiltonian(family: Family, spec: ModelSpec) -> np.ndarray:
+def _even_powers(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^2, p^2 and x^4 as float64: x is real and p = i q with q real, so p^2 = -q q."""
     x, p = quadratures(spec.mode_dim, spec.omega)
+    x, q = x.real, p.imag
     x2 = x @ x
-    p2 = p @ p
-    x4 = x2 @ x2
+    return x2, -(q @ q), x2 @ x2
+
+
+def _one_mode_hamiltonian(family: Family, spec: ModelSpec) -> np.ndarray:
+    x2, p2, x4 = _even_powers(spec)
     if family is Family.HARMONIC_OSC:
         return p2 / 2 + x2 / 2
     if family is Family.ANHARMONIC_OSC:
@@ -174,12 +179,8 @@ def _one_mode_hamiltonian(family: Family, spec: ModelSpec) -> np.ndarray:
 
 
 def _two_mode_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    d = spec.mode_dim
-    eye = np.eye(d)
-    x, p = quadratures(d, spec.omega)
-    x2 = x @ x
-    p2 = p @ p
-    x4 = x2 @ x2
+    eye = np.eye(spec.mode_dim)
+    x2, p2, x4 = _even_powers(spec)
     if spec.family is Family.OPEN_PHI4:
         # -p_a^2/4 + a^2 - |L| a^4   and   p_chi^2/4 - chi^2 + c chi^4
         piece_a = p2 / 4 - x2 + spec.lambda_abs * x4
@@ -193,13 +194,13 @@ def _two_mode_hamiltonian(spec: ModelSpec) -> np.ndarray:
 
 
 def build_model(spec: ModelSpec) -> OperatorMatrix:
-    """Build the dense Hamiltonian for a model spec."""
+    """Build the dense, real symmetric (float64) Hamiltonian for a model spec."""
     if spec.family in ONE_MODE_FAMILIES:
         h = _one_mode_hamiltonian(spec.family, spec)
     else:
         h = _two_mode_hamiltonian(spec)
-    # enforce exact Hermiticity against float roundoff in the products
-    h = (h + h.conj().T) / 2
+    # enforce exact symmetry against float roundoff in the products
+    h = (h + h.T) / 2
     return OperatorMatrix(h)
 
 

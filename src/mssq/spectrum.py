@@ -1,15 +1,13 @@
-"""Dense Hermitian eigensolver and position-space wavefunction reconstruction."""
+"""Dense real-symmetric eigensolver and position-space wavefunction reconstruction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .oscillator import (
-    Family,
     ModelSpec,
-    ONE_MODE_FAMILIES,
     OperatorMatrix,
     _check_hermitian,
     build_model,
@@ -37,7 +35,7 @@ class WavefunctionGrid:
 
 
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
-    """Eigendecompose a Hermitian matrix (LAPACK dense solver).
+    """Eigendecompose a Hermitian matrix with LAPACK, in real arithmetic when it is real.
 
     Eigenvectors within a degenerate cluster (gap < 1e-9) are re-orthonormalized
     by a QR pass; ordering inside a cluster is unspecified.
@@ -45,7 +43,7 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
     if isinstance(h, OperatorMatrix):
         entries = h.entries  # checked when the operator was built
     else:
-        entries = np.asarray(h, dtype=complex)
+        entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
         _check_hermitian(entries)
     vals, vecs = np.linalg.eigh(entries)
     # re-orthonormalize degenerate clusters
@@ -60,13 +58,18 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
     return SpectrumResult(vals, vecs, residual)
 
 
-def nearest_zero_state(spectrum: SpectrumResult) -> tuple[float, np.ndarray]:
-    """The eigenpair with smallest |eigenvalue|; a tie goes to the more negative one."""
-    vals = spectrum.eigenvalues
+def _target_index(vals: np.ndarray, nearest_zero: bool) -> int:
+    """Index of the ground state in ascending vals or, if nearest_zero, of the smallest
+    |eigenvalue|, a tie going to the more negative one."""
     if len(vals) == 0:
         raise ValueError("empty spectrum")
-    i = min(range(len(vals)), key=lambda j: (abs(vals[j]), vals[j]))
-    return float(vals[i]), spectrum.eigenvectors[:, i]
+    return min(range(len(vals)), key=lambda j: (abs(vals[j]), vals[j])) if nearest_zero else 0
+
+
+def nearest_zero_state(spectrum: SpectrumResult) -> tuple[float, np.ndarray]:
+    """The eigenpair with smallest |eigenvalue|; a tie goes to the more negative one."""
+    i = _target_index(spectrum.eigenvalues, nearest_zero=True)
+    return float(spectrum.eigenvalues[i]), spectrum.eigenvectors[:, i]
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -128,17 +131,16 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
 def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray, SpectrumResult]:
     """Ground state for one-mode models, nearest-zero state for two-mode ones."""
     result = eigendecompose(build_model(spec))
-    if spec.family in ONE_MODE_FAMILIES:
-        return float(result.eigenvalues[0]), result.eigenvectors[:, 0], result
-    val, vec = nearest_zero_state(result)
-    return val, vec, result
+    i = _target_index(result.eigenvalues, nearest_zero=spec.n_modes == 2)
+    return float(result.eigenvalues[i]), result.eigenvectors[:, i], result
 
 
-def convergence_scan(spec: ModelSpec, dims) -> list[tuple[int, float, float]]:
-    """Ground (or nearest-zero) energy per per-mode truncation dimension.
+def convergence_scan(spec: ModelSpec, dims, top: SpectrumResult | None = None) -> list[tuple]:
+    """Ground (or nearest-zero) energy per per-mode truncation dimension, from eigenvalues only.
 
-    dims must be ascending powers of two.  Returns (dim, energy,
-    |energy - previous energy|) rows; the first row's difference is nan.
+    dims must be ascending powers of two; top, spec's own solve, gives the row
+    at spec.mode_dim.  Returns (dim, energy, |energy - previous energy|)
+    rows; the first row's difference is nan.
     """
     rows: list[tuple[int, float, float]] = []
     prev = None
@@ -146,14 +148,11 @@ def convergence_scan(spec: ModelSpec, dims) -> list[tuple[int, float, float]]:
         n = int(dim).bit_length() - 1
         if 2**n != dim or dim < 2:
             raise ValueError(f"scan dimension must be a power of two >= 2, got {dim}")
-        scan_spec = ModelSpec(
-            family=spec.family,
-            qubits_per_mode=n,
-            lambda_abs=spec.lambda_abs,
-            quartic_c=spec.quartic_c,
-            omega=spec.omega,
-        )
-        energy, _, _ = ground_or_nearest_zero(scan_spec)
+        if top is not None and dim == spec.mode_dim:
+            vals = top.eigenvalues
+        else:
+            vals = np.linalg.eigvalsh(build_model(replace(spec, qubits_per_mode=n)).entries)
+        energy = float(vals[_target_index(vals, nearest_zero=spec.n_modes == 2)])
         rows.append((int(dim), energy, float("nan") if prev is None else abs(energy - prev)))
         prev = energy
     return rows

@@ -115,6 +115,21 @@ def test_spectrum_closed_free_near_zero(tmp_path):
     assert abs(near) < 1e-9
 
 
+def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, solver=solver, **kwargs):
+            sizes.append(len(a))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = write_config(tmp_path, BASE_SPECTRUM.format(out=tmp_path / "out"))
+    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=4,8"]) == 0
+    assert sorted(sizes) == [4, 8]
+
+
 def test_spectrum_reports_dropped_scan_dims(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -291,6 +306,16 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("spectrum", ["model.family=DoubleWell", "model.quartic_c=nan"], None, "model.quartic_c"),
         ("spectrum", ["model.family=DoubleWell", "model.quartic_c=inf"], None, "model.quartic_c"),
         ("spectrum", ["model.family=ClosedPhi4", "model.lambda_abs=nan"], None, "model.lambda_abs"),
+        ("vqe", ["run.seed=-1"], None, "run.seed"),
+        ("vqe", [], "-5", "MSSQ_SEED (run.seed)"),
+        # refused on any machine; unguarded, each fails its first allocation at once
+        (
+            "spectrum",
+            ["model.family=ClosedFree", "model.qubits_per_mode=20"],
+            None,
+            "model.qubits_per_mode",
+        ),
+        ("vqe", ["grid.points=1000000000000"], None, "grid.points"),
     ],
 )
 def test_bad_value_exits_2_naming_key(

@@ -12,6 +12,39 @@ from mssq.oscillator import (
 )
 
 
+def _complex_reference(spec):
+    """H from the complex quadratures' products x @ x, p @ p and x2 @ x2."""
+    x, p = quadratures(spec.mode_dim, spec.omega)
+    x2, p2 = x @ x, p @ p
+    x4 = x2 @ x2
+    if spec.n_modes == 1:
+        x2_coeff = -1.0 if spec.family is Family.DOUBLE_WELL else 0.5
+        return p2 / 2 + x2_coeff * x2 + spec.quartic_c * x4
+    x2_coeff = -1.0 if spec.family is Family.OPEN_PHI4 else 1.0
+    piece_a = p2 / 4 + x2_coeff * x2 + spec.lambda_abs * x4
+    piece_chi = p2 / 4 + x2_coeff * x2 + spec.quartic_c * x4
+    eye = np.eye(spec.mode_dim)
+    return -np.kron(piece_a, eye) + np.kron(eye, piece_chi)
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family", list(Family))
+def test_build_model_is_real_and_matches_complex_reference(family, n, omega):
+    spec = ModelSpec(family, n, omega=omega)
+    h = build_model(spec).entries
+    reference = _complex_reference(spec)
+    assert h.dtype == np.float64
+    assert np.max(np.abs(h - reference)) <= 1e-12 * max(1.0, np.abs(reference).max())
+
+
+def test_operator_matrix_upcasts_only_complex_input():
+    real = OperatorMatrix(np.eye(2, dtype=np.float32))
+    assert real.entries.dtype == np.float64
+    assert matrix_square(real).entries.dtype == np.float64
+    assert OperatorMatrix(np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
+
+
 def test_ladder_dim2():
     low, high = ladder(2)
     assert np.array_equal(low, [[0, 1], [0, 0]])

@@ -7,6 +7,7 @@ from mssq.spectrum import (
     convergence_scan,
     default_grid,
     eigendecompose,
+    ground_or_nearest_zero,
     hermite_functions,
     nearest_zero_state,
     reconstruct_wavefunction,
@@ -145,3 +146,36 @@ def test_convergence_scan_double_well_target():
 def test_convergence_scan_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         convergence_scan(ModelSpec(Family.HARMONIC_OSC, 1), [3])
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [
+        (Family.DOUBLE_WELL, 5),
+        (Family.ANHARMONIC_OSC, 4),
+        (Family.CLOSED_PHI4, 2),
+        (Family.OPEN_PHI4, 3),
+    ],
+)
+def test_real_solve_matches_complex_oracle(family, n):
+    model = build_model(ModelSpec(family, n))
+    oracle = np.linalg.eigh(model.entries.astype(complex))[0]
+    for h in (model, model.entries):
+        result = eigendecompose(h)
+        assert result.eigenvectors.dtype == np.float64
+        assert np.max(np.abs(result.eigenvalues - oracle)) <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize(
+    "family,dims", [(Family.DOUBLE_WELL, [4, 8, 16, 32]), (Family.CLOSED_FREE, [2, 4, 8])]
+)
+def test_convergence_scan_matches_full_solves(family, dims):
+    rows = convergence_scan(ModelSpec(family, 1), dims)
+    assert [row[0] for row in rows] == dims
+    for dim, energy, _ in rows:
+        expected, _, result = ground_or_nearest_zero(ModelSpec(family, dim.bit_length() - 1))
+        assert abs(energy - expected) <= 1e-12 * np.abs(result.eigenvalues).max()
+    # the row at spec's own dim comes from its solve, when given
+    top_spec = ModelSpec(family, dims[-1].bit_length() - 1)
+    expected, _, result = ground_or_nearest_zero(top_spec)
+    assert convergence_scan(top_spec, dims, top=result)[-1][1] == expected
