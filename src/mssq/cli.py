@@ -25,12 +25,13 @@ from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
 # an eighth of physical memory: temporaries, the complex ladder matrices and
-# the Hermiticity checks lift a run's peak RSS to 2-6x its counted arrays
+# the Hermiticity checks lift a run's peak RSS to 1.2-6x its counted arrays
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # dim x dim float64 matrices each command holds at once: the model, H^2 for
-# constraint, the eigenvectors for spectrum, and the complex copy (two floats
-# per entry) that pauli.decompose makes
-MATRICES_HELD = {"spectrum": 2, "vqe": 3, "constraint": 4, "noise-scan": 3}
+# constraint, the eigenvectors for spectrum, and three complex arrays (two
+# floats per entry each) while pauli.decompose runs: its copy of the matrix,
+# the interleaved copy and one per-axis result
+MATRICES_HELD = {"spectrum": 2, "vqe": 7, "constraint": 8, "noise-scan": 7}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Pauli-string decomposition of Hermitian matrices and measurement grouping.
 
 A Pauli string is stored as a word over {I, X, Y, Z}, most significant qubit
-first.  Every string is a signed permutation matrix, so it is represented
-internally by (perm, phase) arrays: P[i, perm[i]] = phase[i].  That keeps the
-trace-based decomposition at O(dim) per string.
+first.  Decomposition and reconstruction are one tensorized transform
+(Hantzko, Binkowski, Gupta, arXiv:2310.13421): H reshaped to (2,)*2n with
+each qubit's row and column bit interleaved into one axis of size 4, and one
+4x4 change of basis between those (row, column) pairs and {I, X, Y, Z}
+applied per axis.  All 4^n coefficients come out at once, in lexicographic
+order, at O(n 4^n) cost.
 """
 
 from __future__ import annotations
@@ -18,16 +21,11 @@ from .oscillator import _check_hermitian
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
 IMAG_TOL = 1e-10
-# measuring X or Y after its basis rotation reads out like measuring Z
-_MEASURED_AS_Z = str.maketrans("XY", "ZZ")
+_BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
+_MEASURED_BITS = str.maketrans(PAULI_LETTERS, "0111")
 
-# per-qubit (perm, phase) for I, X, Y, Z
-_SINGLE = {
-    "I": (np.array([0, 1]), np.array([1, 1], dtype=complex)),
-    "X": (np.array([1, 0]), np.array([1, 1], dtype=complex)),
-    "Y": (np.array([1, 0]), np.array([-1j, 1j])),
-    "Z": (np.array([0, 1]), np.array([1, -1], dtype=complex)),
-}
+# _SIGMA[a, 2r + c] = sigma_a[r, c] for sigma = I, X, Y, Z
+_SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
 @dataclass(frozen=True)
@@ -56,23 +54,21 @@ class PauliSum:
         return group_by_basis(self)
 
 
-def string_action(string: str) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, phase) of the full tensor-product string: P[i, perm[i]] = phase[i]."""
-    perm = np.array([0])
-    phase = np.array([1], dtype=complex)
-    for letter in string:
-        p1, ph1 = _SINGLE[letter]
-        perm = (perm[:, None] * 2 + p1[None, :]).ravel()
-        phase = (phase[:, None] * ph1[None, :]).ravel()
-    return perm, phase
+def _per_axis(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 4x4 table to each of the n size-4 axes of x, flattened.
+
+    Each step contracts the leading axis and appends its result as the last
+    axis, so after n steps the axes are back in their original order.
+    """
+    for _ in range(n):
+        x = x.reshape(4, -1).T @ table.T
+    return x.reshape(-1)
 
 
-def all_strings(n_qubits: int):
-    """All 4^n strings in lexicographic (I, X, Y, Z) order, msq first."""
-    strings = [""]
-    for _ in range(n_qubits):
-        strings = [s + letter for s in strings for letter in PAULI_LETTERS]
-    return strings
+def _words(index: np.ndarray, n: int) -> list[str]:
+    """The Pauli strings at these base-4 indices, most significant qubit first."""
+    digits = (index[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
+    return ["".join(word) for word in np.array(list(PAULI_LETTERS))[digits]]
 
 
 def decompose(h: np.ndarray) -> PauliSum:
@@ -83,27 +79,25 @@ def decompose(h: np.ndarray) -> PauliSum:
     if h.shape != (dim, dim) or 2**n != dim:
         raise ValueError("matrix dimension must be a power of two")
     _check_hermitian(h)
-    rows = np.arange(dim)
-    terms = []
-    for string in all_strings(n):
-        perm, phase = string_action(string)
-        coeff = np.sum(phase * h[perm, rows]) / dim
-        if abs(coeff.imag) > IMAG_TOL:
-            raise ValueError(f"non-real coefficient for {string}: {coeff}")
-        if abs(coeff.real) >= COEFF_CUTOFF:
-            terms.append((float(coeff.real), string))
-    return PauliSum(n, tuple(terms))
+    interleaved = h.reshape((2,) * 2 * n).transpose([a for q in range(n) for a in (q, n + q)])
+    # trace(P H) = sum_rc conj(P[r, c]) H[r, c], as every Pauli matrix is Hermitian
+    coeffs = _per_axis(_SIGMA.conj(), interleaved, n) / dim
+    bad = np.flatnonzero(np.abs(coeffs.imag) > IMAG_TOL)
+    if bad.size:
+        raise ValueError(f"non-real coefficient for {_words(bad[:1], n)[0]}: {coeffs[bad[0]]}")
+    kept = np.flatnonzero(np.abs(coeffs.real) >= COEFF_CUTOFF)
+    return PauliSum(n, tuple(zip(coeffs.real[kept].tolist(), _words(kept, n))))
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:
-    """Dense matrix of a PauliSum."""
-    dim = psum.dim
-    rows = np.arange(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
+    """Dense matrix of a PauliSum: the inverse transform of decompose."""
+    n = psum.n_qubits
+    coeffs = np.zeros(4**n, dtype=complex)
     for coeff, string in psum.terms:
-        perm, phase = string_action(string)
-        np.add.at(mat, (rows, perm), coeff * phase)
-    return mat
+        coeffs[int(string.translate(_BASE4_DIGITS) or "0", 4)] = coeff
+    interleaved = _per_axis(_SIGMA.T, coeffs, n).reshape((2,) * 2 * n)
+    rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return interleaved.transpose(rows_then_columns).reshape(psum.dim, psum.dim)
 
 
 @dataclass(frozen=True)
@@ -120,10 +114,13 @@ class MeasurementGroup:
     def parities(self) -> list[np.ndarray | None]:
         """Per term, its +-1 readout of each basis state in this basis (None for I...I).
 
-        Computed once and shared by every evaluation; callers must not modify it.
+        After its basis rotation a string reads out the parity of the basis-state
+        bits on its non-I qubits.  Computed once and shared by every evaluation;
+        callers must not modify it.
         """
-        zs = [string.translate(_MEASURED_AS_Z) for _, string in self.terms]
-        return [np.ascontiguousarray(string_action(z)[1].real) if "Z" in z else None for z in zs]
+        idx = np.arange(2 ** len(self.basis))
+        masks = [int(string.translate(_MEASURED_BITS) or "0", 2) for _, string in self.terms]
+        return [np.where(np.bitwise_count(idx & m) % 2, -1.0, 1.0) if m else None for m in masks]
 
 
 def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:

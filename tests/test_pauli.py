@@ -1,15 +1,26 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from mssq.oscillator import Family, ModelSpec, build_model, quadratures
-from mssq.pauli import (
-    PauliSum,
-    all_strings,
-    decompose,
-    group_by_basis,
-    reconstruct,
-    string_action,
-)
+from mssq.oscillator import Family, ModelSpec, build_model, matrix_square, quadratures
+from mssq.pauli import COEFF_CUTOFF, PauliSum, decompose, group_by_basis, reconstruct
+
+PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def kron_string(string):
+    return functools.reduce(np.kron, (PAULI_MATRICES[c] for c in string), np.eye(1))
+
+
+def strings_of(n):
+    return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
 
 
 def random_hermitian(dim, seed):
@@ -88,20 +99,51 @@ def test_lexicographic_order():
 
 
 def test_string_matrix_against_kron():
-    pauli_mats = {
-        "I": np.eye(2),
-        "X": np.array([[0, 1], [1, 0]]),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.diag([1, -1]),
-    }
-    for string in ["XZ", "YY", "IZX", "ZIY"]:
-        expected = np.eye(1)
-        for c in string:
-            expected = np.kron(expected, pauli_mats[c])
-        perm, phase = string_action(string)
-        actual = np.zeros((2 ** len(string),) * 2, dtype=complex)
-        actual[np.arange(len(perm)), perm] = phase
-        assert np.allclose(actual, expected)
+    for string in ["X", "Y", "XZ", "YY", "IZX", "ZIY"]:
+        expected = kron_string(string)
+        assert np.allclose(reconstruct(PauliSum(len(string), ((1.0, string),))), expected)
+        ((coeff, decomposed),) = decompose(expected).terms
+        assert decomposed == string and coeff == pytest.approx(1.0)
+
+
+def brute_force_terms(h):
+    """Each coefficient as trace(kron(sigma...) @ H) / dim, kept at the cutoff."""
+    dim = h.shape[0]
+    terms = []
+    for string in strings_of(dim.bit_length() - 1):
+        coeff = np.trace(kron_string(string) @ h) / dim
+        assert abs(coeff.imag) < 1e-12 * max(1.0, np.abs(h).max())
+        if abs(coeff.real) >= COEFF_CUTOFF:
+            terms.append((coeff.real, string))
+    return terms
+
+
+@pytest.mark.parametrize(
+    "h",
+    [random_hermitian(2**n, 200 + n) for n in range(1, 7)]
+    + [matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 2))).entries],
+    ids=[f"random-{n}q" for n in range(1, 7)] + ["closedphi4-h2-4q"],
+)
+def test_decompose_matches_trace_oracle(h):
+    expected = brute_force_terms(h)
+    actual = decompose(h).terms
+    assert [s for _, s in actual] == [s for _, s in expected]
+    tol = 1e-12 * max(1.0, np.abs(h).max())
+    assert max(abs(a - e) for (a, _), (e, _) in zip(actual, expected)) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_reconstruct_matches_kron_sum(n):
+    rng = np.random.default_rng(300 + n)
+    strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
+    psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
+    expected = sum(c * kron_string(s) for c, s in psum.terms)
+    assert np.max(np.abs(reconstruct(psum) - expected)) < 1e-12
+
+
+def test_two_mode_four_qubit_h_squared_term_count():
+    psum = decompose(matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 4))))
+    assert len(psum.terms) == 3059
 
 
 def test_group_compatible_pair():
@@ -160,7 +202,7 @@ def test_parities_match_bit_count_oracle():
     rng = np.random.default_rng(41)
     for trial in range(20):
         n = int(rng.integers(1, 6))
-        strings = rng.choice(all_strings(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
+        strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
         psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
         assert psum.groups is psum.groups
         assert psum.groups == group_by_basis(psum)
