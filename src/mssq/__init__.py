@@ -1,7 +1,7 @@
 """Truncated-oscillator toolkit: exact spectra and shot-sampled VQE for
 quantum-mechanical potentials and Wheeler-DeWitt mini-superspace models."""
 
-from .circuits import AnsatzShape, Circuit, CNOT, U3, build_ansatz, expectation, run
+from .circuits import AnsatzShape, Circuit, expectation, run
 from .oscillator import (
     Family,
     ModelSpec,
@@ -25,8 +25,6 @@ from .vqe import SpsaConfig, VqeResult, estimate_error, spsa_minimize, vqe_run
 __all__ = [
     "AnsatzShape",
     "Circuit",
-    "CNOT",
-    "U3",
     "Family",
     "ModelSpec",
     "OperatorMatrix",
@@ -35,7 +33,6 @@ __all__ = [
     "SpsaConfig",
     "VqeResult",
     "WavefunctionGrid",
-    "build_ansatz",
     "build_model",
     "convergence_scan",
     "decompose",

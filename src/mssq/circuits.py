@@ -1,4 +1,4 @@
-"""Statevector simulation of u3/CNOT circuits and shot-based estimation.
+"""Statevector simulation of the layered u3/CNOT ansatz and shot-based estimation.
 
 Qubit 0 is the most significant bit of the basis index, matching the
 most-significant-first convention of the Pauli strings in `pauli`.
@@ -13,39 +13,6 @@ from math import cos, sin
 import numpy as np
 
 from .pauli import PauliSum
-
-
-@dataclass(frozen=True)
-class U3:
-    qubit: int
-    theta: float
-    phi: float
-    lam: float
-
-
-@dataclass(frozen=True)
-class CNOT:
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("CNOT control and target must differ")
-
-
-Gate = U3 | CNOT
-
-
-@dataclass(frozen=True)
-class Circuit:
-    n_qubits: int
-    gates: tuple[Gate, ...]
-
-    def __post_init__(self):
-        for gate in self.gates:
-            qubits = (gate.qubit,) if isinstance(gate, U3) else (gate.control, gate.target)
-            if any(q < 0 or q >= self.n_qubits for q in qubits):
-                raise ValueError(f"gate {gate} out of range for {self.n_qubits} qubits")
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
@@ -67,28 +34,6 @@ def _apply_u3(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     return (mat @ pairs).reshape(2, 2**q, -1).swapaxes(0, 1).reshape(-1)
 
 
-@cache
-def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
-    """Read-only gather indices applying CNOT(control, target) as state[perm]."""
-    idx = np.arange(2**n)
-    perm = idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))
-    perm.flags.writeable = False
-    return perm
-
-
-def run(circuit: Circuit) -> np.ndarray:
-    """Apply the circuit's gates in order to |0...0>."""
-    n = circuit.n_qubits
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for gate in circuit.gates:
-        if isinstance(gate, U3):
-            state = _apply_u3(state, u3_matrix(gate.theta, gate.phi, gate.lam), gate.qubit)
-        else:
-            state = state[_cnot_permutation(n, gate.control, gate.target)]
-    return state
-
-
 @dataclass(frozen=True)
 class AnsatzShape:
     """Layered hardware-efficient ansatz: u3 layers separated by CNOT chains."""
@@ -101,24 +46,54 @@ class AnsatzShape:
         return 3 * self.n_qubits * (self.depth + 1)
 
 
-def build_ansatz(shape: AnsatzShape, params) -> Circuit:
-    """One u3 per qubit, then depth x [CNOT chain, u3 layer].
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """The ansatz at fixed angles: one u3 per qubit, then depth x [CNOT chain, u3 layer].
 
     Parameters are consumed layer-major, qubit-minor: three angles per qubit.
     """
-    params = np.asarray(params, dtype=float)
-    if params.shape != (shape.parameter_count,):
-        raise ValueError(
-            f"expected {shape.parameter_count} parameters, got {params.shape}"
-        )
-    gates: list[Gate] = []
-    it = iter(params)
-    for layer in range(shape.depth + 1):
+
+    shape: AnsatzShape
+    params: np.ndarray
+
+    def __post_init__(self):
+        params = np.array(self.params, dtype=float)
+        if params.shape != (self.shape.parameter_count,):
+            raise ValueError(
+                f"expected {self.shape.parameter_count} parameters, got {params.shape}"
+            )
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.shape.n_qubits
+
+
+@cache
+def _cnot_chain(n: int) -> np.ndarray:
+    """Read-only gather indices applying CNOT(0,1) ... CNOT(n-2,n-1) as state[perm].
+
+    The chain maps each bit to the parity of itself and every bit above it, so
+    the amplitude landing on index i comes from its Gray code i ^ (i >> 1).
+    """
+    idx = np.arange(2**n)
+    perm = idx ^ (idx >> 1)
+    perm.flags.writeable = False
+    return perm
+
+
+def run(circuit: Circuit) -> np.ndarray:
+    """Apply the ansatz to |0...0>."""
+    n = circuit.n_qubits
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for layer, angles in enumerate(circuit.params.reshape(-1, n, 3)):
         if layer > 0:
-            gates.extend(CNOT(q, q + 1) for q in range(shape.n_qubits - 1))
-        for q in range(shape.n_qubits):
-            gates.append(U3(q, next(it), next(it), next(it)))
-    return Circuit(shape.n_qubits, tuple(gates))
+            state = state[_cnot_chain(n)]
+        for q, (theta, phi, lam) in enumerate(angles):
+            state = _apply_u3(state, u3_matrix(theta, phi, lam), q)
+    return state
 
 
 def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None) -> float:

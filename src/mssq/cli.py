@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectrum as spec_mod
-from .circuits import AnsatzShape, build_ansatz, run
+from .circuits import AnsatzShape, Circuit, run
 from .config import ConfigError, ExperimentConfig, parse_config
 from .oscillator import Family, ModelSpec, ONE_MODE_FAMILIES, build_model
 from .pauli import decompose
@@ -246,7 +246,7 @@ def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
     root = np.random.SeedSequence(_seed(cfg))
     ss_params, ss_reps = root.spawn(2)
     params = np.random.default_rng(ss_params).uniform(-np.pi, np.pi, shape.parameter_count)
-    circuit = build_ansatz(shape, params)
+    circuit = Circuit(shape, params)
     stddevs = []
     for shots, child in zip(grid, ss_reps.spawn(len(grid))):
         _, std = estimate_error(circuit, observable, shots, repetitions, child)

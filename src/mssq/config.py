@@ -1,8 +1,8 @@
 """Strict line-oriented experiment configuration.
 
 Format: one "section.key = value" assignment per line; blank lines and lines
-starting with '#' are ignored.  Unknown keys, bad types, and missing required
-keys are hard errors carrying the offending line number.
+starting with '#' are ignored.  Unknown keys, keys set twice, bad types, and
+missing required keys are hard errors carrying the offending line number.
 """
 
 from __future__ import annotations
@@ -137,12 +137,17 @@ def _parse_assignments(lines, source: str):
 def resolve(assignments, source: str = "<config>", overrides=()) -> ExperimentConfig:
     """Apply schema defaults, typed parsing, and required-key checks."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
-    seen = set()
+    # (is an override, key) -> where it was set: a file line or a --set may
+    # each set a key once, and a --set overrides the file's value
+    seen = {}
     items = list(assignments) + [(0, k, v) for k, v in overrides]
     for lineno, key, raw_value in items:
-        where = f"{source}:{lineno}" if lineno else f"override --set {key}"
+        where = f"{source}:{lineno}" if lineno else f"override --set {key}={raw_value}"
         if key not in SCHEMA:
             raise ConfigError(f"{where}: unknown key {key!r}")
+        if (not lineno, key) in seen:
+            raise ConfigError(f"{where}: {key} is already set at {seen[not lineno, key]}")
+        seen[not lineno, key] = where
         convert, _ = SCHEMA[key]
         try:
             values[key] = convert(raw_value)
@@ -150,7 +155,6 @@ def resolve(assignments, source: str = "<config>", overrides=()) -> ExperimentCo
             raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
         if key in MINIMUMS and values[key] < MINIMUMS[key]:
             raise ConfigError(f"{where}: {key} must be at least {MINIMUMS[key]}, got {values[key]}")
-        seen.add(key)
     missing = [key for key in REQUIRED_KEYS if values[key] is None]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")

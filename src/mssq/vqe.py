@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pauli
-from .circuits import AnsatzShape, Circuit, build_ansatz, expectation
+from .circuits import AnsatzShape, Circuit, expectation
 from .oscillator import ModelSpec, build_model, matrix_square
 
 DEFAULT_CALIBRATION_STEP = 0.1  # radians, first-iteration parameter change
@@ -65,9 +65,9 @@ class VqeResult:
     objective_kind: str
     h_mean: float
     h_stderr: float
+    circuit: Circuit
     h2_mean: float | None = None
     h2_stderr: float | None = None
-    circuit: Circuit | None = None
 
 
 def _smoothed(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
@@ -195,9 +195,7 @@ def vqe_run(
     current_shots = shots
 
     def objective(params):
-        return expectation(
-            build_ansatz(shape, params), objective_sum, shots=current_shots, seed=shot_rng
-        )
+        return expectation(Circuit(shape, params), objective_sum, shots=current_shots, seed=shot_rng)
 
     def tail_mean(traj):
         objs = [obj for _, obj in traj[-20:]]
@@ -227,7 +225,7 @@ def vqe_run(
         )
         best_params, traj = spsa_minimize(objective, best_params, stage_cfg)
         trajectory.extend(traj)
-    best_circuit = build_ansatz(shape, best_params)
+    best_circuit = Circuit(shape, best_params)
 
     ss_h, ss_h2 = ss_final.spawn(2)
     h_mean, h_std = estimate_error(best_circuit, h_sum, shots, repetitions, ss_h)

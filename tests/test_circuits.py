@@ -1,75 +1,88 @@
 import numpy as np
 import pytest
 
-from mssq.circuits import (
-    CNOT,
-    AnsatzShape,
-    Circuit,
-    U3,
-    build_ansatz,
-    expectation,
-    run,
-    u3_matrix,
-)
+from mssq.circuits import AnsatzShape, Circuit, expectation, run, u3_matrix
 from mssq import circuits, pauli
 from mssq.pauli import PauliSum, decompose, group_by_basis, reconstruct
 from mssq.oscillator import Family, ModelSpec, build_model
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """Independent oracle: explicit kron/permutation product of all gates."""
+    """Independent oracle: each u3 layer as a kron product, each CNOT chain as a
+    product of bit-flip permutation matrices; angles read layer-major, qubit-minor."""
     n = circuit.n_qubits
     dim = 2**n
+    chain = np.eye(dim)
+    for q in range(n - 1):  # CNOT(q, q+1)
+        m = np.zeros((dim, dim))
+        for i in range(dim):
+            control_bit = (i >> (n - 1 - q)) & 1
+            m[i ^ (control_bit << (n - 2 - q)), i] = 1.0
+        chain = m @ chain
+    angles = iter(circuit.params)
     u = np.eye(dim, dtype=complex)
-    for gate in circuit.gates:
-        if isinstance(gate, U3):
-            mats = [np.eye(2, dtype=complex)] * n
-            mats[gate.qubit] = u3_matrix(gate.theta, gate.phi, gate.lam)
-            m = mats[0]
-            for piece in mats[1:]:
-                m = np.kron(m, piece)
-        else:
-            m = np.zeros((dim, dim), dtype=complex)
-            for i in range(dim):
-                control_bit = (i >> (n - 1 - gate.control)) & 1
-                j = i ^ ((1 << (n - 1 - gate.target)) if control_bit else 0)
-                m[j, i] = 1.0
+    for layer in range(circuit.shape.depth + 1):
+        if layer > 0:
+            u = chain @ u
+        m = np.ones((1, 1))
+        for _ in range(n):
+            m = np.kron(m, u3_matrix(next(angles), next(angles), next(angles)))
         u = m @ u
     return u
 
 
 def random_circuit(rng, max_qubits=4, max_gates=20) -> Circuit:
+    """A random ansatz on 1..max_qubits qubits with at most max_gates u3 and CNOT gates."""
     n = int(rng.integers(1, max_qubits + 1))
+    # depth d has n * (d + 1) u3 gates and (n - 1) * d CNOTs
+    depth = int(rng.integers(0, (max_gates - n) // (2 * n - 1) + 1))
+    shape = AnsatzShape(n, depth)
+    return Circuit(shape, rng.uniform(-np.pi, np.pi, shape.parameter_count))
+
+
+def gate_list_run(circuit: Circuit) -> np.ndarray:
+    """Reference simulator: the ansatz as a gate list of ("u3", qubit, angles) and
+    ("cnot", control, target), applied one gate at a time.
+
+    Each CNOT of a chain is its own gather over indices that flip the target
+    bit where the control bit is set.
+    """
+    n = circuit.n_qubits
+    idx = np.arange(2**n)
     gates = []
-    for _ in range(int(rng.integers(1, max_gates + 1))):
-        if n > 1 and rng.random() < 0.3:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(CNOT(int(a), int(b)))
+    angles = iter(circuit.params)
+    for layer in range(circuit.shape.depth + 1):
+        if layer > 0:
+            gates.extend(("cnot", q, q + 1) for q in range(n - 1))
+        gates.extend(("u3", q, (next(angles), next(angles), next(angles))) for q in range(n))
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for kind, a, b in gates:
+        if kind == "u3":
+            state = circuits._apply_u3(state, u3_matrix(*b), a)
         else:
-            gates.append(U3(int(rng.integers(n)), *rng.uniform(-np.pi, np.pi, 3)))
-    return Circuit(n, tuple(gates))
+            control, target = a, b
+            state = state[idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))]
+    return state
 
 
 def test_empty_circuit():
-    state = run(Circuit(2, ()))
+    # zero angles make every u3 the identity, and the CNOT chains fix |0...0>
+    state = run(Circuit(AnsatzShape(2, 2), np.zeros(18)))
     assert np.array_equal(state, [1, 0, 0, 0])
 
 
 def test_u3_pi_is_not_gate():
-    state = run(Circuit(1, (U3(0, np.pi, 0, np.pi),)))
+    state = run(Circuit(AnsatzShape(1, 0), [np.pi, 0, np.pi]))
     assert abs(state[1]) == pytest.approx(1.0)
 
 
 def test_bell_state():
-    state = run(Circuit(2, (U3(0, np.pi / 2, 0, np.pi), CNOT(0, 1))))
+    # Hadamard-like u3 on qubit 0, identity on qubit 1, then CNOT(0, 1)
+    params = np.zeros(12)
+    params[:3] = np.pi / 2, 0, np.pi
+    state = run(Circuit(AnsatzShape(2, 1), params))
     assert np.allclose(state, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-12)
-
-
-def test_cnot_validation():
-    with pytest.raises(ValueError):
-        CNOT(1, 1)
-    with pytest.raises(ValueError):
-        Circuit(2, (U3(2, 0, 0, 0),))
 
 
 def test_statevector_matches_dense_oracle():
@@ -79,6 +92,16 @@ def test_statevector_matches_dense_oracle():
         state = run(circuit)
         assert abs(np.linalg.norm(state) - 1) < 1e-12
         assert np.max(np.abs(state - dense_unitary(circuit)[:, 0])) < 1e-10
+
+
+def test_statevector_bit_equal_to_gate_list():
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        for depth in range(5):
+            for _ in range(3):
+                shape = AnsatzShape(n, depth)
+                circuit = Circuit(shape, rng.uniform(-np.pi, np.pi, shape.parameter_count))
+                assert np.array_equal(run(circuit), gate_list_run(circuit))
 
 
 def test_circuit_unitarity():
@@ -94,22 +117,22 @@ def test_ansatz_parameter_count():
 
 
 def test_ansatz_zero_params_identity():
-    circuit = build_ansatz(AnsatzShape(2, 0), np.zeros(6))
+    circuit = Circuit(AnsatzShape(2, 0), np.zeros(6))
     assert np.allclose(run(circuit), [1, 0, 0, 0], atol=1e-12)
-
-
-def test_ansatz_gate_layout():
-    circuit = build_ansatz(AnsatzShape(3, 2), np.arange(27, dtype=float))
-    kinds = [type(g).__name__ for g in circuit.gates]
-    assert kinds == ["U3"] * 3 + (["CNOT"] * 2 + ["U3"] * 3) * 2
-    # layer-major, qubit-minor parameter order
-    first = circuit.gates[0]
-    assert (first.theta, first.phi, first.lam) == (0.0, 1.0, 2.0)
 
 
 def test_ansatz_rejects_bad_length():
     with pytest.raises(ValueError):
-        build_ansatz(AnsatzShape(2, 1), np.zeros(11))
+        Circuit(AnsatzShape(2, 1), np.zeros(11))
+
+
+def test_circuit_params_are_a_read_only_copy():
+    params = np.zeros(6)
+    circuit = Circuit(AnsatzShape(2, 0), params)
+    params[0] = np.pi
+    assert circuit.params[0] == 0.0 and circuit.params.dtype == np.float64
+    with pytest.raises(ValueError):
+        circuit.params[0] = 1.0
 
 
 def test_ansatz_reaches_real_states():
@@ -123,7 +146,7 @@ def test_ansatz_reaches_real_states():
         target /= np.linalg.norm(target)
 
         def infidelity(params):
-            return 1 - abs(np.vdot(target, run(build_ansatz(shape, params)))) ** 2
+            return 1 - abs(np.vdot(target, run(Circuit(shape, params)))) ** 2
 
         best = min(
             minimize(infidelity, rng.uniform(-np.pi, np.pi, 12), method="BFGS").fun
@@ -133,7 +156,8 @@ def test_ansatz_reaches_real_states():
 
 
 def test_expectation_shot_x_on_zero_state():
-    value = expectation(Circuit(1, ()), PauliSum(1, ((1.0, "X"),)), shots=8192, seed=3)
+    circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
+    value = expectation(circuit, PauliSum(1, ((1.0, "X"),)), shots=8192, seed=3)
     assert isinstance(value, float)
     assert abs(value) < 4 / np.sqrt(8192)
 
@@ -141,21 +165,21 @@ def test_expectation_shot_x_on_zero_state():
 def test_expectation_ansatz_zero_params_matches_matrix_element():
     # the harmonic Hamiltonian is diagonal, so every shot on |00> reads the same parities
     h = build_model(ModelSpec(Family.HARMONIC_OSC, 2))
-    circuit = build_ansatz(AnsatzShape(2, 2), np.zeros(18))
+    circuit = Circuit(AnsatzShape(2, 2), np.zeros(18))
     value = expectation(circuit, decompose(h.entries), shots=64, seed=0)
     assert value == pytest.approx(h.entries[0, 0].real)
 
 
 def test_expectation_qubit_mismatch():
     with pytest.raises(ValueError):
-        expectation(Circuit(2, ()), PauliSum(1, ((1.0, "Z"),)), shots=1)
+        expectation(Circuit(AnsatzShape(2, 0), np.zeros(6)), PauliSum(1, ((1.0, "Z"),)), shots=1)
 
 
 def test_shot_expectation_unbiased():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psum = decompose((a + a.conj().T) / 2)
-    circuit = Circuit(2, tuple(U3(q, *rng.uniform(-np.pi, np.pi, 3)) for q in range(2)))
+    circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
     psi = run(circuit)
     exact = np.vdot(psi, reconstruct(psum) @ psi).real
     values = [expectation(circuit, psum, shots=2048, seed=seed) for seed in range(200)]
@@ -166,7 +190,7 @@ def test_shot_expectation_unbiased():
 def test_stderr_scales_as_inverse_sqrt_shots():
     rng = np.random.default_rng(13)
     psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)).entries)
-    circuit = Circuit(2, tuple(U3(q, *rng.uniform(-np.pi, np.pi, 3)) for q in range(2)))
+    circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
     shots_grid = [256, 1024, 4096, 16384]
     stds = []
     for shots in shots_grid:
@@ -179,8 +203,8 @@ def test_stderr_scales_as_inverse_sqrt_shots():
 def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, seed):
     """Reference shot-mode estimator that re-simulates the circuit for every group.
 
-    Each group's X/Y basis rotations are appended as u3 gates and the extended
-    circuit is run from |0...0>; parities come from bit counts of i & mask.
+    The circuit is run from |0...0> once per group and that group's X/Y basis
+    rotations are applied as u3 gates; parities come from bit counts of i & mask.
     """
     rotations = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
     rng = np.random.default_rng(seed)
@@ -188,8 +212,11 @@ def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, 
     idx = np.arange(2**n)
     value = 0.0
     for group in group_by_basis(observable):
-        extra = tuple(U3(q, *rotations[b]) for q, b in enumerate(group.basis) if b in rotations)
-        probs = np.abs(run(Circuit(n, circuit.gates + extra))) ** 2
+        state = run(circuit)
+        for q, basis in enumerate(group.basis):
+            if basis in rotations:
+                state = circuits._apply_u3(state, u3_matrix(*rotations[basis]), q)
+        probs = np.abs(state) ** 2
         freq = rng.multinomial(shots, probs / probs.sum()) / shots
         for coeff, string in group.terms:
             mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
@@ -224,7 +251,7 @@ def test_shot_expectation_runs_circuit_once(monkeypatch):
         return run(circuit)
 
     monkeypatch.setattr(circuits, "run", counting_run)
-    circuit = build_ansatz(AnsatzShape(3, 1), np.random.default_rng(5).uniform(-np.pi, np.pi, 18))
+    circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(5).uniform(-np.pi, np.pi, 18))
     observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
     assert len(group_by_basis(observable)) > 1
     expectation(circuit, observable, shots=1024, seed=0)
@@ -239,7 +266,7 @@ def test_shot_expectation_groups_observable_once(monkeypatch):
         return group_by_basis(psum)
 
     monkeypatch.setattr(pauli, "group_by_basis", counting_group_by_basis)
-    circuit = build_ansatz(AnsatzShape(3, 1), np.random.default_rng(6).uniform(-np.pi, np.pi, 18))
+    circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(6).uniform(-np.pi, np.pi, 18))
     observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -273,11 +300,10 @@ def test_gate_kernels_match_tensordot_reference():
                 mat = u3_matrix(*rng.uniform(-np.pi, np.pi, 3))
                 got = circuits._apply_u3(state, mat, q)
                 assert np.array_equal(got, tensordot_u3(state, mat, q, n))
-            for control in range(n):
-                for target in range(n):
-                    if control != target:
-                        got = state[circuits._cnot_permutation(n, control, target)]
-                        assert np.array_equal(got, flip_cnot(state, control, target, n))
-    perm = circuits._cnot_permutation(3, 2, 0)
+            chained = state
+            for q in range(n - 1):
+                chained = flip_cnot(chained, q, q + 1, n)
+            assert np.array_equal(state[circuits._cnot_chain(n)], chained)
+    perm = circuits._cnot_chain(3)
     with pytest.raises(ValueError):
         perm[0] = 1

@@ -339,6 +339,22 @@ def test_cli_set_override(tmp_path):
     assert (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "extra,overrides,places",
+    [
+        ("run.shots = 64\nrun.shots = 128\n", [], ("run.cfg:11", "run.cfg:12")),
+        ("", ["run.shots=64", "run.shots=128"], ("--set run.shots=64", "--set run.shots=128")),
+    ],
+)
+def test_key_set_twice_exits_2_naming_both_places(tmp_path, capsys, extra, overrides, places):
+    cfg = write_config(tmp_path, FAST_VQE.format(out=tmp_path / "out") + extra)
+    args = ["--set=" + item for item in overrides]
+    assert main(["vqe", "-c", str(cfg), *args]) == 2
+    err = capsys.readouterr().err
+    assert "run.shots" in err and all(place in err for place in places)
+    assert not (tmp_path / "out").exists()  # a rejected config writes nothing
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = write_config(tmp_path, FAST_VQE.format(out=out1), "a.cfg")
@@ -375,7 +391,7 @@ def test_noise_scan_requires_four_points(tmp_path):
 
 def test_noise_scan_coefficient_linearity():
     # doubling every observable coefficient doubles the fitted amplitude
-    from mssq.circuits import AnsatzShape, build_ansatz
+    from mssq.circuits import AnsatzShape, Circuit
     from mssq.oscillator import Family, ModelSpec, build_model
     from mssq.pauli import PauliSum, decompose
     from mssq.vqe import estimate_error
@@ -384,7 +400,7 @@ def test_noise_scan_coefficient_linearity():
     doubled = PauliSum(2, tuple((2 * c, s) for c, s in psum.terms))
     shape = AnsatzShape(2, 1)
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, shape.parameter_count)
-    circuit = build_ansatz(shape, params)
+    circuit = Circuit(shape, params)
     grid = [256, 512, 1024, 2048, 4096]
 
     def fit(observable):

@@ -173,15 +173,14 @@ def test_duplicate_strings_rejected():
 def test_grouped_estimator_unbiased():
     # grouped and ungrouped shot estimates agree within 3 combined standard errors,
     # each taken from the spread of repeated estimates
-    from mssq.circuits import Circuit, U3, expectation, run
+    from mssq.circuits import AnsatzShape, Circuit, expectation, run
 
     rng = np.random.default_rng(0)
     reps = 20
     for seed in range(3):
         h = random_hermitian(4, 100 + seed)
         psum = decompose(h)
-        gates = tuple(U3(q, *rng.uniform(-np.pi, np.pi, 3)) for q in range(2))
-        circuit = Circuit(2, gates)
+        circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
         psi = run(circuit)
         exact = np.vdot(psi, h @ psi).real
         grouped = [expectation(circuit, psum, 10**5, seed=reps * seed + r) for r in range(reps)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mssq.circuits import AnsatzShape, build_ansatz, run
+from mssq.circuits import AnsatzShape, Circuit, run
 from mssq.cli import main
 from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
@@ -45,7 +45,7 @@ def test_pauli_roundtrip_property(h):
 @given(st.integers(1, 4).flatmap(ansatz_points))
 def test_ansatz_state_has_unit_norm(point):
     shape, params = point
-    assert abs(np.linalg.norm(run(build_ansatz(shape, params))) - 1) < 1e-12
+    assert abs(np.linalg.norm(run(Circuit(shape, params))) - 1) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -59,7 +59,7 @@ def test_dense_energy_and_variance_bounds(spec, data):
     model = build_model(spec)
     h, h2 = model.entries, matrix_square(model).entries
     tol = 1e-9 * max(1.0, np.abs(h2).max())
-    psi = run(build_ansatz(*data.draw(ansatz_points(spec.total_qubits, max_depth=2))))
+    psi = run(Circuit(*data.draw(ansatz_points(spec.total_qubits, max_depth=2))))
     energy = np.vdot(psi, h @ psi).real
     assert energy >= np.linalg.eigvalsh(h)[0] - tol
     assert np.vdot(psi, h2 @ psi).real >= energy**2 - tol

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mssq.circuits import AnsatzShape, Circuit, U3
+from mssq.circuits import AnsatzShape, Circuit
 from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.pauli import PauliSum, decompose
 from mssq.spectrum import eigendecompose
@@ -72,7 +72,7 @@ def test_spsa_deterministic():
 
 
 def test_estimate_error_exact_mode_zero_spread():
-    circuit = Circuit(1, ())
+    circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
     observable = PauliSum(1, ((1.0, "Z"),))
     # Z on |0> is deterministic, so every shot run returns exactly 1
     mean, std = estimate_error(circuit, observable, shots=512, repetitions=10, seed=0)
@@ -80,7 +80,7 @@ def test_estimate_error_exact_mode_zero_spread():
 
 
 def test_estimate_error_binomial_scale():
-    circuit = Circuit(1, (U3(0, np.pi / 2, 0, np.pi),))  # |+>
+    circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])  # |+>
     observable = PauliSum(1, ((1.0, "Z"),))
     mean, std = estimate_error(circuit, observable, shots=8192, repetitions=100, seed=1)
     assert abs(mean) < 0.005
@@ -88,7 +88,7 @@ def test_estimate_error_binomial_scale():
 
 
 def test_estimate_error_shot_doubling():
-    circuit = Circuit(1, (U3(0, np.pi / 2, 0, np.pi),))
+    circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])
     observable = PauliSum(1, ((1.0, "Z"),))
     _, std1 = estimate_error(circuit, observable, shots=4096, repetitions=300, seed=2)
     _, std2 = estimate_error(circuit, observable, shots=8192, repetitions=300, seed=2)
@@ -96,8 +96,9 @@ def test_estimate_error_shot_doubling():
 
 
 def test_estimate_error_rejects_single_repetition():
+    circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
     with pytest.raises(ValueError):
-        estimate_error(Circuit(1, ()), PauliSum(1, ((1.0, "Z"),)), 100, 1, 0)
+        estimate_error(circuit, PauliSum(1, ((1.0, "Z"),)), 100, 1, 0)
 
 
 def test_vqe_closed_free_single_qubit_modes():
