@@ -24,8 +24,10 @@ from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
-# an eighth of physical memory: temporaries, the complex ladder matrices and
-# the Hermiticity checks lift a run's peak RSS to 1.2-6x its counted arrays
+# an eighth of physical memory: temporaries lift a run's peak RSS to 1.0-5.4x
+# its counted arrays, above ~30 MiB for Python and numpy; the top is a
+# two-mode density grid, where reconstruct_wavefunction holds psi (complex),
+# the density and np.trapezoid's temporaries at once
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # dim x dim float64 matrices each command holds at once: the model, H^2 for
 # constraint, the eigenvectors for spectrum, and three complex arrays (two
@@ -147,10 +149,19 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
-    """One row per grid point, the first axis varying slowest."""
-    header = "x,density" if len(grid_result.axes) == 1 else "x_a,x_chi,density"
-    points = np.meshgrid(*grid_result.axes, indexing="ij")
-    _write_csv(path, header, *(p.ravel() for p in points), grid_result.density.ravel())
+    """One line per grid point, the first axis varying slowest, as `_write_csv` prints it.
+
+    Streamed one outer-axis row of text at a time, each axis value formatted once.
+    """
+    *outer, inner = grid_result.axes
+    header = "x,density" if not outer else "x_a,x_chi,density"
+    cells = [_fmt(x) + ",%.17g\n" for x in inner.tolist()]
+    prefixes = [_fmt(x) + "," for x in outer[0].tolist()] if outer else [""]
+    rows = grid_result.density.reshape(len(prefixes), len(cells))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for prefix, row in zip(prefixes, rows):
+            fh.write("".join(prefix + c for c in cells) % tuple(row.tolist()))
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:

@@ -18,11 +18,19 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _shot_count(text: str) -> int:
+    """One shot count, 1 to 2**63 - 1: numpy's multinomial draw takes an int64."""
+    shots = int(text)
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be 1 to 2**63 - 1, got {text!r}")
+    return shots
+
+
 def _shots_grid(text: str) -> tuple[int, ...]:
-    """At least 4 strictly increasing shot counts, the first at least 1."""
-    grid = _int_list(text)
-    if len(grid) < 4 or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"needs at least 4 strictly increasing shot counts >= 1, got {text!r}")
+    """At least 4 strictly increasing shot counts."""
+    grid = tuple(_shot_count(part) for part in text.split(","))
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"needs at least 4 strictly increasing shot counts, got {text!r}")
     return grid
 
 
@@ -49,9 +57,9 @@ def _refinement_list(text: str) -> tuple[tuple[int, float, int], ...]:
     stages = []
     for part in text.split(","):
         iters, c, shots = part.split(":")
-        iters, c, shots = int(iters), float(c), int(shots)
-        if iters < 1 or not c > 0 or shots < 1:
-            raise ValueError(f"stage {part!r} needs iterations >= 1, c > 0 and shots >= 1")
+        iters, c, shots = int(iters), float(c), _shot_count(shots)
+        if iters < 1 or not c > 0:
+            raise ValueError(f"stage {part!r} needs iterations >= 1 and c > 0")
         stages.append((iters, c, shots))
     return tuple(stages)
 
@@ -73,7 +81,7 @@ SCHEMA = {
     "spsa.calibration_samples": (int, 25),
     "spsa.restarts": (int, 1),
     "spsa.refinements": (_refinement_list, ()),
-    "run.shots": (int, 8192),
+    "run.shots": (_shot_count, 8192),
     "run.repetitions": (int, 30),
     "run.seed": (int, 0),
     "noise.shots_grid": (_shots_grid, (256, 512, 1024, 2048, 4096, 8192, 16384)),
@@ -90,7 +98,6 @@ MINIMUMS = {
     "ansatz.depth": 0,
     "spsa.restarts": 1,
     "spsa.calibration_samples": 1,
-    "run.shots": 1,
     "run.repetitions": 2,
     "run.seed": 0,
     "noise.repetitions": 2,

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mssq.cli import _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, parse_config, resolve
-from mssq.spectrum import default_grid, reconstruct_wavefunction
+from mssq.spectrum import WavefunctionGrid, default_grid, reconstruct_wavefunction
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -64,6 +66,17 @@ def test_resolve_overrides():
         overrides=[("run.shots", "1024")],
     )
     assert cfg["run.shots"] == 1024
+
+
+@pytest.mark.parametrize(
+    "key,template",
+    [("run.shots", "{}"), ("spsa.refinements", "1:0.1:{}"), ("noise.shots_grid", "1,2,3,{}")],
+)
+def test_shot_counts_fit_int64(key, template):
+    base = [(1, "model.family", "DoubleWell"), (2, "output.dir", "x")]
+    assert resolve(base, overrides=[(key, template.format(2**63 - 1))])[key]
+    with pytest.raises(ConfigError, match=key):
+        resolve(base, overrides=[(key, template.format(2**63))])
 
 
 def test_echo_roundtrip(tmp_path):
@@ -168,18 +181,45 @@ def parent_density_rows(grid_result):
     ]
 
 
+# values whose %.17g text is easy to get wrong: non-finite, signed zero,
+# subnormal, and values that need all 17 significant digits
+SPECIAL_VALUES = [
+    np.nan,
+    np.inf,
+    -np.inf,
+    -0.0,
+    0.0,
+    1e-300,
+    5e-324,
+    0.1 + 0.2,
+    1 / 3,
+    np.nextafter(1.0, 2.0),
+    -1.7976931348623157e308,
+]
+
+
+def special_density(rng, shape):
+    """Random float64 over many decades, every other entry one of SPECIAL_VALUES."""
+    density = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = density.reshape(-1)
+    flat[::2] = np.resize(SPECIAL_VALUES, flat[::2].size)
+    return density
+
+
 def test_column_writer_matches_row_writer(tmp_path):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     rng = np.random.default_rng(19)
     xs, ys = default_grid(4.0, 33), default_grid(3.0, 18)
-    densities = [
-        (reconstruct_wavefunction(rng.normal(size=8), (xs,)), "x,density"),
-        (
-            reconstruct_wavefunction(rng.normal(size=16) + 1j * rng.normal(size=16), (xs, ys)),
-            "x_a,x_chi,density",
-        ),
+    grids = [
+        reconstruct_wavefunction(rng.normal(size=8), (xs,)),
+        reconstruct_wavefunction(rng.normal(size=16) + 1j * rng.normal(size=16), (xs, ys)),
     ]
-    for grid, header in densities:
+    for axes in [(xs, ys), (default_grid(1.0, 2), default_grid(8.0, 7)), (default_grid(0.1, 2),) * 2]:
+        grids.append(WavefunctionGrid(axes, special_density(rng, tuple(map(len, axes))), 1.0))
+    for axis in [xs, default_grid(8.0, 2), np.array([-0.0, 0.1 + 0.2])]:
+        grids.append(WavefunctionGrid((axis,), special_density(rng, len(axis)), 1.0))
+    for grid in grids:
+        header = "x,density" if len(grid.axes) == 1 else "x_a,x_chi,density"
         _write_density(new, grid)
         parent_write_csv(old, header, parent_density_rows(grid))
         assert new.read_bytes() == old.read_bytes()
@@ -191,6 +231,20 @@ def test_column_writer_matches_row_writer(tmp_path):
     _write_csv(new, "dim,energy,delta", np.array([], dtype=int), np.array([]), np.array([]))
     parent_write_csv(old, "dim,energy,delta", [])
     assert new.read_bytes() == old.read_bytes() == b"dim,energy,delta\n"
+
+
+def test_density_writer_memory_stays_at_one_row(tmp_path):
+    """A 321 x 321 density is written without a per-point array or a whole-file string."""
+    xs = default_grid(8.0, 321)
+    rng = np.random.default_rng(5)
+    grid = reconstruct_wavefunction(rng.normal(size=64) + 1j * rng.normal(size=64), (xs, xs))
+    tracemalloc.start()
+    try:
+        _write_density(tmp_path / "density.csv", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_vqe_command_outputs_and_determinism(tmp_path):
@@ -316,6 +370,14 @@ def test_cli_unknown_family_exit_code(tmp_path):
             "model.qubits_per_mode",
         ),
         ("vqe", ["grid.points=1000000000000"], None, "grid.points"),
+        ("vqe", ["run.shots=99999999999999999999"], None, "run.shots"),
+        ("vqe", ["spsa.refinements=1:0.1:99999999999999999999"], None, "spsa.refinements"),
+        (
+            "noise-scan",
+            ["noise.shots_grid=256,512,1024,99999999999999999999"],
+            None,
+            "noise.shots_grid",
+        ),
     ],
 )
 def test_bad_value_exits_2_naming_key(

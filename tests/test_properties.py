@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, Circuit, run
-from mssq.cli import main
+from mssq.cli import _write_density, main
 from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
+from mssq.spectrum import WavefunctionGrid
+from test_cli import parent_density_rows, parent_write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -63,6 +65,25 @@ def test_dense_energy_and_variance_bounds(spec, data):
     energy = np.vdot(psi, h @ psi).real
     assert energy >= np.linalg.eigvalsh(h)[0] - tol
     assert np.vdot(psi, h2 @ psi).real >= energy**2 - tol
+
+
+@st.composite
+def density_grids(draw):
+    """One- or two-mode grids, 2-40 points per axis, any float64 axes and densities."""
+    lengths = draw(st.lists(st.integers(2, 40), min_size=1, max_size=2))
+    axes = tuple(draw(arrays(np.float64, n)) for n in lengths)
+    return WavefunctionGrid(axes, draw(arrays(np.float64, tuple(lengths))), 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(density_grids())
+def test_density_writer_matches_row_writer(grid):
+    header = "x,density" if len(grid.axes) == 1 else "x_a,x_chi,density"
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        _write_density(new, grid)
+        parent_write_csv(old, header, parent_density_rows(grid))
+        assert new.read_bytes() == old.read_bytes()
 
 
 TINY_VQE = """
