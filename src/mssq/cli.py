@@ -24,16 +24,20 @@ from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
-# an eighth of physical memory: temporaries lift a run's peak RSS to 1.0-5.4x
-# its counted arrays, above ~30 MiB for Python and numpy; the top is a
-# two-mode density grid, where reconstruct_wavefunction holds psi (complex),
-# the density and np.trapezoid's temporaries at once
+# an eighth of physical memory: temporaries lift a run's peak RSS to 1.0-3.9x
+# its counted arrays, above ~30 MiB for Python and numpy; the top is a large
+# one-mode spectrum, where quadratures holds complex ladders, x and p, then a
+# two-mode density grid (3.1-3.4x), where reconstruct_wavefunction holds psi
+# (complex) and |psi| at once
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # dim x dim float64 matrices each command holds at once: the model, H^2 for
 # constraint, the eigenvectors for spectrum, and three complex arrays (two
 # floats per entry each) while pauli.decompose runs: its copy of the matrix,
 # the interleaved copy and one per-axis result
 MATRICES_HELD = {"spectrum": 2, "vqe": 7, "constraint": 8, "noise-scan": 7}
+# d x d float64 matrices one scan dim d peaks at while its mode terms are built:
+# the complex ladders, x and p (two floats per entry each) and the real powers
+SCAN_MATRICES = 8
 
 
 @dataclass(frozen=True)
@@ -126,20 +130,24 @@ def _seed(cfg: ExperimentConfig) -> int:
 def _check_memory(command: str, cfg: ExperimentConfig) -> None:
     """Refuse, naming the key, a run whose largest arrays alone exceed MEMORY_BOUND.
 
-    Counted at 8 B per float: the command's dim x dim matrices and, for the
+    Counted at 8 B per float: the command's dim x dim matrices; for spectrum,
+    SCAN_MATRICES d x d matrices at the largest scan dim d; and, for the
     density-writing commands, the Hermite tables (mode_dim x grid.points per
-    mode) and the density grid (grid.points^n_modes).
+    mode) and the density grid (grid.points^n_modes).  The largest count names the key.
     """
     model = _model_spec(cfg)
-    matrices = 8 * MATRICES_HELD[command] * model.dim**2
-    grid = 0
+    counted = {"model.qubits_per_mode": 8 * MATRICES_HELD[command] * model.dim**2}
+    if command == "spectrum":
+        counted["spectrum.scan_dims"] = 8 * SCAN_MATRICES * max(cfg["spectrum.scan_dims"]) ** 2
     if command in ("vqe", "constraint"):
         points = cfg["grid.points"]
-        grid = 8 * (model.n_modes * model.mode_dim * points + points**model.n_modes)
-    if matrices + grid > MEMORY_BOUND:
-        key = "model.qubits_per_mode" if matrices >= grid else "grid.points"
+        tables = model.n_modes * model.mode_dim * points
+        counted["grid.points"] = 8 * (tables + points**model.n_modes)
+    total = sum(counted.values())
+    if total > MEMORY_BOUND:
+        key = max(counted, key=counted.get)
         raise ConfigError(
-            f"{key} = {cfg[key]} needs an estimated {(matrices + grid) / 2**30:.3g} GiB,"
+            f"{key} = {cfg[key]} needs an estimated {total / 2**30:.3g} GiB,"
             f" more than the {MEMORY_BOUND / 2**30:.3g} GiB bound (physical memory / 8)"
         )
 
@@ -170,10 +178,8 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     result = spec_mod.eigendecompose(build_model(model))
     vals = result.eigenvalues
     _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(vals)), vals)
-    # a two-mode scan dim d needs a d^2 x d^2 dense eigensolve
-    dropped = [d for d in cfg["spectrum.scan_dims"] if model.n_modes == 2 and d > 16]
-    dims = [d for d in cfg["spectrum.scan_dims"] if d not in dropped]
-    scan = np.reshape(spec_mod.convergence_scan(model, dims, top=result), (-1, 3))
+    scan = spec_mod.convergence_scan(model, cfg["spectrum.scan_dims"], top=result)
+    scan = np.reshape(scan, (-1, 3))
     _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan[:, 0].astype(int), *scan.T[1:])
     near_zero, _ = spec_mod.nearest_zero_state(result)
     summary = (
@@ -183,8 +189,6 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
         f"nearest_zero_eigenvalue = {_fmt(near_zero)}\n"
         f"max_residual = {_fmt(result.residual)}\n"
     )
-    if dropped:
-        summary += f"dropped_scan_dims = {','.join(map(str, dropped))}\n"
     (outdir / "summary.txt").write_text(summary)
     return outdir
 
@@ -240,7 +244,7 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
         reference[0] = 1.0
     else:
         names = ("vqe_density.csv", "exact_density.csv")
-        _, reference, _ = spec_mod.ground_or_nearest_zero(model)
+        _, reference = spec_mod.ground_or_nearest_zero(model)
     axes = (_grid(cfg),) * model.n_modes
     for name, coeffs in zip(names, (state, reference)):
         _write_density(outdir / name, spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega))

@@ -167,40 +167,35 @@ def _even_powers(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x2, -(q @ q), x2 @ x2
 
 
-def _one_mode_hamiltonian(family: Family, spec: ModelSpec) -> np.ndarray:
-    x2, p2, x4 = _even_powers(spec)
-    if family is Family.HARMONIC_OSC:
-        return p2 / 2 + x2 / 2
-    if family is Family.ANHARMONIC_OSC:
-        return p2 / 2 + x2 / 2 + spec.quartic_c * x4
-    if family is Family.DOUBLE_WELL:
-        return p2 / 2 - x2 + spec.quartic_c * x4
-    raise ValueError(f"not a one-mode family: {family}")
+def mode_terms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray], ...]:
+    """H as signed per-mode terms: ((1, H),) for one mode, ((-1, A), (1, B)) for two.
 
-
-def _two_mode_hamiltonian(spec: ModelSpec) -> np.ndarray:
-    eye = np.eye(spec.mode_dim)
+    Each term is symmetrized.  H is their Kronecker sum, -A (x) I + I (x) B
+    for two modes, with mode a the most significant qubit block.
+    """
     x2, p2, x4 = _even_powers(spec)
-    if spec.family is Family.OPEN_PHI4:
-        # -p_a^2/4 + a^2 - |L| a^4   and   p_chi^2/4 - chi^2 + c chi^4
-        piece_a = p2 / 4 - x2 + spec.lambda_abs * x4
-        piece_chi = p2 / 4 - x2 + spec.quartic_c * x4
+    if spec.family is Family.HARMONIC_OSC:
+        terms = ((1, p2 / 2 + x2 / 2),)
+    elif spec.family is Family.ANHARMONIC_OSC:
+        terms = ((1, p2 / 2 + x2 / 2 + spec.quartic_c * x4),)
+    elif spec.family is Family.DOUBLE_WELL:
+        terms = ((1, p2 / 2 - x2 + spec.quartic_c * x4),)
+    elif spec.family is Family.OPEN_PHI4:
+        # -(p_a^2/4 - a^2 + |L| a^4)   and   p_chi^2/4 - chi^2 + c chi^4
+        terms = ((-1, p2 / 4 - x2 + spec.lambda_abs * x4), (1, p2 / 4 - x2 + spec.quartic_c * x4))
     else:
-        # CLOSED_FREE / CLOSED_PHI4: -p_a^2/4 - a^2 - |L| a^4  vs  +...
-        piece_a = p2 / 4 + x2 + spec.lambda_abs * x4
-        piece_chi = p2 / 4 + x2 + spec.quartic_c * x4
-    # mode a occupies the most significant qubit block
-    return -np.kron(piece_a, eye) + np.kron(eye, piece_chi)
+        # CLOSED_FREE / CLOSED_PHI4: -(p_a^2/4 + a^2 + |L| a^4)  and  p_chi^2/4 + chi^2 + c chi^4
+        terms = ((-1, p2 / 4 + x2 + spec.lambda_abs * x4), (1, p2 / 4 + x2 + spec.quartic_c * x4))
+    # enforce exact symmetry against float roundoff in the products
+    return tuple((sign, (term + term.T) / 2) for sign, term in terms)
 
 
 def build_model(spec: ModelSpec) -> OperatorMatrix:
-    """Build the dense, real symmetric (float64) Hamiltonian for a model spec."""
-    if spec.family in ONE_MODE_FAMILIES:
-        h = _one_mode_hamiltonian(spec.family, spec)
-    else:
-        h = _two_mode_hamiltonian(spec)
-    # enforce exact symmetry against float roundoff in the products
-    h = (h + h.T) / 2
+    """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms."""
+    (sign, h), *rest = mode_terms(spec)
+    h = sign * h
+    for sign, term in rest:
+        h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
     return OperatorMatrix(h)
 
 

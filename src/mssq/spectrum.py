@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from .oscillator import (
-    ModelSpec,
-    OperatorMatrix,
-    _check_hermitian,
-    build_model,
-)
-
-DEGENERACY_GAP = 1e-9
+from .oscillator import ModelSpec, OperatorMatrix, _check_hermitian, mode_terms
 
 
 @dataclass(frozen=True)
@@ -37,8 +31,7 @@ class WavefunctionGrid:
 def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
     """Eigendecompose a Hermitian matrix with LAPACK, in real arithmetic when it is real.
 
-    Eigenvectors within a degenerate cluster (gap < 1e-9) are re-orthonormalized
-    by a QR pass; ordering inside a cluster is unspecified.
+    The eigenvectors are orthonormal; ordering inside a degenerate cluster is unspecified.
     """
     if isinstance(h, OperatorMatrix):
         entries = h.entries  # checked when the operator was built
@@ -46,24 +39,21 @@ def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
         entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
         _check_hermitian(entries)
     vals, vecs = np.linalg.eigh(entries)
-    # re-orthonormalize degenerate clusters
-    start = 0
-    for stop in range(1, len(vals) + 1):
-        if stop == len(vals) or vals[stop] - vals[stop - 1] > DEGENERACY_GAP:
-            if stop - start > 1:
-                q, _ = np.linalg.qr(vecs[:, start:stop])
-                vecs[:, start:stop] = q
-            start = stop
     residual = float(np.max(np.linalg.norm(entries @ vecs - vecs * vals, axis=0))) if len(vals) else 0.0
     return SpectrumResult(vals, vecs, residual)
 
 
 def _target_index(vals: np.ndarray, nearest_zero: bool) -> int:
-    """Index of the ground state in ascending vals or, if nearest_zero, of the smallest
-    |eigenvalue|, a tie going to the more negative one."""
+    """Index of the smallest eigenvalue or, if nearest_zero, of the smallest |eigenvalue|,
+    a tie going to the more negative one; any remaining tie goes to the lowest index."""
     if len(vals) == 0:
         raise ValueError("empty spectrum")
-    return min(range(len(vals)), key=lambda j: (abs(vals[j]), vals[j])) if nearest_zero else 0
+    return int(np.lexsort((vals, np.abs(vals)))[0] if nearest_zero else np.argmin(vals))
+
+
+def _outer_sum(parts) -> np.ndarray:
+    """Flat outer sum of 1-D arrays, the first varying slowest, as the Kronecker sum orders them."""
+    return reduce(lambda acc, part: np.add.outer(acc, part).ravel(), parts)
 
 
 def nearest_zero_state(spectrum: SpectrumResult) -> tuple[float, np.ndarray]:
@@ -88,11 +78,6 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mode_wavefunction(coeffs: np.ndarray, axis: np.ndarray, omega: float) -> np.ndarray:
-    phi = hermite_functions(len(coeffs), axis * np.sqrt(omega)) * omega**0.25
-    return coeffs @ phi.reshape(len(coeffs), -1)
-
-
 def reconstruct_wavefunction(
     coeffs, axes, omega: float = 1.0
 ) -> WavefunctionGrid:
@@ -104,23 +89,21 @@ def reconstruct_wavefunction(
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    if len(axes) == 1:
-        psi = _mode_wavefunction(coeffs, axes[0], omega)
-        density = np.abs(psi) ** 2
-        norm = float(np.trapezoid(density, axes[0]))
-    elif len(axes) == 2:
-        d = round(np.sqrt(len(coeffs)))
-        if d * d != len(coeffs):
-            raise ValueError("two-mode coefficient vector length must be a square")
-        c = coeffs.reshape(d, d)
-        phi_a = hermite_functions(d, axes[0] * np.sqrt(omega)) * omega**0.25
-        phi_chi = hermite_functions(d, axes[1] * np.sqrt(omega)) * omega**0.25
-        psi = phi_a.T @ c @ phi_chi
-        density = np.abs(psi) ** 2
-        norm = float(np.trapezoid(np.trapezoid(density, axes[1], axis=1), axes[0]))
-    else:
+    if len(axes) not in (1, 2):
         raise ValueError("axes must hold one or two grids")
-    return WavefunctionGrid(axes, density, norm)
+    d = round(len(coeffs) ** (1 / len(axes)))
+    if d ** len(axes) != len(coeffs):
+        raise ValueError("two-mode coefficient vector length must be a square")
+    phi = [hermite_functions(d, axis * np.sqrt(omega)) * omega**0.25 for axis in axes]
+    psi = coeffs @ phi[0] if len(axes) == 1 else phi[0].T @ coeffs.reshape(d, d) @ phi[1]
+    # square |psi| in place once psi is freed, so psi never meets np.trapezoid's temporaries
+    density = np.abs(psi)
+    del psi
+    np.square(density, out=density)
+    norm = density
+    for axis in reversed(axes):
+        norm = np.trapezoid(norm, axis)
+    return WavefunctionGrid(axes, density, float(norm))
 
 
 def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
@@ -128,19 +111,26 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
-def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray, SpectrumResult]:
-    """Ground state for one-mode models, nearest-zero state for two-mode ones."""
-    result = eigendecompose(build_model(spec))
-    i = _target_index(result.eigenvalues, nearest_zero=spec.n_modes == 2)
-    return float(result.eigenvalues[i]), result.eigenvectors[:, i], result
+def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray]:
+    """Ground state for one-mode models, nearest-zero state for two-mode ones.
+
+    Each mode term is solved once; H's eigenpairs are (beta_j - alpha_i, kron(u_i, v_j)),
+    and `_target_index` over the flat (i, j) index picks one, ties to the lowest.
+    """
+    solves = [(sign, np.linalg.eigh(term)) for sign, term in mode_terms(spec)]
+    vals = _outer_sum([sign * w for sign, (w, _) in solves])
+    flat = _target_index(vals, nearest_zero=spec.n_modes == 2)
+    picks = np.unravel_index(flat, [len(w) for _, (w, _) in solves])
+    state = reduce(np.kron, [v[:, i] for (_, (_, v)), i in zip(solves, picks)])
+    return float(vals[flat]), state
 
 
 def convergence_scan(spec: ModelSpec, dims, top: SpectrumResult | None = None) -> list[tuple]:
     """Ground (or nearest-zero) energy per per-mode truncation dimension, from eigenvalues only.
 
-    dims must be ascending powers of two; top, spec's own solve, gives the row
-    at spec.mode_dim.  Returns (dim, energy, |energy - previous energy|)
-    rows; the first row's difference is nan.
+    dims must be ascending powers of two; each sums its d x d mode terms'
+    eigenvalues, and top, spec's own solve, gives the row at spec.mode_dim.
+    Returns (dim, energy, |energy - previous energy|) rows, the first delta nan.
     """
     rows: list[tuple[int, float, float]] = []
     prev = None
@@ -151,7 +141,8 @@ def convergence_scan(spec: ModelSpec, dims, top: SpectrumResult | None = None) -
         if top is not None and dim == spec.mode_dim:
             vals = top.eigenvalues
         else:
-            vals = np.linalg.eigvalsh(build_model(replace(spec, qubits_per_mode=n)).entries)
+            terms = mode_terms(replace(spec, qubits_per_mode=n))
+            vals = _outer_sum([sign * np.linalg.eigvalsh(term) for sign, term in terms])
         energy = float(vals[_target_index(vals, nearest_zero=spec.n_modes == 2)])
         rows.append((int(dim), energy, float("nan") if prev is None else abs(energy - prev)))
         prev = energy

@@ -129,6 +129,7 @@ def test_spectrum_closed_free_near_zero(tmp_path):
 
 
 def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
+    """A scan dim solves each d x d mode term; the model's own dim reuses the top solve."""
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -139,11 +140,14 @@ def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = write_config(tmp_path, BASE_SPECTRUM.format(out=tmp_path / "out"))
-    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=4,8"]) == 0
-    assert sorted(sizes) == [4, 8]
+    for family, expected in [("HarmonicOsc", [4, 8]), ("ClosedPhi4", [4, 4, 64])]:
+        sizes.clear()
+        overrides = ["--set=spectrum.scan_dims=4,8", f"--set=model.family={family}"]
+        assert main(["spectrum", "-c", str(cfg), *overrides]) == 0
+        assert sorted(sizes) == expected
 
 
-def test_spectrum_reports_dropped_scan_dims(tmp_path):
+def test_spectrum_two_mode_scan_runs_every_dim(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -151,13 +155,11 @@ def test_spectrum_reports_dropped_scan_dims(tmp_path):
         f"spectrum.scan_dims = 4,8,32,64\noutput.dir = {out}\n",
     )
     assert main(["spectrum", "-c", str(cfg)]) == 0
-    assert (out / "summary.txt").read_text().endswith("dropped_scan_dims = 32,64\n")
     rows = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
-    assert rows[:, 0].tolist() == [4, 8]
-    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=32,64"]) == 0
-    assert (out / "convergence.csv").read_text() == "dim,energy,delta\n"
-    assert main(["spectrum", "-c", str(cfg), "--set", "spectrum.scan_dims=4,8"]) == 0
-    assert "dropped_scan_dims" not in (out / "summary.txt").read_text()
+    assert rows[:, 0].tolist() == [4, 8, 32, 64]
+    assert np.all(rows[:, 1] == 0.0)  # with A == B, beta_j - alpha_j is exactly 0.0
+    summary = (out / "summary.txt").read_text()
+    assert summary.splitlines()[-1].startswith("max_residual = ")
 
 
 def parent_write_csv(path, header, rows):
@@ -377,6 +379,13 @@ def test_cli_unknown_family_exit_code(tmp_path):
             ["noise.shots_grid=256,512,1024,99999999999999999999"],
             None,
             "noise.shots_grid",
+        ),
+        ("spectrum", ["spectrum.scan_dims=4,1048576"], None, "spectrum.scan_dims"),
+        (
+            "spectrum",
+            ["model.family=ClosedFree", "model.qubits_per_mode=1", "spectrum.scan_dims=4,1048576"],
+            None,
+            "spectrum.scan_dims",
         ),
     ],
 )

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
     SpectrumResult,
     convergence_scan,
@@ -167,15 +169,78 @@ def test_real_solve_matches_complex_oracle(family, n):
 
 
 @pytest.mark.parametrize(
-    "family,dims", [(Family.DOUBLE_WELL, [4, 8, 16, 32]), (Family.CLOSED_FREE, [2, 4, 8])]
+    "family,dims",
+    [
+        (Family.DOUBLE_WELL, [4, 8, 16, 32]),
+        (Family.CLOSED_FREE, [2, 4, 8, 16]),
+        (Family.CLOSED_PHI4, [2, 4, 8, 16]),
+        (Family.OPEN_PHI4, [2, 4, 8, 16]),
+    ],
 )
 def test_convergence_scan_matches_full_solves(family, dims):
+    """Each row's outer sum of per-mode eigenvalues matches a dense solve of the whole H."""
+
+    def dense(dim):
+        result = eigendecompose(build_model(ModelSpec(family, dim.bit_length() - 1)))
+        two_mode = family in TWO_MODE_FAMILIES
+        expected = nearest_zero_state(result)[0] if two_mode else result.eigenvalues[0]
+        return expected, result
+
     rows = convergence_scan(ModelSpec(family, 1), dims)
     assert [row[0] for row in rows] == dims
     for dim, energy, _ in rows:
-        expected, _, result = ground_or_nearest_zero(ModelSpec(family, dim.bit_length() - 1))
+        expected, result = dense(dim)
         assert abs(energy - expected) <= 1e-12 * np.abs(result.eigenvalues).max()
     # the row at spec's own dim comes from its solve, when given
+    expected, result = dense(dims[-1])
     top_spec = ModelSpec(family, dims[-1].bit_length() - 1)
-    expected, _, result = ground_or_nearest_zero(top_spec)
     assert convergence_scan(top_spec, dims, top=result)[-1][1] == expected
+
+
+@pytest.mark.parametrize("family", TWO_MODE_FAMILIES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_mode_exact_state_is_lowest_product_zero_mode(family, n):
+    """With default couplings A == B, so every beta_j - alpha_j is 0.0 and (0, 0) is chosen."""
+    spec = ModelSpec(family, n)
+    (_, a), (_, b) = mode_terms(spec)
+    assert np.array_equal(a, b)
+    energy, state = ground_or_nearest_zero(spec)
+    u0 = np.linalg.eigh(a)[1][:, 0]
+    product = np.kron(u0, u0)
+    assert energy == 0.0
+    assert np.array_equal(state, product) or np.array_equal(state, -product)
+    h = build_model(spec).entries
+    assert np.linalg.norm(h @ state) <= 1e-12 * max(1.0, np.abs(h).max())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(Family.DOUBLE_WELL, 3),
+        ModelSpec(Family.ANHARMONIC_OSC, 3, quartic_c=0.3),
+        ModelSpec(Family.CLOSED_PHI4, 2, lambda_abs=0.1),
+        ModelSpec(Family.OPEN_PHI4, 3, lambda_abs=0.2, omega=1.3),
+    ],
+)
+def test_ground_or_nearest_zero_is_an_eigenpair_of_h(spec):
+    """The per-mode solve picks the dense solve's target eigenvalue, A != B included."""
+    energy, state = ground_or_nearest_zero(spec)
+    result = eigendecompose(build_model(spec))
+    expected = nearest_zero_state(result)[0] if spec.n_modes == 2 else result.eigenvalues[0]
+    scale = np.abs(result.eigenvalues).max()
+    assert abs(energy - expected) <= 1e-12 * scale
+    assert np.linalg.norm(build_model(spec).entries @ state - energy * state) <= 1e-12 * scale
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+
+
+def test_two_mode_density_peak_stays_under_3_5x():
+    """|psi| is squared in place once psi is freed, so the peak is psi plus the density."""
+    xs = default_grid(8.0, 801)
+    coeffs = np.random.default_rng(7).normal(size=64) + 0j
+    tracemalloc.start()
+    try:
+        grid = reconstruct_wavefunction(coeffs, (xs, xs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * grid.density.nbytes
