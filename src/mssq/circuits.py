@@ -1,37 +1,64 @@
 """Statevector simulation of the layered u3/CNOT ansatz and shot-based estimation.
 
 Qubit 0 is the most significant bit of the basis index, matching the
-most-significant-first convention of the Pauli strings in `pauli`.
+most-significant-first convention of the Pauli strings in `pauli`.  Both
+`run` and `expectation` work on a batch of states: a circuit whose params are
+a (B, P) stack simulates and measures its B rows at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import cos, sin
 
 import numpy as np
 
 from .pauli import PauliSum
 
 
-def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
-    return np.array(
+def u3_matrix(theta, phi, lam) -> np.ndarray:
+    """The u3 gate at angles of one shape, stacked over that shape: (..., 2, 2)."""
+    mat = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    cos, sin = np.cos(np.divide(theta, 2)), np.sin(np.divide(theta, 2))
+    e_lam, e_phi, e_sum = np.exp(1j * np.stack([lam, phi, np.add(phi, lam)]))
+    mat[..., 0, 0] = cos
+    mat[..., 0, 1] = -e_lam * sin
+    mat[..., 1, 0] = e_phi * sin
+    mat[..., 1, 1] = e_sum * cos
+    return mat
+
+
+@cache
+def _basis_changes() -> np.ndarray:
+    """Read-only basis change per code of `Readout.bases`, built on first use.
+
+    Code 0, Z or an unmeasured qubit, is the identity; codes 1 and 2 are the
+    u3 gates mapping X and Y measurement onto the computational basis.  Built
+    lazily so that importing mssq touches no trigonometric numpy loops.
+    """
+    changes = np.stack(
         [
-            [cos(theta / 2), -np.exp(1j * lam) * sin(theta / 2)],
-            [np.exp(1j * phi) * sin(theta / 2), np.exp(1j * (phi + lam)) * cos(theta / 2)],
+            np.eye(2, dtype=complex),
+            u3_matrix(np.pi / 2, 0.0, np.pi),
+            u3_matrix(np.pi / 2, 0.0, np.pi / 2),
         ]
     )
+    changes.flags.writeable = False
+    return changes
 
 
-# u3 basis changes mapping X and Y measurement onto the computational basis
-_BASIS_CHANGE = {"X": u3_matrix(np.pi / 2, 0.0, np.pi), "Y": u3_matrix(np.pi / 2, 0.0, np.pi / 2)}
+def _apply_u3_layer(states: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply mats[..., q, :, :] to qubit q of each state in a (..., dim) batch, q = 0 .. n-1.
 
-
-def _apply_u3(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    """Apply `mat` to qubit q: one (2, 2) @ (2, dim/2) matmul, the same gemm shape for every q."""
-    pairs = state.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
-    return (mat @ pairs).reshape(2, 2**q, -1).swapaxes(0, 1).reshape(-1)
+    mats broadcasts against the batch as (..., n, 2, 2).  Each step contracts
+    the leading qubit axis with one (2, 2) @ (2, dim/2) gemm per state and
+    moves that axis last, so after n steps the qubits are back in order.
+    """
+    lead, dim = states.shape[:-1], states.shape[-1]
+    pairs, flat = (*lead, 2, dim // 2), (*lead, dim)
+    for q in range(mats.shape[-3]):
+        states = (mats[..., q, :, :] @ states.reshape(pairs)).swapaxes(-1, -2).reshape(flat)
+    return states
 
 
 @dataclass(frozen=True)
@@ -51,6 +78,7 @@ class Circuit:
     """The ansatz at fixed angles: one u3 per qubit, then depth x [CNOT chain, u3 layer].
 
     Parameters are consumed layer-major, qubit-minor: three angles per qubit.
+    params is one parameter vector, or a (B, P) stack of B of them.
     """
 
     shape: AnsatzShape
@@ -58,7 +86,7 @@ class Circuit:
 
     def __post_init__(self):
         params = np.array(self.params, dtype=float)
-        if params.shape != (self.shape.parameter_count,):
+        if params.ndim not in (1, 2) or params.shape[-1] != self.shape.parameter_count:
             raise ValueError(
                 f"expected {self.shape.parameter_count} parameters, got {params.shape}"
             )
@@ -84,43 +112,44 @@ def _cnot_chain(n: int) -> np.ndarray:
 
 
 def run(circuit: Circuit) -> np.ndarray:
-    """Apply the ansatz to |0...0>."""
+    """Apply the ansatz to |0...0>: a (dim,) state, or (B, dim) for a (B, P) batch.
+
+    The u3 matrices of every layer and batch entry are built at once, as one
+    (B, layers, n, 2, 2) stack, and each layer is one `_apply_u3_layer`.
+    """
     n = circuit.n_qubits
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for layer, angles in enumerate(circuit.params.reshape(-1, n, 3)):
+    params = circuit.params
+    angles = params.reshape(-1, circuit.shape.depth + 1, n, 3)
+    mats = u3_matrix(angles[..., 0], angles[..., 1], angles[..., 2])
+    states = np.zeros((len(angles), 2**n), dtype=complex)
+    states[:, 0] = 1.0
+    for layer in range(circuit.shape.depth + 1):
         if layer > 0:
-            state = state[_cnot_chain(n)]
-        for q, (theta, phi, lam) in enumerate(angles):
-            state = _apply_u3(state, u3_matrix(theta, phi, lam), q)
-    return state
+            states = states[:, _cnot_chain(n)]
+        states = _apply_u3_layer(states, mats[:, layer])
+    return states.reshape(*params.shape[:-1], -1)
 
 
-def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None) -> float:
-    """Shot-sampled <psi|O|psi> for the circuit's output state.
+def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None):
+    """Shot-sampled <psi|O|psi>: a float, or one value per state of a (B, P) batch.
 
-    Each of the observable's qubit-wise groups is measured in its rotated
-    basis with a multinomial draw of `shots`, and each string's expectation is
-    the histogram average of the group's parity vector for it.  The circuit is
-    simulated once; each group applies its basis rotations to that state.
-    Error bars come from repeated evaluations (`vqe.estimate_error`).
+    The circuit is simulated once and each state is repeated over the
+    observable's G qubit-wise groups.  The groups' stacked basis changes
+    rotate the whole (B, G, dim) block in one `_apply_u3_layer`, and one
+    multinomial draw of `shots` per (state, group) row samples it, the first
+    state's groups first.  A state's value is the I...I constant plus
+    sum_g freq_g . W_g, with W_g its group's readout weights
+    (`PauliSum.readout`).  Error bars come from repeated evaluations
+    (`vqe.estimate_error`).
     """
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
-    state = run(circuit)
-    rng = np.random.default_rng(seed)
-    value = 0.0
-    for group in observable.groups:
-        rotated = state
-        for q, basis in enumerate(group.basis):
-            if basis in _BASIS_CHANGE:
-                rotated = _apply_u3(rotated, _BASIS_CHANGE[basis], q)
-        probs = np.abs(rotated) ** 2
-        counts = rng.multinomial(shots, probs / probs.sum())
-        freq = counts / shots
-        for (coeff, _), parity in zip(group.terms, group.parities):
-            if parity is None:
-                value += coeff
-                continue
-            value += coeff * float(freq @ parity)
-    return float(value)
+    plan = observable.readout
+    states = run(circuit)
+    block = np.repeat(states[..., None, :], len(plan.weights), axis=-2)
+    probs = np.abs(_apply_u3_layer(block, _basis_changes()[plan.bases])) ** 2
+    pvals = probs / probs.sum(axis=-1, keepdims=True)
+    counts = np.random.default_rng(seed).multinomial(shots, pvals)
+    freq = counts.reshape(*states.shape[:-1], -1) / shots
+    values = plan.constant + freq @ plan.weights.reshape(-1)
+    return float(values) if values.ndim == 0 else values

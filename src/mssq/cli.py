@@ -33,7 +33,11 @@ MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # dim x dim float64 matrices each command holds at once: the model, H^2 for
 # constraint, the eigenvectors for spectrum, and three complex arrays (two
 # floats per entry each) while pauli.decompose runs: its copy of the matrix,
-# the interleaved copy and one per-axis result
+# the interleaved copy and one per-axis result.  Later, each SPSA pair holds
+# its (2, groups, dim) complex readout block and up to three more while the
+# basis changes apply; at the largest two-mode constraint this admits on an
+# 8 GiB machine (5 qubits per mode, 547 groups of H^2) that peaked at 1.6x
+# the count, inside the range above
 MATRICES_HELD = {"spectrum": 2, "vqe": 7, "constraint": 8, "noise-scan": 7}
 # d x d float64 matrices one scan dim d peaks at while its mode terms are built:
 # the complex ladders, x and p (two floats per entry each) and the real powers

@@ -7,12 +7,17 @@ each qubit's row and column bit interleaved into one axis of size 4, and one
 4x4 change of basis between those (row, column) pairs and {I, X, Y, Z}
 applied per axis.  All 4^n coefficients come out at once, in lexicographic
 order, at O(n 4^n) cost.
+
+Grouping and readout work on each string's (x, z) bit masks, its binary
+symplectic form (Aaronson & Gottesman, arXiv:quant-ph/0406196): X sets x,
+Z sets z and Y sets both, qubit 0 in the most significant bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +27,25 @@ PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
 IMAG_TOL = 1e-10
 _BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
-_MEASURED_BITS = str.maketrans(PAULI_LETTERS, "0111")
+# a group's measured letter per (x bit, z bit) of its qubit
+_BASIS_LETTERS = {(0, 0): None, (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 # _SIGMA[a, 2r + c] = sigma_a[r, c] for sigma = I, X, Y, Z
 _SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+class Readout(NamedTuple):
+    """How an observable is read out of its groups' measured histograms.
+
+    weights[g, i] = sum of c_s * (-1)^popcount(i & sup_s) over group g's
+    strings s other than I...I, whose coefficient is `constant`; bases[g, q]
+    is 0 where group g measures Z or nothing on qubit q, 1 for X and 2 for Y.
+    """
+
+    constant: float
+    weights: np.ndarray
+    bases: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,16 +73,48 @@ class PauliSum:
         """The qubit-wise measurement groups, computed once; the sum is frozen."""
         return group_by_basis(self)
 
+    @cached_property
+    def readout(self) -> Readout:
+        """The groups' readout plan, computed once and shared; callers must not modify it.
+
+        Within a group a string is fixed by its support, so the weights are
+        the Walsh-Hadamard transform of each group's coefficients placed at
+        their support masks.
+        """
+        n, groups = self.n_qubits, self.groups
+        members = [term for group in groups for term in group.terms]
+        coeffs = np.array([coeff for coeff, _ in members], dtype=float)
+        x, z = _masks([string for _, string in members], n)
+        support = x | z
+        rows = np.repeat(np.arange(len(groups)), [len(group.terms) for group in groups])
+        measured = support > 0
+        placed = np.zeros((len(groups), self.dim))
+        placed[rows[measured], support[measured]] = coeffs[measured]
+        weights = _per_axis(_HADAMARD, placed.T, n).reshape(len(groups), self.dim)
+        codes = {None: 0, "Z": 0, "X": 1, "Y": 2}
+        bases = np.array([[codes[b] for b in group.basis] for group in groups], dtype=np.intp)
+        return Readout(float(coeffs[~measured].sum()), weights, bases.reshape(-1, n))
+
 
 def _per_axis(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Apply the 4x4 table to each of the n size-4 axes of x, flattened.
+    """Apply the k x k table to each of the leading n size-k axes of x, flattened.
 
     Each step contracts the leading axis and appends its result as the last
-    axis, so after n steps the axes are back in their original order.
+    axis, so after n steps the axes are back in their original order; any
+    trailing axes of x end up in front.
     """
     for _ in range(n):
-        x = x.reshape(4, -1).T @ table.T
+        x = x.reshape(len(table), x.size // len(table)).T @ table.T
     return x.reshape(-1)
+
+
+def _masks(strings: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) bit masks of each string, qubit 0 in the most significant bit."""
+    letters = np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    x = ((letters == ord("X")) | (letters == ord("Y"))) @ bits
+    z = ((letters == ord("Z")) | (letters == ord("Y"))) @ bits
+    return x, z
 
 
 def _words(index: np.ndarray, n: int) -> list[str]:
@@ -110,34 +162,36 @@ class MeasurementGroup:
     basis: tuple[str | None, ...]
     terms: tuple[tuple[float, str], ...]
 
-    @cached_property
-    def parities(self) -> list[np.ndarray | None]:
-        """Per term, its +-1 readout of each basis state in this basis (None for I...I).
-
-        After its basis rotation a string reads out the parity of the basis-state
-        bits on its non-I qubits.  Computed once and shared by every evaluation;
-        callers must not modify it.
-        """
-        idx = np.arange(2 ** len(self.basis))
-        masks = [int(string.translate(_MEASURED_BITS) or "0", 2) for _, string in self.terms]
-        return [np.where(np.bitwise_count(idx & m) % 2, -1.0, 1.0) if m else None for m in masks]
-
 
 def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:
-    """Greedy first-fit grouping of qubit-wise compatible strings, input order."""
-    groups: list[list] = []  # [basis letters (mutable), terms]
-    for coeff, string in psum.terms:
-        placed = False
-        for entry in groups:
-            basis = entry[0]
-            if all(c == "I" or basis[q] is None or basis[q] == c for q, c in enumerate(string)):
-                for q, c in enumerate(string):
-                    if c != "I":
-                        basis[q] = c
-                entry[1].append((coeff, string))
-                placed = True
-                break
-        if not placed:
-            basis = [c if c != "I" else None for c in string]
-            groups.append([basis, [(coeff, string)]])
-    return [MeasurementGroup(tuple(basis), tuple(terms)) for basis, terms in groups]
+    """Greedy first-fit grouping of qubit-wise compatible strings, input order.
+
+    String s fits open group g when the two agree on every qubit both act on:
+    (sup_s & sup_g) & ((x_s ^ x_g) | (z_s ^ z_g)) == 0, with sup = x | z and
+    (x_g, z_g) the union of g's members.  Packing x above z into one word, and
+    the support into both halves, makes that one test over every open group:
+    (word_s ^ word_g) & support_s & support_g == 0.
+    """
+    n = psum.n_qubits
+    x, z = _masks([string for _, string in psum.terms], n)
+    words, supports = ((x << n) | z).tolist(), ((x | z) * ((1 << n) + 1)).tolist()
+    group_words = np.zeros(len(words), dtype=np.int64)
+    group_supports = np.zeros(len(words), dtype=np.int64)
+    members: list[list] = []
+    for term, word, support in zip(psum.terms, words, supports):
+        clash = group_words[: len(members)] ^ word
+        clash &= support
+        clash &= group_supports[: len(members)]
+        g = int(clash.argmin()) if members else 0
+        if not members or clash[g]:
+            g = len(members)
+            members.append([])
+        members[g].append(term)
+        group_words[g] |= word
+        group_supports[g] |= support
+    shifts = np.arange(2 * n - 1, -1, -1)
+    bits = (group_words[: len(members), None] >> shifts) & 1
+    return [
+        MeasurementGroup(tuple(_BASIS_LETTERS[xz] for xz in zip(row[:n], row[n:])), tuple(terms))
+        for row, terms in zip(bits.tolist(), members)
+    ]

@@ -81,6 +81,10 @@ def _smoothed(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
 def spsa_minimize(objective, initial, config: SpsaConfig):
     """Minimize a noisy objective with simultaneous-perturbation gradients.
 
+    objective takes the (2, P) stack [theta + c delta, theta - c delta] and
+    returns its two values, so each calibration sample and each iteration is
+    one call.
+
     Gain schedules: a_k = a / (k+1+A)^alpha, c_k = c / (k+1)^gamma, with the
     perturbation directions drawn as symmetric Bernoulli +-1 per coordinate.
     When config.a is None the numerator a is calibrated so the first step
@@ -96,10 +100,11 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     big_a = config.stability_const
 
-    def check(value, k):
-        if not np.isfinite(value):
+    def pair(step, delta, k):
+        f_plus, f_minus = objective(np.stack((theta + step * delta, theta - step * delta)))
+        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
             raise SpsaDiverged(f"non-finite objective at iteration {k}")
-        return value
+        return f_plus, f_minus
 
     a = config.a
     if a is None:
@@ -107,10 +112,8 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
         mags = []
         for _ in range(config.calibration_samples):
             delta = rng.choice([-1.0, 1.0], size=theta.shape)
-            diff = check(objective(theta + config.c * delta), -1) - check(
-                objective(theta - config.c * delta), -1
-            )
-            mags.append(abs(diff) / (2 * config.c))
+            f_plus, f_minus = pair(config.c, delta, -1)
+            mags.append(abs(f_plus - f_minus) / (2 * config.c))
         mean_mag = max(float(np.mean(mags)), 1e-12)
         a = config.calibration_step * (1 + big_a) ** config.alpha / mean_mag
 
@@ -119,10 +122,9 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
         a_k = a / (k + 1 + big_a) ** config.alpha
         c_k = config.c / (k + 1) ** config.gamma
         delta = rng.choice([-1.0, 1.0], size=theta.shape)
-        f_plus = check(objective(theta + c_k * delta), k)
-        f_minus = check(objective(theta - c_k * delta), k)
+        f_plus, f_minus = pair(c_k, delta, k)
         ghat = (f_plus - f_minus) / (2 * c_k) * (1.0 / delta)
-        trajectory.append((theta.copy(), 0.5 * (f_plus + f_minus)))
+        trajectory.append((theta.copy(), float(0.5 * (f_plus + f_minus))))
         theta = theta - a_k * ghat
     objectives = np.array([obj for _, obj in trajectory])
     best_k = int(np.argmin(_smoothed(objectives)))
@@ -194,8 +196,8 @@ def vqe_run(
     init_rng = np.random.default_rng(ss_init)
     current_shots = shots
 
-    def objective(params):
-        return expectation(Circuit(shape, params), objective_sum, shots=current_shots, seed=shot_rng)
+    def objective(pair):
+        return expectation(Circuit(shape, pair), objective_sum, shots=current_shots, seed=shot_rng)
 
     def tail_mean(traj):
         objs = [obj for _, obj in traj[-20:]]

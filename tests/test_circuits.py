@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ def random_circuit(rng, max_qubits=4, max_gates=20) -> Circuit:
     return Circuit(shape, rng.uniform(-np.pi, np.pi, shape.parameter_count))
 
 
+def apply_gate(state: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    """Reference u3 kernel: qubit q's amplitude pairs as one (2, dim/2) block, one matmul."""
+    pairs = state.reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
+    return (mat @ pairs).reshape(2, 2**q, -1).swapaxes(0, 1).reshape(-1)
+
+
 def gate_list_run(circuit: Circuit) -> np.ndarray:
     """Reference simulator: the ansatz as a gate list of ("u3", qubit, angles) and
     ("cnot", control, target), applied one gate at a time.
@@ -59,11 +67,82 @@ def gate_list_run(circuit: Circuit) -> np.ndarray:
     state[0] = 1.0
     for kind, a, b in gates:
         if kind == "u3":
-            state = circuits._apply_u3(state, u3_matrix(*b), a)
+            state = apply_gate(state, u3_reference(*b), a)
         else:
             control, target = a, b
             state = state[idx ^ (((idx >> (n - 1 - control)) & 1) << (n - 1 - target))]
     return state
+
+
+def u3_reference(theta: float, phi: float, lam: float) -> np.ndarray:
+    """One u3 gate from scalar math.cos/math.sin and complex exponentials."""
+    return np.array(
+        [
+            [math.cos(theta / 2), -np.exp(1j * lam) * math.sin(theta / 2)],
+            [np.exp(1j * phi) * math.sin(theta / 2), np.exp(1j * (phi + lam)) * math.cos(theta / 2)],
+        ]
+    )
+
+
+class RecordingGenerator(np.random.Generator):
+    """A PCG64 generator that keeps every multinomial draw it makes."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = []
+
+    def multinomial(self, n, pvals, size=None):
+        counts = super().multinomial(n, pvals, size)
+        self.draws.append(counts)
+        return counts
+
+
+def test_u3_stack_bit_equal_to_scalar_gates():
+    rng = np.random.default_rng(17)
+    angles = rng.uniform(-np.pi, np.pi, (3, 4, 5, 3))
+    angles[0, 0] = [
+        [0.0, np.pi, -np.pi],
+        [np.pi / 2, 0.0, np.pi],
+        [-0.0, np.pi / 2, 0.0],
+        [np.pi, np.pi, np.pi],
+        [0, 0, 0],
+    ]
+    stack = u3_matrix(angles[..., 0], angles[..., 1], angles[..., 2])
+    assert stack.shape == (3, 4, 5, 2, 2)
+    for index in np.ndindex(angles.shape[:-1]):
+        expected = u3_reference(*angles[index])
+        assert np.array_equal(stack[index], expected)
+        assert np.array_equal(np.signbit(stack[index].view(float)), np.signbit(expected.view(float)))
+
+
+def test_batched_states_bit_equal_to_separate_runs():
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        for depth in range(5):
+            shape = AnsatzShape(n, depth)
+            batch = rng.uniform(-np.pi, np.pi, (int(rng.integers(1, 5)), shape.parameter_count))
+            states = run(Circuit(shape, batch))
+            assert states.shape == (len(batch), 2**n)
+            for row, state in zip(batch, states):
+                assert np.array_equal(state, run(Circuit(shape, row)))
+
+
+def test_batched_rotations_bit_equal_to_per_group_loop():
+    rotations = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        states = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+        bases = rng.choice(np.array(["X", "Y", "Z", None], dtype=object), size=(7, n))
+        codes = np.array([[{"X": 1, "Y": 2}.get(b, 0) for b in row] for row in bases])
+        block = np.repeat(states[:, None, :], len(bases), axis=1)
+        rotated = circuits._apply_u3_layer(block, circuits._basis_changes()[codes])
+        for state, per_state in zip(states, rotated):
+            for basis, got in zip(bases, per_state):
+                expected = state
+                for q, b in enumerate(basis):
+                    if b in rotations:
+                        expected = apply_gate(expected, u3_reference(*rotations[b]), q)
+                assert np.array_equal(got, expected)
 
 
 def test_empty_circuit():
@@ -124,6 +203,8 @@ def test_ansatz_zero_params_identity():
 def test_ansatz_rejects_bad_length():
     with pytest.raises(ValueError):
         Circuit(AnsatzShape(2, 1), np.zeros(11))
+    with pytest.raises(ValueError):
+        Circuit(AnsatzShape(2, 1), np.zeros((1, 1, 12)))
 
 
 def test_circuit_params_are_a_read_only_copy():
@@ -215,7 +296,7 @@ def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, 
         state = run(circuit)
         for q, basis in enumerate(group.basis):
             if basis in rotations:
-                state = circuits._apply_u3(state, u3_matrix(*rotations[basis]), q)
+                state = apply_gate(state, u3_reference(*rotations[basis]), q)
         probs = np.abs(state) ** 2
         freq = rng.multinomial(shots, probs / probs.sum()) / shots
         for coeff, string in group.terms:
@@ -226,6 +307,18 @@ def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, 
             est = float(freq @ np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0))
             value += coeff * est
     return float(value)
+
+
+def rounding_bound(observable: PauliSum) -> float:
+    """First-order bound on the rounding gap between the per-string and the weight-vector sums.
+
+    The per-string estimator sums len(terms) products, each a dot over dim
+    histogram entries; the readout builds each weight in n butterfly steps and
+    dots groups x dim entries.  Every partial sum is bounded by sum |c|.
+    """
+    n, dim, groups = observable.n_qubits, observable.dim, len(observable.groups)
+    terms = len(observable.terms) + dim + n + groups * dim
+    return terms * np.finfo(float).eps * sum(abs(c) for c, _ in observable.terms)
 
 
 def test_shot_expectation_matches_resimulating_oracle():
@@ -239,8 +332,30 @@ def test_shot_expectation_matches_resimulating_oracle():
         assert bases >= {"X", "Y", "Z"}
         for seed in (trial, 1000 + trial, 2**40 + trial):
             shots = int(rng.choice([1, 64, 4096]))
-            got = expectation(circuit, observable, shots=shots, seed=seed)
-            assert got == resimulated_expectation(circuit, observable, shots, seed)
+            drawn, oracle_drawn = RecordingGenerator(seed), RecordingGenerator(seed)
+            got = expectation(circuit, observable, shots=shots, seed=drawn)
+            expected = resimulated_expectation(circuit, observable, shots, oracle_drawn)
+            assert len(drawn.draws) == 1
+            assert np.array_equal(drawn.draws[0], np.stack(oracle_drawn.draws))
+            assert abs(got - expected) <= rounding_bound(observable)
+
+
+def test_batched_expectation_draws_each_state_in_turn():
+    rng = np.random.default_rng(29)
+    for trial in range(20):
+        n = int(rng.integers(1, 5))
+        shape = AnsatzShape(n, int(rng.integers(0, 3)))
+        batch = rng.uniform(-np.pi, np.pi, (int(rng.integers(1, 4)), shape.parameter_count))
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        observable = decompose((a + a.conj().T) / 2)
+        drawn, oracle_drawn = RecordingGenerator(trial), RecordingGenerator(trial)
+        got = expectation(Circuit(shape, batch), observable, shots=512, seed=drawn)
+        expected = [
+            resimulated_expectation(Circuit(shape, row), observable, 512, oracle_drawn) for row in batch
+        ]
+        assert got.shape == (len(batch),) and len(drawn.draws) == 1
+        assert np.array_equal(drawn.draws[0].reshape(-1, 2**n), np.stack(oracle_drawn.draws))
+        assert np.all(np.abs(got - expected) <= rounding_bound(observable))
 
 
 def test_shot_expectation_runs_circuit_once(monkeypatch):
@@ -291,15 +406,18 @@ def flip_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarra
     return psi.reshape(-1)
 
 
-def test_gate_kernels_match_tensordot_reference():
+def test_layer_kernel_matches_tensordot_reference():
     rng = np.random.default_rng(31)
     for n in range(1, 7):
         for _ in range(5):
             state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            mats = u3_matrix(*rng.uniform(-np.pi, np.pi, (3, n)))
+            expected = state
             for q in range(n):
-                mat = u3_matrix(*rng.uniform(-np.pi, np.pi, 3))
-                got = circuits._apply_u3(state, mat, q)
-                assert np.array_equal(got, tensordot_u3(state, mat, q, n))
+                reference = tensordot_u3(state, mats[q], q, n)
+                assert np.array_equal(apply_gate(state, mats[q], q), reference)
+                expected = tensordot_u3(expected, mats[q], q, n)
+            assert np.array_equal(circuits._apply_u3_layer(state, mats), expected)
             chained = state
             for q in range(n - 1):
                 chained = flip_cnot(chained, q, q + 1, n)

@@ -197,22 +197,57 @@ def test_grouped_estimator_unbiased():
         assert abs(np.mean(grouped) - exact) < 5 * max(err_g, 1e-12)
 
 
-def test_parities_match_bit_count_oracle():
+def test_readout_weights_match_bit_count_oracle():
     rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
     for trial in range(20):
         n = int(rng.integers(1, 6))
         strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
         psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
-        assert psum.groups is psum.groups
+        assert psum.groups is psum.groups and psum.readout is psum.readout
         assert psum.groups == group_by_basis(psum)
+        plan = psum.readout
+        assert plan.weights.shape == (len(psum.groups), 2**n) and plan.weights.dtype == np.float64
+        assert plan.constant == dict((s, c) for c, s in psum.terms).get("I" * n, 0.0)
         idx = np.arange(2**n)
-        for group in psum.groups:
-            assert len(group.parities) == len(group.terms)
-            for (_, string), parity in zip(group.terms, group.parities):
+        for g, group in enumerate(psum.groups):
+            codes = [{"X": 1, "Y": 2}.get(b, 0) for b in group.basis]
+            assert plan.bases[g].tolist() == codes
+            expected = np.zeros(2**n)
+            for coeff, string in group.terms:
                 mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
-                if not mask:
-                    assert parity is None
-                    continue
-                expected = np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0)
-                assert parity.dtype == np.float64 and parity.flags.c_contiguous
-                assert np.array_equal(parity, expected)
+                if mask:
+                    expected += coeff * np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0)
+            # each weight is a sum of len(group.terms) signed coefficients, added in another order
+            bound = 2 * (len(group.terms) + n) * eps * sum(abs(coeff) for coeff, _ in group.terms)
+            assert np.max(np.abs(plan.weights[g] - expected)) <= bound
+
+
+def greedy_string_grouping(psum: PauliSum) -> list[tuple[tuple, tuple]]:
+    """Reference first-fit grouping, one letter at a time: (basis, terms) per group."""
+    groups = []
+    for coeff, string in psum.terms:
+        for basis, terms in groups:
+            if all(c == "I" or basis[q] is None or basis[q] == c for q, c in enumerate(string)):
+                for q, c in enumerate(string):
+                    if c != "I":
+                        basis[q] = c
+                terms.append((coeff, string))
+                break
+        else:
+            groups.append(([c if c != "I" else None for c in string], [(coeff, string)]))
+    return [(tuple(basis), tuple(terms)) for basis, terms in groups]
+
+
+def test_group_by_basis_matches_greedy_string_reference():
+    rng = np.random.default_rng(43)
+    cases = [decompose(matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 3))))]
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        size = int(rng.integers(0, min(4**n, 300) + 1))
+        strings = rng.choice(strings_of(n), size=size, replace=False)
+        cases.append(PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings)))
+    for psum in cases:
+        got = [(group.basis, group.terms) for group in group_by_basis(psum)]
+        assert got == greedy_string_grouping(psum)
+    assert len(cases[0].groups) == 25

@@ -10,7 +10,7 @@ from mssq.vqe import SpsaConfig, SpsaDiverged, _smoothed, estimate_error, spsa_m
 
 def test_spsa_quadratic():
     config = SpsaConfig(iterations=200, seed=0)
-    best, traj = spsa_minimize(lambda t: float(np.sum(t**2)), np.array([1.0, 1.0]), config)
+    best, traj = spsa_minimize(lambda pair: np.sum(pair**2, axis=1), np.array([1.0, 1.0]), config)
     assert len(traj) == 200
     assert np.linalg.norm(best) < 0.05
 
@@ -20,8 +20,8 @@ def test_spsa_noisy_quadratic_many_seeds():
     for seed in range(100):
         noise = np.random.default_rng(10_000 + seed)
 
-        def objective(t):
-            return float(np.sum(t**2) + noise.normal(0, 0.01))
+        def objective(pair):
+            return np.sum(pair**2, axis=1) + noise.normal(0, 0.01, size=2)
 
         best, _ = spsa_minimize(
             objective, np.array([1.0, 1.0]), SpsaConfig(iterations=200, seed=seed)
@@ -31,13 +31,13 @@ def test_spsa_noisy_quadratic_many_seeds():
 
 
 def test_spsa_empty_params():
-    best, traj = spsa_minimize(lambda t: 0.0, np.array([]), SpsaConfig(iterations=10))
+    best, traj = spsa_minimize(lambda pair: np.zeros(2), np.array([]), SpsaConfig(iterations=10))
     assert best.size == 0 and traj == []
 
 
 def test_spsa_nonfinite_objective():
     with pytest.raises(SpsaDiverged, match="iteration"):
-        spsa_minimize(lambda t: float("nan"), np.ones(2), SpsaConfig(iterations=5))
+        spsa_minimize(lambda pair: np.full(2, np.nan), np.ones(2), SpsaConfig(iterations=5))
 
 
 def test_spsa_gain_sequences_decrease():
@@ -60,8 +60,8 @@ def test_spsa_config_validation():
 
 
 def test_spsa_deterministic():
-    def objective(t):
-        return float(np.sum(t**2))
+    def objective(pair):
+        return np.sum(pair**2, axis=1)
 
     runs = [
         spsa_minimize(objective, np.array([0.3, -0.2]), SpsaConfig(iterations=50, seed=9))
@@ -69,6 +69,56 @@ def test_spsa_deterministic():
     ]
     assert np.array_equal(runs[0][0], runs[1][0])
     assert [o for _, o in runs[0][1]] == [o for _, o in runs[1][1]]
+
+
+def two_call_spsa(objective, initial, config: SpsaConfig):
+    """Reference SPSA loop evaluating theta + c delta and theta - c delta in separate calls."""
+    theta = np.asarray(initial, dtype=float).copy()
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    big_a = config.stability_const
+    a = config.a
+    if a is None:
+        mags = []
+        for _ in range(config.calibration_samples):
+            delta = rng.choice([-1.0, 1.0], size=theta.shape)
+            diff = objective(theta + config.c * delta) - objective(theta - config.c * delta)
+            mags.append(abs(diff) / (2 * config.c))
+        a = config.calibration_step * (1 + big_a) ** config.alpha / max(float(np.mean(mags)), 1e-12)
+    trajectory = []
+    for k in range(config.iterations):
+        a_k = a / (k + 1 + big_a) ** config.alpha
+        c_k = config.c / (k + 1) ** config.gamma
+        delta = rng.choice([-1.0, 1.0], size=theta.shape)
+        f_plus = objective(theta + c_k * delta)
+        f_minus = objective(theta - c_k * delta)
+        ghat = (f_plus - f_minus) / (2 * c_k) * (1.0 / delta)
+        trajectory.append((theta.copy(), 0.5 * (f_plus + f_minus)))
+        theta = theta - a_k * ghat
+    return trajectory
+
+
+def test_spsa_pair_objective_matches_two_call_loop():
+    def quadratic(t):
+        return float(np.sum((t - 0.25) ** 2 * np.arange(1, t.size + 1)))
+
+    for config in (
+        SpsaConfig(iterations=40, seed=3),
+        SpsaConfig(iterations=25, calibration_samples=7, c=0.05, seed=11),
+        SpsaConfig(iterations=30, a=0.2, seed=5),
+    ):
+        pairs = []
+
+        def pair_objective(pair):
+            pairs.append(pair.copy())
+            return np.array([quadratic(row) for row in pair])
+
+        _, traj = spsa_minimize(pair_objective, np.array([1.0, -0.5, 0.3]), config)
+        calls = config.iterations + (config.calibration_samples if config.a is None else 0)
+        assert len(pairs) == calls and all(p.shape == (2, 3) for p in pairs)
+        reference = two_call_spsa(quadratic, np.array([1.0, -0.5, 0.3]), config)
+        assert len(traj) == len(reference)
+        for (params, obj), (ref_params, ref_obj) in zip(traj, reference):
+            assert np.array_equal(params, ref_params) and obj == ref_obj
 
 
 def test_estimate_error_exact_mode_zero_spread():
