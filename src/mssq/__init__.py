@@ -2,22 +2,13 @@
 quantum-mechanical potentials and Wheeler-DeWitt mini-superspace models."""
 
 from .circuits import AnsatzShape, Circuit, expectation, run
-from .oscillator import (
-    Family,
-    ModelSpec,
-    OperatorMatrix,
-    build_model,
-    ladder,
-    matrix_square,
-    quadratures,
-)
+from .oscillator import Family, ModelSpec, OperatorMatrix, build_model, matrix_square
 from .pauli import PauliSum, decompose, group_by_basis, reconstruct
 from .spectrum import (
     SpectrumResult,
     WavefunctionGrid,
     convergence_scan,
     eigendecompose,
-    nearest_zero_state,
     reconstruct_wavefunction,
 )
 from .vqe import SpsaConfig, VqeResult, estimate_error, spsa_minimize, vqe_run
@@ -40,10 +31,7 @@ __all__ = [
     "estimate_error",
     "expectation",
     "group_by_basis",
-    "ladder",
     "matrix_square",
-    "nearest_zero_state",
-    "quadratures",
     "reconstruct",
     "reconstruct_wavefunction",
     "run",

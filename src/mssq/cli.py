@@ -24,24 +24,28 @@ from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
-# an eighth of physical memory: temporaries lift a run's peak RSS to 1.0-3.9x
-# its counted arrays, above ~30 MiB for Python and numpy; the top is a large
-# one-mode spectrum, where quadratures holds complex ladders, x and p, then a
+# an eighth of physical memory: temporaries lift a run's peak RSS to 0.7-3.4x
+# its counted arrays, above ~30 MiB for Python and numpy; the top is a
 # two-mode density grid (3.1-3.4x), where reconstruct_wavefunction holds psi
 # (complex) and |psi| at once
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-# dim x dim float64 matrices each command holds at once: the model, H^2 for
-# constraint, the eigenvectors for spectrum, and three complex arrays (two
-# floats per entry each) while pauli.decompose runs: its copy of the matrix,
-# the interleaved copy and one per-axis result.  Later, each SPSA pair holds
-# its (2, groups, dim) complex readout block and up to three more while the
-# basis changes apply; at the largest two-mode constraint this admits on an
-# 8 GiB machine (5 qubits per mode, 547 groups of H^2) that peaked at 1.6x
-# the count, inside the range above
-MATRICES_HELD = {"spectrum": 2, "vqe": 7, "constraint": 8, "noise-scan": 7}
-# d x d float64 matrices one scan dim d peaks at while its mode terms are built:
-# the complex ladders, x and p (two floats per entry each) and the real powers
+# dim x dim float64 matrices each other command holds at once: the model, H^2
+# for constraint, and three complex arrays (two floats per entry each) while
+# pauli.decompose runs: its copy of the matrix, the interleaved copy and one
+# per-axis result.  Later, each SPSA pair holds its (2, groups, dim) complex
+# readout block and up to three more while the basis changes apply; at the
+# largest two-mode constraint this admits on an 8 GiB machine (5 qubits per
+# mode, 547 groups of H^2) that peaked at 1.6x the count, inside the range above
+MATRICES_HELD = {"vqe": 7, "constraint": 8, "noise-scan": 7}
+# spectrum solves d x d mode terms, never the whole model.  It peaks at
+# SCAN_MATRICES d x d float64 matrices while one dim's terms are built (the
+# ladder, x, q, the even powers, the terms) and solved (eigenvectors, LAPACK
+# workspace, the residual), and holds SPECTRUM_VECTORS dim-long vectors (the
+# flat and sorted eigenvalues, the CSV columns, the nearest-zero sort keys).
+# Peaks measured 0.7-1.2x this count: DoubleWell at 10-11 qubits, ClosedPhi4
+# at 8-10 qubits per mode
 SCAN_MATRICES = 8
+SPECTRUM_VECTORS = 6
 
 
 @dataclass(frozen=True)
@@ -134,15 +138,21 @@ def _seed(cfg: ExperimentConfig) -> int:
 def _check_memory(command: str, cfg: ExperimentConfig) -> None:
     """Refuse, naming the key, a run whose largest arrays alone exceed MEMORY_BOUND.
 
-    Counted at 8 B per float: the command's dim x dim matrices; for spectrum,
-    SCAN_MATRICES d x d matrices at the largest scan dim d; and, for the
-    density-writing commands, the Hermite tables (mode_dim x grid.points per
-    mode) and the density grid (grid.points^n_modes).  The largest count names the key.
+    Counted at 8 B per float: for spectrum, SCAN_MATRICES d x d matrices at the
+    larger of mode_dim and the largest scan dim d, plus SPECTRUM_VECTORS
+    dim-long vectors; for the other commands, their dim x dim matrices; and,
+    for the density-writing commands, the Hermite tables (mode_dim x
+    grid.points per mode) and the density grid (grid.points^n_modes).  The
+    largest count names the key.
     """
     model = _model_spec(cfg)
-    counted = {"model.qubits_per_mode": 8 * MATRICES_HELD[command] * model.dim**2}
     if command == "spectrum":
-        counted["spectrum.scan_dims"] = 8 * SCAN_MATRICES * max(cfg["spectrum.scan_dims"]) ** 2
+        scan_dim = max(cfg["spectrum.scan_dims"])
+        counted = {"model.qubits_per_mode": 8 * SPECTRUM_VECTORS * model.dim, "spectrum.scan_dims": 0}
+        key = "spectrum.scan_dims" if scan_dim > model.mode_dim else "model.qubits_per_mode"
+        counted[key] += 8 * SCAN_MATRICES * max(scan_dim, model.mode_dim) ** 2
+    else:
+        counted = {"model.qubits_per_mode": 8 * MATRICES_HELD[command] * model.dim**2}
     if command in ("vqe", "constraint"):
         points = cfg["grid.points"]
         tables = model.n_modes * model.mode_dim * points
@@ -179,19 +189,18 @@ def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     model = _model_spec(cfg)
     outdir = _prepare_outdir(cfg)
-    result = spec_mod.eigendecompose(build_model(model))
-    vals = result.eigenvalues
-    _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(vals)), vals)
-    scan = spec_mod.convergence_scan(model, cfg["spectrum.scan_dims"], top=result)
+    vals, solves = spec_mod.spectrum(model)
+    ordered = np.sort(vals)
+    _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(ordered)), ordered)
+    scan = spec_mod.convergence_scan(model, cfg["spectrum.scan_dims"], own_vals=vals)
     scan = np.reshape(scan, (-1, 3))
     _write_csv(outdir / "convergence.csv", "dim,energy,delta", scan[:, 0].astype(int), *scan.T[1:])
-    near_zero, _ = spec_mod.nearest_zero_state(result)
     summary = (
         f"family = {model.family.value}\n"
         f"dim = {model.dim}\n"
-        f"ground_energy = {_fmt(vals[0])}\n"
-        f"nearest_zero_eigenvalue = {_fmt(near_zero)}\n"
-        f"max_residual = {_fmt(result.residual)}\n"
+        f"ground_energy = {_fmt(ordered[0])}\n"
+        f"nearest_zero_eigenvalue = {_fmt(vals[spec_mod._target_index(vals, nearest_zero=True)])}\n"
+        f"max_residual = {_fmt(max(solve.residual for solve in solves))}\n"
     )
     (outdir / "summary.txt").write_text(summary)
     return outdir

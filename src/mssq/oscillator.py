@@ -138,31 +138,14 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated lowering and raising operators of size dim.
-
-    lower[n-1, n] = sqrt(n); raising is the conjugate transpose.
-    """
-    if dim < 2:
-        raise ValueError(f"ladder needs dim >= 2, got {dim}")
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-    return lower, lower.conj().T
-
-
-def quadratures(dim: int, omega: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Dimensionless position and momentum matrices at frequency scale omega."""
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    low, high = ladder(dim)
-    x = (low + high) / np.sqrt(2.0 * omega)
-    p = 1j * np.sqrt(omega / 2.0) * (high - low)
-    return x, p
-
-
 def _even_powers(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^2, p^2 and x^4 as float64: x is real and p = i q with q real, so p^2 = -q q."""
-    x, p = quadratures(spec.mode_dim, spec.omega)
-    x, q = x.real, p.imag
+    """x^2, p^2 and x^4 as float64 from the truncated lowering matrix, lower[n-1, n] = sqrt(n).
+
+    x is real and p = i q with q real, so p^2 = -q q.
+    """
+    low = np.diag(np.sqrt(np.arange(1, spec.mode_dim)), 1)
+    x = (low + low.T) * (1 / np.sqrt(2 * spec.omega))
+    q = np.sqrt(spec.omega / 2) * (low.T - low)
     x2 = x @ x
     return x2, -(q @ q), x2 @ x2
 

@@ -56,12 +56,6 @@ def _outer_sum(parts) -> np.ndarray:
     return reduce(lambda acc, part: np.add.outer(acc, part).ravel(), parts)
 
 
-def nearest_zero_state(spectrum: SpectrumResult) -> tuple[float, np.ndarray]:
-    """The eigenpair with smallest |eigenvalue|; a tie goes to the more negative one."""
-    i = _target_index(spectrum.eigenvalues, nearest_zero=True)
-    return float(spectrum.eigenvalues[i]), spectrum.eigenvectors[:, i]
-
-
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Normalized Hermite functions phi_0 .. phi_{n_max-1} evaluated at x.
 
@@ -111,25 +105,34 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
+def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[SpectrumResult]]:
+    """H's eigenvalues in flat (i, j) order, and the solve of each unsigned mode term.
+
+    H's eigenvalues are the outer sum of the signed terms' eigenvalues,
+    beta_j - alpha_i for two modes, and kron(u_i, v_j) is the eigenvector of entry (i, j).
+    """
+    signs, terms = zip(*mode_terms(spec))
+    solves = [eigendecompose(term) for term in terms]
+    return _outer_sum([sign * solve.eigenvalues for sign, solve in zip(signs, solves)]), solves
+
+
 def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray]:
     """Ground state for one-mode models, nearest-zero state for two-mode ones.
 
-    Each mode term is solved once; H's eigenpairs are (beta_j - alpha_i, kron(u_i, v_j)),
-    and `_target_index` over the flat (i, j) index picks one, ties to the lowest.
+    `_target_index` over `spectrum`'s flat (i, j) index picks one, ties to the lowest.
     """
-    solves = [(sign, np.linalg.eigh(term)) for sign, term in mode_terms(spec)]
-    vals = _outer_sum([sign * w for sign, (w, _) in solves])
+    vals, solves = spectrum(spec)
     flat = _target_index(vals, nearest_zero=spec.n_modes == 2)
-    picks = np.unravel_index(flat, [len(w) for _, (w, _) in solves])
-    state = reduce(np.kron, [v[:, i] for (_, (_, v)), i in zip(solves, picks)])
+    picks = np.unravel_index(flat, [len(solve.eigenvalues) for solve in solves])
+    state = reduce(np.kron, [solve.eigenvectors[:, i] for solve, i in zip(solves, picks)])
     return float(vals[flat]), state
 
 
-def convergence_scan(spec: ModelSpec, dims, top: SpectrumResult | None = None) -> list[tuple]:
+def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) -> list[tuple]:
     """Ground (or nearest-zero) energy per per-mode truncation dimension, from eigenvalues only.
 
     dims must be ascending powers of two; each sums its d x d mode terms'
-    eigenvalues, and top, spec's own solve, gives the row at spec.mode_dim.
+    eigenvalues, and own_vals, `spectrum(spec)`'s eigenvalues, give the row at spec.mode_dim.
     Returns (dim, energy, |energy - previous energy|) rows, the first delta nan.
     """
     rows: list[tuple[int, float, float]] = []
@@ -138,8 +141,8 @@ def convergence_scan(spec: ModelSpec, dims, top: SpectrumResult | None = None) -
         n = int(dim).bit_length() - 1
         if 2**n != dim or dim < 2:
             raise ValueError(f"scan dimension must be a power of two >= 2, got {dim}")
-        if top is not None and dim == spec.mode_dim:
-            vals = top.eigenvalues
+        if own_vals is not None and dim == spec.mode_dim:
+            vals = own_vals
         else:
             terms = mode_terms(replace(spec, qubits_per_mode=n))
             vals = _outer_sum([sign * np.linalg.eigvalsh(term) for sign, term in terms])

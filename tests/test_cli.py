@@ -5,7 +5,15 @@ import pytest
 
 from mssq.cli import _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, parse_config, resolve
-from mssq.spectrum import WavefunctionGrid, default_grid, reconstruct_wavefunction
+from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.spectrum import (
+    WavefunctionGrid,
+    default_grid,
+    eigendecompose,
+    ground_or_nearest_zero,
+    reconstruct_wavefunction,
+    spectrum,
+)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -122,14 +130,11 @@ def test_spectrum_closed_free_near_zero(tmp_path):
         f"model.family = ClosedFree\nmodel.qubits_per_mode = 2\noutput.dir = {out}\n",
     )
     assert main(["spectrum", "-c", str(cfg)]) == 0
-    near = float(
-        (out / "summary.txt").read_text().split("nearest_zero_eigenvalue = ")[1].split()[0]
-    )
-    assert abs(near) < 1e-9
+    assert abs(_summary_value(out, "nearest_zero_eigenvalue")) < 1e-9
 
 
 def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
-    """A scan dim solves each d x d mode term; the model's own dim reuses the top solve."""
+    """Each dim solves its d x d mode terms once; the model's own dim reuses the spectrum's solves."""
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -140,24 +145,55 @@ def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = write_config(tmp_path, BASE_SPECTRUM.format(out=tmp_path / "out"))
-    for family, expected in [("HarmonicOsc", [4, 8]), ("ClosedPhi4", [4, 4, 64])]:
+    for family, expected in [("HarmonicOsc", [4, 8]), ("ClosedPhi4", [4, 4, 8, 8])]:
         sizes.clear()
         overrides = ["--set=spectrum.scan_dims=4,8", f"--set=model.family={family}"]
         assert main(["spectrum", "-c", str(cfg), *overrides]) == 0
         assert sorted(sizes) == expected
 
 
-def test_spectrum_two_mode_scan_runs_every_dim(tmp_path):
+def _summary_value(out, key):
+    return float((out / "summary.txt").read_text().split(f"{key} = ")[1].split()[0])
+
+
+def test_spectrum_one_mode_matches_dense_eigh(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"model.family = DoubleWell\nmodel.qubits_per_mode = 6\noutput.dir = {out}\n")
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    written = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(written, eigendecompose(build_model(ModelSpec(Family.DOUBLE_WELL, 6))).eigenvalues)
+
+
+def test_spectrum_two_mode_at_8_qubits_per_mode(tmp_path):
+    """65,536 eigenvalues from two 256 x 256 solves, sorted, with the largest per-term residual."""
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
-        "model.family = ClosedFree\nmodel.qubits_per_mode = 1\n"
+        f"model.family = ClosedPhi4\nmodel.qubits_per_mode = 8\nmodel.lambda_abs = 0.1\noutput.dir = {out}\n",
+    )
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (65536, 2) and np.all(np.diff(rows[:, 1]) >= 0)
+    _, solves = spectrum(ModelSpec(Family.CLOSED_PHI4, 8, lambda_abs=0.1))
+    assert _summary_value(out, "max_residual") == max(solve.residual for solve in solves) < 1e-8
+
+
+def test_spectrum_two_mode_scan_runs_every_dim(tmp_path):
+    """Every row, the model's own dim 4 included, and nearest_zero_eigenvalue come from per-mode solves."""
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        "model.family = ClosedFree\nmodel.qubits_per_mode = 2\n"
         f"spectrum.scan_dims = 4,8,32,64\noutput.dir = {out}\n",
     )
     assert main(["spectrum", "-c", str(cfg)]) == 0
     rows = np.loadtxt(out / "convergence.csv", delimiter=",", skiprows=1)
     assert rows[:, 0].tolist() == [4, 8, 32, 64]
-    assert np.all(rows[:, 1] == 0.0)  # with A == B, beta_j - alpha_j is exactly 0.0
+    # with A == B, beta_j - alpha_j is exactly 0.0 at every dim
+    assert np.all(rows[:, 1] == 0.0)
+    assert np.isnan(rows[0, 2]) and np.all(rows[1:, 2] == 0.0)
+    expected = ground_or_nearest_zero(ModelSpec(Family.CLOSED_FREE, 2))[0]
+    assert _summary_value(out, "nearest_zero_eigenvalue") == expected
     summary = (out / "summary.txt").read_text()
     assert summary.splitlines()[-1].startswith("max_residual = ")
 

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
 
-from mssq.oscillator import (
-    Family,
-    ModelSpec,
-    OperatorMatrix,
-    build_model,
-    ladder,
-    matrix_square,
-    quadratures,
-)
+from mssq.oscillator import Family, ModelSpec, OperatorMatrix, _even_powers, build_model, matrix_square
+
+
+def ladder(dim):
+    """Truncated complex lowering and raising operators: lower[n-1, n] = sqrt(n)."""
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
+    return lower, lower.conj().T
+
+
+def complex_quadratures(dim, omega=1.0):
+    """Complex position and momentum matrices at frequency scale omega, the reference."""
+    low, high = ladder(dim)
+    x = (low + high) / np.sqrt(2.0 * omega)
+    p = 1j * np.sqrt(omega / 2.0) * (high - low)
+    return x, p
 
 
 def _complex_reference(spec):
     """H from the complex quadratures' products x @ x, p @ p and x2 @ x2."""
-    x, p = quadratures(spec.mode_dim, spec.omega)
+    x, p = complex_quadratures(spec.mode_dim, spec.omega)
     x2, p2 = x @ x, p @ p
     x4 = x2 @ x2
     if spec.n_modes == 1:
@@ -64,13 +70,21 @@ def test_number_operator_dim4():
     assert np.allclose(high @ low, np.diag([0.0, 1.0, 2.0, 3.0]))
 
 
-def test_ladder_rejects_dim1():
-    with pytest.raises(ValueError):
-        ladder(1)
+@pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_even_powers_equal_complex_quadrature_products(n, omega):
+    """The real build gives the complex reference's x.real and p.imag products bit for bit."""
+    x, p = complex_quadratures(2**n, omega)
+    x, q = x.real, p.imag
+    x2 = x @ x
+    spec = ModelSpec(Family.HARMONIC_OSC, n, omega=omega)
+    for got, want in zip(_even_powers(spec), (x2, -(q @ q), x2 @ x2)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 def test_quadratures_dim2():
-    x, p = quadratures(2, 1.0)
+    x, p = complex_quadratures(2, 1.0)
     s = 1 / np.sqrt(2)
     assert np.allclose(x, [[0, s], [s, 0]])
     assert np.allclose(p, [[0, -1j * s], [1j * s, 0]])
@@ -79,7 +93,7 @@ def test_quadratures_dim2():
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
 def test_commutator_truncation_artifact(dim):
     # [x, p] = i I except the last diagonal entry, which is i(1 - dim)
-    x, p = quadratures(dim, 1.3)
+    x, p = complex_quadratures(dim, 1.3)
     comm = x @ p - p @ x
     expected = 1j * np.eye(dim)
     expected[-1, -1] = 1j * (1 - dim)
@@ -99,7 +113,7 @@ def test_closed_free_n1_is_zero():
 def test_closed_free_structure():
     # -(piece x I) + (I x piece) with piece = p^2/4 + x^2
     spec = ModelSpec(Family.CLOSED_FREE, 2)
-    x, p = quadratures(4, 1.0)
+    x, p = complex_quadratures(4, 1.0)
     piece = (p @ p) / 4 + x @ x
     expected = -np.kron(piece, np.eye(4)) + np.kron(np.eye(4), piece)
     assert np.allclose(build_model(spec).entries, expected, atol=1e-12)

@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mssq.oscillator import Family, ModelSpec, build_model, matrix_square, quadratures
+from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import COEFF_CUTOFF, PauliSum, decompose, group_by_basis, reconstruct
+from test_oscillator import complex_quadratures
 
 PAULI_MATRICES = {
     "I": np.eye(2),
@@ -35,7 +36,7 @@ def test_identity_decomposition():
 
 
 def test_x_quadrature_single_qubit():
-    x, _ = quadratures(2, 1.0)
+    x, _ = complex_quadratures(2, 1.0)
     psum = decompose(x)
     assert len(psum.terms) == 1
     coeff, string = psum.terms[0]

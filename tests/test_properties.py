@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, Circuit, run
 from mssq.cli import _write_density, main
-from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
-from mssq.spectrum import WavefunctionGrid
+from mssq.spectrum import WavefunctionGrid, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -65,6 +65,33 @@ def test_dense_energy_and_variance_bounds(spec, data):
     energy = np.vdot(psi, h @ psi).real
     assert energy >= np.linalg.eigvalsh(h)[0] - tol
     assert np.vdot(psi, h2 @ psi).real >= energy**2 - tol
+
+
+@st.composite
+def two_mode_specs(draw):
+    family = draw(st.sampled_from(TWO_MODE_FAMILIES))
+    coupling = st.just(0.0) if family is Family.CLOSED_FREE else st.floats(0, 2)
+    return ModelSpec(
+        family,
+        draw(st.integers(1, 3)),
+        lambda_abs=draw(coupling),
+        quartic_c=draw(coupling),
+        omega=draw(st.floats(0.1, 5)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(two_mode_specs())
+def test_two_mode_spectrum_matches_dense_eigh(spec):
+    vals, _ = spectrum(spec)
+    dense = np.linalg.eigvalsh(build_model(spec).entries)
+    tol = 1e-12 * np.abs(dense).max()
+    assert np.max(np.abs(np.sort(vals) - dense)) <= tol
+    near = ground_or_nearest_zero(spec)[0]
+    dense_near = min(dense, key=lambda v: (abs(v), v))
+    # where |eigenvalue| ties to roundoff either member may be picked, so match any tied one
+    tied = dense[np.abs(np.abs(dense) - abs(dense_near)) <= tol]
+    assert np.min(np.abs(tied - near)) <= tol
 
 
 @st.composite

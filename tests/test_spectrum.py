@@ -5,15 +5,23 @@ import pytest
 
 from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
-    SpectrumResult,
+    _target_index,
     convergence_scan,
     default_grid,
     eigendecompose,
     ground_or_nearest_zero,
     hermite_functions,
-    nearest_zero_state,
     reconstruct_wavefunction,
+    spectrum,
 )
+
+
+def dense_target(spec):
+    """The ground (one mode) or nearest-zero (two modes) eigenvalue of a dense eigh of
+    the whole H, a tie going to the more negative one, and the largest |eigenvalue|."""
+    vals = np.linalg.eigvalsh(build_model(spec).entries)
+    target = min(vals, key=lambda v: (abs(v), v)) if spec.n_modes == 2 else vals[0]
+    return target, np.abs(vals).max()
 
 
 def test_harmonic_n1_eigenvalues():
@@ -55,15 +63,13 @@ def test_trace_preservation():
 
 
 def test_nearest_zero_simple():
-    result = SpectrumResult(np.array([-1.0, 0.2, 3.0]), np.eye(3, dtype=complex), 0.0)
-    val, vec = nearest_zero_state(result)
-    assert val == 0.2
-    assert np.allclose(vec, [0, 1, 0])
+    assert _target_index(np.array([-1.0, 0.2, 3.0]), nearest_zero=True) == 1
+    assert _target_index(np.array([-1.0, 0.2, 3.0]), nearest_zero=False) == 0
 
 
 def test_nearest_zero_tie_breaks_negative():
-    result = SpectrumResult(np.array([-0.2, 0.2]), np.eye(2, dtype=complex), 0.0)
-    assert nearest_zero_state(result)[0] == -0.2
+    assert _target_index(np.array([0.2, -0.2, 0.2]), nearest_zero=True) == 1
+    assert _target_index(np.array([0.2, -0.2, -0.2]), nearest_zero=True) == 1
 
 
 def test_closed_free_zero_modes():
@@ -179,22 +185,15 @@ def test_real_solve_matches_complex_oracle(family, n):
 )
 def test_convergence_scan_matches_full_solves(family, dims):
     """Each row's outer sum of per-mode eigenvalues matches a dense solve of the whole H."""
-
-    def dense(dim):
-        result = eigendecompose(build_model(ModelSpec(family, dim.bit_length() - 1)))
-        two_mode = family in TWO_MODE_FAMILIES
-        expected = nearest_zero_state(result)[0] if two_mode else result.eigenvalues[0]
-        return expected, result
-
     rows = convergence_scan(ModelSpec(family, 1), dims)
     assert [row[0] for row in rows] == dims
     for dim, energy, _ in rows:
-        expected, result = dense(dim)
-        assert abs(energy - expected) <= 1e-12 * np.abs(result.eigenvalues).max()
-    # the row at spec's own dim comes from its solve, when given
-    expected, result = dense(dims[-1])
+        expected, scale = dense_target(ModelSpec(family, dim.bit_length() - 1))
+        assert abs(energy - expected) <= 1e-12 * scale
+    # the row at spec's own dim comes from its eigenvalues, when given
     top_spec = ModelSpec(family, dims[-1].bit_length() - 1)
-    assert convergence_scan(top_spec, dims, top=result)[-1][1] == expected
+    own_vals, _ = spectrum(top_spec)
+    assert convergence_scan(top_spec, dims, own_vals=own_vals)[-1][1] == ground_or_nearest_zero(top_spec)[0]
 
 
 @pytest.mark.parametrize("family", TWO_MODE_FAMILIES)
@@ -225,9 +224,7 @@ def test_two_mode_exact_state_is_lowest_product_zero_mode(family, n):
 def test_ground_or_nearest_zero_is_an_eigenpair_of_h(spec):
     """The per-mode solve picks the dense solve's target eigenvalue, A != B included."""
     energy, state = ground_or_nearest_zero(spec)
-    result = eigendecompose(build_model(spec))
-    expected = nearest_zero_state(result)[0] if spec.n_modes == 2 else result.eigenvalues[0]
-    scale = np.abs(result.eigenvalues).max()
+    expected, scale = dense_target(spec)
     assert abs(energy - expected) <= 1e-12 * scale
     assert np.linalg.norm(build_model(spec).entries @ state - energy * state) <= 1e-12 * scale
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
