@@ -130,6 +130,32 @@ def run(circuit: Circuit) -> np.ndarray:
     return states.reshape(*params.shape[:-1], -1)
 
 
+def _readout_probabilities(circuit: Circuit, observable: PauliSum) -> np.ndarray:
+    """Each state's (G, dim) readout distributions over the observable's G groups: (..., G, dim).
+
+    The circuit is simulated once and each state is repeated over the groups;
+    the groups' stacked basis changes rotate the whole block in one
+    `_apply_u3_layer`.
+    """
+    if observable.n_qubits != circuit.n_qubits:
+        raise ValueError("observable and circuit qubit counts differ")
+    plan = observable.readout
+    states = run(circuit)
+    block = np.repeat(states[..., None, :], len(plan.weights), axis=-2)
+    probs = np.abs(_apply_u3_layer(block, _basis_changes()[plan.bases])) ** 2
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _sampled_expectation(pvals: np.ndarray, observable: PauliSum, shots: int, seed=None):
+    """One multinomial draw of `shots` per (state, group) row of pvals, the first state's groups
+    first, read out as a float or one value per state."""
+    plan = observable.readout
+    counts = np.random.default_rng(seed).multinomial(shots, pvals)
+    freq = counts.reshape(*pvals.shape[:-2], -1) / shots
+    values = plan.constant + freq @ plan.weights.reshape(-1)
+    return float(values) if values.ndim == 0 else values
+
+
 def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None):
     """Shot-sampled <psi|O|psi>: a float, or one value per state of a (B, P) batch.
 
@@ -139,17 +165,7 @@ def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None):
     multinomial draw of `shots` per (state, group) row samples it, the first
     state's groups first.  A state's value is the I...I constant plus
     sum_g freq_g . W_g, with W_g its group's readout weights
-    (`PauliSum.readout`).  Error bars come from repeated evaluations
+    (`PauliSum.readout`).  Error bars come from repeated draws
     (`vqe.estimate_error`).
     """
-    if observable.n_qubits != circuit.n_qubits:
-        raise ValueError("observable and circuit qubit counts differ")
-    plan = observable.readout
-    states = run(circuit)
-    block = np.repeat(states[..., None, :], len(plan.weights), axis=-2)
-    probs = np.abs(_apply_u3_layer(block, _basis_changes()[plan.bases])) ** 2
-    pvals = probs / probs.sum(axis=-1, keepdims=True)
-    counts = np.random.default_rng(seed).multinomial(shots, pvals)
-    freq = counts.reshape(*states.shape[:-1], -1) / shots
-    values = plan.constant + freq @ plan.weights.reshape(-1)
-    return float(values) if values.ndim == 0 else values
+    return _sampled_expectation(_readout_probabilities(circuit, observable), observable, shots, seed)

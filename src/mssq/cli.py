@@ -37,15 +37,21 @@ MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # largest two-mode constraint this admits on an 8 GiB machine (5 qubits per
 # mode, 547 groups of H^2) that peaked at 1.6x the count, inside the range above
 MATRICES_HELD = {"vqe": 7, "constraint": 8, "noise-scan": 7}
-# spectrum solves d x d mode terms, never the whole model.  It peaks at
-# SCAN_MATRICES d x d float64 matrices while one dim's terms are built (the
-# ladder, x, q, the even powers, the terms) and solved (eigenvectors, LAPACK
-# workspace, the residual), and holds SPECTRUM_VECTORS dim-long vectors (the
-# flat and sorted eigenvalues, the CSV columns, the nearest-zero sort keys).
-# Peaks measured 0.7-1.2x this count: DoubleWell at 10-11 qubits, ClosedPhi4
-# at 8-10 qubits per mode
+# spectrum solves d x d mode terms, never the whole model.  It counts
+# SCAN_MATRICES d x d float64 matrices for building one dim's terms (x, q,
+# the parity blocks of the even powers and of the terms) and solving them
+# (the blocks' eigenvectors, embedded at their parity rows, LAPACK workspace,
+# the residual), and SPECTRUM_VECTORS dim-long vectors (the flat and sorted
+# eigenvalues, the CSV columns, the nearest-zero sort keys).  Since the terms
+# are built and solved as (d/2) x (d/2) blocks, peaks measured 0.5-0.9x this
+# count: DoubleWell at 10-11 qubits, ClosedPhi4 at 8-10 qubits per mode
 SCAN_MATRICES = 8
 SPECTRUM_VECTORS = 6
+# cells `_write_csv` formats per write (at least one row).  A block's text and
+# Python floats must not lift a run's peak RSS over np.savetxt's: 4096-row
+# blocks did, by 0.4-0.7 MB, for the 38-column trajectory.csv of a 3-qubit,
+# depth-3 vqe run; 512 cells write 2^20 two-column rows about as fast
+CSV_BLOCK_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -62,14 +68,21 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path: Path, header: str, *columns) -> None:
-    """A header line, then row i of the equal-length columns per line.
+    """A header line, then row i of the equal-length columns per line, the bytes np.savetxt writes.
 
     Integer columns (indices and counts, exact in float64) print with %d and
-    all others as `_fmt` prints them.
+    all others as `_fmt` prints them, after the columns are stacked to one
+    dtype as savetxt stacks them.  Streamed in blocks of about CSV_BLOCK_CELLS
+    cells, each block formatted by one %-string.
     """
     columns = [np.asarray(c) for c in columns]
-    fmt = ["%d" if c.dtype.kind in "iu" else "%.17g" for c in columns]
-    np.savetxt(path, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    rows = max(1, CSV_BLOCK_CELLS // len(columns))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), rows):
+            block = np.column_stack([c[start : start + rows] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _from_section(section: str, build, **fields):
@@ -191,6 +204,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     outdir = _prepare_outdir(cfg)
     vals, solves = spec_mod.spectrum(model)
     ordered = np.sort(vals)
+    nearest_zero = vals[spec_mod._target_index(vals, nearest_zero=True)]
     _write_csv(outdir / "spectrum.csv", "index,eigenvalue", np.arange(len(ordered)), ordered)
     scan = spec_mod.convergence_scan(model, cfg["spectrum.scan_dims"], own_vals=vals)
     scan = np.reshape(scan, (-1, 3))
@@ -199,9 +213,11 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
         f"family = {model.family.value}\n"
         f"dim = {model.dim}\n"
         f"ground_energy = {_fmt(ordered[0])}\n"
-        f"nearest_zero_eigenvalue = {_fmt(vals[spec_mod._target_index(vals, nearest_zero=True)])}\n"
-        f"max_residual = {_fmt(max(solve.residual for solve in solves))}\n"
+        f"nearest_zero_eigenvalue = {_fmt(nearest_zero)}\n"
     )
+    if model.n_modes == 2:
+        summary += f"zero_cluster = {np.count_nonzero(vals == nearest_zero)}\n"
+    summary += f"max_residual = {_fmt(max(solve.residual for solve in solves))}\n"
     (outdir / "summary.txt").write_text(summary)
     return outdir
 

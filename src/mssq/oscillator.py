@@ -138,46 +138,75 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
-def _even_powers(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x^2, p^2 and x^4 as float64 from the truncated lowering matrix, lower[n-1, n] = sqrt(n).
+def _even_powers(spec: ModelSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """x^2, p^2 and x^4 as float64 blocks, (x2, p2, x4) for the even-n rows then the odd-n rows.
 
-    x is real and p = i q with q real, so p^2 = -q q.
+    x and q come from the truncated lowering matrix, lower[n-1, n] = sqrt(n):
+    x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2) (lower^T - lower),
+    written entry by entry on their two off-diagonals.  x is real and p = i q
+    with q real, so p^2 = -q q.  Both change the parity of n, so each even
+    power maps a parity onto itself: its block over rows and columns r is the
+    product of the r-to-c and c-to-r slices, c the other parity.
     """
-    low = np.diag(np.sqrt(np.arange(1, spec.mode_dim)), 1)
-    x = (low + low.T) * (1 / np.sqrt(2 * spec.omega))
-    q = np.sqrt(spec.omega / 2) * (low.T - low)
-    x2 = x @ x
-    return x2, -(q @ q), x2 @ x2
+    n = np.arange(1, spec.mode_dim)
+    root = np.sqrt(n)
+    x, q = np.zeros((2, spec.mode_dim, spec.mode_dim))
+    x[n - 1, n] = x[n, n - 1] = root * (1 / np.sqrt(2 * spec.omega))
+    q[n, n - 1] = np.sqrt(spec.omega / 2) * root
+    q[n - 1, n] = -q[n, n - 1]
+    blocks = []
+    for r, c in ((slice(0, None, 2), slice(1, None, 2)), (slice(1, None, 2), slice(0, None, 2))):
+        x2 = x[r, c] @ x[c, r]
+        blocks.append((x2, -(q[r, c] @ q[c, r]), x2 @ x2))
+    return tuple(blocks)
 
 
-def mode_terms(spec: ModelSpec) -> tuple[tuple[int, np.ndarray], ...]:
-    """H as signed per-mode terms: ((1, H),) for one mode, ((-1, A), (1, B)) for two.
+# Each family's per-mode terms, mode a first: (sign, p^2 coefficient, x^2
+# coefficient, the ModelSpec coupling of x^4).  A family's Hamiltonian is the
+# Kronecker sum of sign * (c_p p^2 + c_x x^2 + coupling x^4) over its terms.
+FAMILY_TERMS = {
+    Family.HARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c"),),
+    Family.ANHARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c"),),
+    Family.DOUBLE_WELL: ((1, 1 / 2, -1, "quartic_c"),),
+    Family.CLOSED_FREE: ((-1, 1 / 4, 1, "lambda_abs"), (1, 1 / 4, 1, "quartic_c")),
+    Family.CLOSED_PHI4: ((-1, 1 / 4, 1, "lambda_abs"), (1, 1 / 4, 1, "quartic_c")),
+    Family.OPEN_PHI4: ((-1, 1 / 4, -1, "lambda_abs"), (1, 1 / 4, -1, "quartic_c")),
+}
 
-    Each term is symmetrized.  H is their Kronecker sum, -A (x) I + I (x) B
-    for two modes, with mode a the most significant qubit block.
+
+def mode_terms(spec: ModelSpec) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
+    """H as signed per-mode terms, each as its (even-n, odd-n) blocks: ((1, H),) for one mode,
+    ((-1, A), (1, B)) for two.
+
+    Each block is symmetrized; a term's entries between the two parities are 0.
+    H is the Kronecker sum of the terms, -A (x) I + I (x) B for two modes, with
+    mode a the most significant qubit block.
     """
-    x2, p2, x4 = _even_powers(spec)
-    if spec.family is Family.HARMONIC_OSC:
-        terms = ((1, p2 / 2 + x2 / 2),)
-    elif spec.family is Family.ANHARMONIC_OSC:
-        terms = ((1, p2 / 2 + x2 / 2 + spec.quartic_c * x4),)
-    elif spec.family is Family.DOUBLE_WELL:
-        terms = ((1, p2 / 2 - x2 + spec.quartic_c * x4),)
-    elif spec.family is Family.OPEN_PHI4:
-        # -(p_a^2/4 - a^2 + |L| a^4)   and   p_chi^2/4 - chi^2 + c chi^4
-        terms = ((-1, p2 / 4 - x2 + spec.lambda_abs * x4), (1, p2 / 4 - x2 + spec.quartic_c * x4))
-    else:
-        # CLOSED_FREE / CLOSED_PHI4: -(p_a^2/4 + a^2 + |L| a^4)  and  p_chi^2/4 + chi^2 + c chi^4
-        terms = ((-1, p2 / 4 + x2 + spec.lambda_abs * x4), (1, p2 / 4 + x2 + spec.quartic_c * x4))
-    # enforce exact symmetry against float roundoff in the products
-    return tuple((sign, (term + term.T) / 2) for sign, term in terms)
+    powers = _even_powers(spec)
+    terms = []
+    for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
+        x4_coeff = getattr(spec, coupling)
+        blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in powers]
+        # enforce exact symmetry against float roundoff in the products
+        terms.append((sign, tuple((block + block.T) / 2 for block in blocks)))
+    return tuple(terms)
+
+
+def _scatter(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The d x d matrix holding blocks[0] at its even-n rows and columns, blocks[1] at its odd-n ones."""
+    half = len(blocks[0])
+    full = np.zeros((2 * half, 2 * half))
+    for parity, block in enumerate(blocks):
+        full[parity::2, parity::2] = block
+    return full
 
 
 def build_model(spec: ModelSpec) -> OperatorMatrix:
     """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms."""
-    (sign, h), *rest = mode_terms(spec)
-    h = sign * h
-    for sign, term in rest:
+    (sign, blocks), *rest = mode_terms(spec)
+    h = sign * _scatter(blocks)
+    for sign, blocks in rest:
+        term = _scatter(blocks)
         h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
     return OperatorMatrix(h)
 

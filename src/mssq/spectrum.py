@@ -105,14 +105,34 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
+def _solve_term(blocks: tuple[np.ndarray, np.ndarray]) -> SpectrumResult:
+    """A mode term's solve from one `eigendecompose` per parity block.
+
+    The eigenvalues come sorted ascending (stable, even-n first on a tie) and
+    each eigenvector sits at its block's rows; the residual is the larger
+    block residual.
+    """
+    solves = [eigendecompose(block) for block in blocks]
+    vals = np.concatenate([solve.eigenvalues for solve in solves])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    half = len(blocks[0])
+    vecs = np.zeros((len(vals), len(vals)))
+    for parity, solve in enumerate(solves):
+        vecs[parity::2, column[parity * half : (parity + 1) * half]] = solve.eigenvectors
+    return SpectrumResult(vals[order], vecs, max(solve.residual for solve in solves))
+
+
 def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[SpectrumResult]]:
     """H's eigenvalues in flat (i, j) order, and the solve of each unsigned mode term.
 
     H's eigenvalues are the outer sum of the signed terms' eigenvalues,
     beta_j - alpha_i for two modes, and kron(u_i, v_j) is the eigenvector of entry (i, j).
+    Each term is solved as its two parity blocks (`_solve_term`).
     """
     signs, terms = zip(*mode_terms(spec))
-    solves = [eigendecompose(term) for term in terms]
+    solves = [_solve_term(blocks) for blocks in terms]
     return _outer_sum([sign * solve.eigenvalues for sign, solve in zip(signs, solves)]), solves
 
 
@@ -131,7 +151,7 @@ def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray]:
 def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) -> list[tuple]:
     """Ground (or nearest-zero) energy per per-mode truncation dimension, from eigenvalues only.
 
-    dims must be ascending powers of two; each sums its d x d mode terms'
+    dims must be ascending powers of two; each sums its mode terms' parity-block
     eigenvalues, and own_vals, `spectrum(spec)`'s eigenvalues, give the row at spec.mode_dim.
     Returns (dim, energy, |energy - previous energy|) rows, the first delta nan.
     """
@@ -145,7 +165,9 @@ def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) 
             vals = own_vals
         else:
             terms = mode_terms(replace(spec, qubits_per_mode=n))
-            vals = _outer_sum([sign * np.linalg.eigvalsh(term) for sign, term in terms])
+            vals = _outer_sum(
+                [sign * np.concatenate([np.linalg.eigvalsh(b) for b in blocks]) for sign, blocks in terms]
+            )
         energy = float(vals[_target_index(vals, nearest_zero=spec.n_modes == 2)])
         rows.append((int(dim), energy, float("nan") if prev is None else abs(energy - prev)))
         prev = energy

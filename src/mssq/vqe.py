@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import pauli
-from .circuits import AnsatzShape, Circuit, expectation
+from .circuits import AnsatzShape, Circuit, _readout_probabilities, _sampled_expectation, expectation
 from .oscillator import ModelSpec, build_model, matrix_square
 
 DEFAULT_CALIBRATION_STEP = 0.1  # radians, first-iteration parameter change
@@ -132,14 +132,18 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
 
 
 def estimate_error(circuit: Circuit, observable: pauli.PauliSum, shots, repetitions, seed):
-    """Sample mean and standard deviation of repeated shot-mode expectations."""
+    """Sample mean and standard deviation of repeated shot-mode expectations.
+
+    The circuit is simulated once; each repetition draws its shots from that
+    state with its own child generator, as `expectation` would.
+    """
     if repetitions < 2:
         raise ValueError("repetitions must be at least 2")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(repetitions)
+    pvals = _readout_probabilities(circuit, observable)
     values = [
-        expectation(circuit, observable, shots=shots, seed=np.random.default_rng(child))
-        for child in children
+        _sampled_expectation(pvals, observable, shots, np.random.default_rng(child))
+        for child in root.spawn(repetitions)
     ]
     return float(np.mean(values)), float(np.std(values, ddof=1))
 

@@ -5,7 +5,7 @@ import pytest
 
 from mssq.cli import _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, parse_config, resolve
-from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.oscillator import Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
     WavefunctionGrid,
     default_grid,
@@ -134,7 +134,8 @@ def test_spectrum_closed_free_near_zero(tmp_path):
 
 
 def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
-    """Each dim solves its d x d mode terms once; the model's own dim reuses the spectrum's solves."""
+    """Each dim solves its d x d mode terms once, as two d/2 parity blocks each; the model's own
+    dim reuses the spectrum's solves."""
     sizes = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -145,7 +146,7 @@ def test_spectrum_solves_top_dim_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     cfg = write_config(tmp_path, BASE_SPECTRUM.format(out=tmp_path / "out"))
-    for family, expected in [("HarmonicOsc", [4, 8]), ("ClosedPhi4", [4, 4, 8, 8])]:
+    for family, expected in [("HarmonicOsc", [2, 2, 4, 4]), ("ClosedPhi4", [2, 2, 2, 2, 4, 4, 4, 4])]:
         sizes.clear()
         overrides = ["--set=spectrum.scan_dims=4,8", f"--set=model.family={family}"]
         assert main(["spectrum", "-c", str(cfg), *overrides]) == 0
@@ -161,7 +162,12 @@ def test_spectrum_one_mode_matches_dense_eigh(tmp_path):
     cfg = write_config(tmp_path, f"model.family = DoubleWell\nmodel.qubits_per_mode = 6\noutput.dir = {out}\n")
     assert main(["spectrum", "-c", str(cfg)]) == 0
     written = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
-    assert np.array_equal(written, eigendecompose(build_model(ModelSpec(Family.DOUBLE_WELL, 6))).eigenvalues)
+    spec = ModelSpec(Family.DOUBLE_WELL, 6)
+    ((_, blocks),) = mode_terms(spec)
+    by_block = np.concatenate([eigendecompose(block).eigenvalues for block in blocks])
+    assert np.array_equal(written, np.sort(by_block, kind="stable"))
+    dense = eigendecompose(build_model(spec)).eigenvalues
+    assert np.max(np.abs(written - dense)) <= 1e-14 * np.abs(dense).max()
 
 
 def test_spectrum_two_mode_at_8_qubits_per_mode(tmp_path):
@@ -196,6 +202,28 @@ def test_spectrum_two_mode_scan_runs_every_dim(tmp_path):
     assert _summary_value(out, "nearest_zero_eigenvalue") == expected
     summary = (out / "summary.txt").read_text()
     assert summary.splitlines()[-1].startswith("max_residual = ")
+
+
+@pytest.mark.parametrize("family,n", [("ClosedFree", 2), ("ClosedPhi4", 3), ("OpenPhi4", 4)])
+def test_spectrum_summary_counts_zero_cluster(tmp_path, family, n):
+    """With default couplings A == B, so the d entries beta_j - alpha_j are the zero cluster."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"model.family = {family}\nmodel.qubits_per_mode = {n}\noutput.dir = {out}\n")
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    vals, _ = spectrum(ModelSpec(Family(family), n))
+    assert _summary_value(out, "nearest_zero_eigenvalue") == 0.0
+    assert _summary_value(out, "zero_cluster") == np.count_nonzero(vals == 0.0) == 2**n
+
+
+def test_spectrum_summary_zero_cluster_two_mode_only(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, BASE_SPECTRUM.format(out=out))
+    assert main(["spectrum", "-c", str(cfg)]) == 0
+    assert "zero_cluster" not in (out / "summary.txt").read_text()
+    assert main(["spectrum", "-c", str(cfg), "--set=model.family=OpenPhi4", "--set=model.lambda_abs=0.2"]) == 0
+    vals, _ = spectrum(ModelSpec(Family.OPEN_PHI4, 3, lambda_abs=0.2))
+    near = _summary_value(out, "nearest_zero_eigenvalue")
+    assert _summary_value(out, "zero_cluster") == np.count_nonzero(vals == near) >= 1
 
 
 def parent_write_csv(path, header, rows):
@@ -269,6 +297,30 @@ def test_column_writer_matches_row_writer(tmp_path):
     _write_csv(new, "dim,energy,delta", np.array([], dtype=int), np.array([]), np.array([]))
     parent_write_csv(old, "dim,energy,delta", [])
     assert new.read_bytes() == old.read_bytes() == b"dim,energy,delta\n"
+
+
+def test_csv_writer_matches_savetxt(tmp_path):
+    """Byte for byte what one np.savetxt of the stacked columns writes, across block boundaries."""
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+
+    def savetxt(header, *columns):
+        fmt = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns]
+        np.savetxt(old, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
+
+    rng = np.random.default_rng(23)
+    floats = special_density(rng, 9000)
+    cases = [
+        ("index,value", np.arange(9000), floats),
+        ("shots,stddev", (2**40, 7, 3, 2**52), (0.5, -0.0, 1e-300, np.inf)),
+        ("a,b,c", rng.integers(-9, 9, 4097), floats[:4097], floats[1:4098]),
+    ]
+    vals, _ = spectrum(ModelSpec(Family.CLOSED_PHI4, 8, lambda_abs=0.1))
+    cases.append(("index,eigenvalue", np.arange(len(vals)), np.sort(vals)))
+    assert len(vals) == 65536
+    for header, *columns in cases:
+        _write_csv(new, header, *columns)
+        savetxt(header, *columns)
+        assert new.read_bytes() == old.read_bytes()
 
 
 def test_density_writer_memory_stays_at_one_row(tmp_path):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from mssq.oscillator import Family, ModelSpec, OperatorMatrix, _even_powers, build_model, matrix_square
+from mssq.oscillator import (
+    ONE_MODE_FAMILIES,
+    TWO_MODE_FAMILIES,
+    Family,
+    ModelSpec,
+    OperatorMatrix,
+    _even_powers,
+    build_model,
+    matrix_square,
+)
 
 
 def ladder(dim):
@@ -73,14 +82,58 @@ def test_number_operator_dim4():
 @pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_even_powers_equal_complex_quadrature_products(n, omega):
-    """The real build gives the complex reference's x.real and p.imag products bit for bit."""
+    """Each parity block of the real build is the complex reference's x.real and p.imag
+    products' block bit for bit, and the reference is 0 between the parities."""
     x, p = complex_quadratures(2**n, omega)
     x, q = x.real, p.imag
     x2 = x @ x
+    odd = np.add.outer(np.arange(2**n), np.arange(2**n)) % 2 == 1
     spec = ModelSpec(Family.HARMONIC_OSC, n, omega=omega)
-    for got, want in zip(_even_powers(spec), (x2, -(q @ q), x2 @ x2)):
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want)
+    for parity, blocks in enumerate(_even_powers(spec)):
+        for got, want in zip(blocks, (x2, -(q @ q), x2 @ x2)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want[parity::2, parity::2])
+            assert np.all(want[odd] == 0.0)
+
+
+def dense_mode_terms(spec):
+    """Signed d x d mode terms from dense x @ x, q @ q and x2 @ x2 products, the reference build."""
+    low = np.diag(np.sqrt(np.arange(1, spec.mode_dim)), 1)
+    x = (low + low.T) * (1 / np.sqrt(2 * spec.omega))
+    q = np.sqrt(spec.omega / 2) * (low.T - low)
+    x2 = x @ x
+    p2, x4 = -(q @ q), x2 @ x2
+    if spec.family is Family.HARMONIC_OSC:
+        terms = ((1, p2 / 2 + x2 / 2),)
+    elif spec.family is Family.ANHARMONIC_OSC:
+        terms = ((1, p2 / 2 + x2 / 2 + spec.quartic_c * x4),)
+    elif spec.family is Family.DOUBLE_WELL:
+        terms = ((1, p2 / 2 - x2 + spec.quartic_c * x4),)
+    elif spec.family is Family.OPEN_PHI4:
+        terms = ((-1, p2 / 4 - x2 + spec.lambda_abs * x4), (1, p2 / 4 - x2 + spec.quartic_c * x4))
+    else:
+        terms = ((-1, p2 / 4 + x2 + spec.lambda_abs * x4), (1, p2 / 4 + x2 + spec.quartic_c * x4))
+    return tuple((sign, (term + term.T) / 2) for sign, term in terms)
+
+
+def dense_kronecker_sum(terms):
+    (sign, h), *rest = terms
+    h = sign * h
+    for sign, term in rest:
+        h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
+    return h
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9])
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in ONE_MODE_FAMILIES for n in range(1, 9)]
+    + [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)],
+)
+def test_build_model_equals_dense_reference(family, n, omega):
+    """Scattering the parity blocks rebuilds the dense products' Kronecker sum bit for bit."""
+    spec = ModelSpec(family, n, omega=omega)
+    assert np.array_equal(build_model(spec).entries, dense_kronecker_sum(dense_mode_terms(spec)))
 
 
 def test_quadratures_dim2():

@@ -13,10 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, Circuit, run
 from mssq.cli import _write_density, main
-from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import DEFAULT_COUPLINGS, TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
 from mssq.spectrum import WavefunctionGrid, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv
+from test_oscillator import dense_mode_terms
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -92,6 +93,22 @@ def test_two_mode_spectrum_matches_dense_eigh(spec):
     # where |eigenvalue| ties to roundoff either member may be picked, so match any tied one
     tied = dense[np.abs(np.abs(dense) - abs(dense_near)) <= tol]
     assert np.min(np.abs(tied - near)) <= tol
+
+
+@PROPERTY_SETTINGS
+@given(
+    family=st.sampled_from(list(Family)),
+    n=st.integers(1, 6),
+    omega=st.floats(0.05, 20),
+    couplings=st.tuples(st.floats(0, 5), st.floats(0, 5)),
+)
+def test_dense_mode_terms_vanish_between_parities(family, n, omega, couplings):
+    """Every mode term maps each number parity onto itself: exact zeros at every odd i + j."""
+    lambda_abs, quartic_c = (c if d else 0.0 for c, d in zip(couplings, DEFAULT_COUPLINGS.get(family, (0, 0))))
+    spec = ModelSpec(family, n, lambda_abs=lambda_abs, quartic_c=quartic_c, omega=omega)
+    odd = np.add.outer(np.arange(spec.mode_dim), np.arange(spec.mode_dim)) % 2 == 1
+    for _, term in dense_mode_terms(spec):
+        assert np.all(term[odd] == 0.0)
 
 
 @st.composite

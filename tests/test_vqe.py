@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mssq.circuits import AnsatzShape, Circuit
+from mssq import circuits
+from mssq.circuits import AnsatzShape, Circuit, expectation, run
 from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.pauli import PauliSum, decompose
 from mssq.spectrum import eigendecompose
@@ -143,6 +144,27 @@ def test_estimate_error_shot_doubling():
     _, std1 = estimate_error(circuit, observable, shots=4096, repetitions=300, seed=2)
     _, std2 = estimate_error(circuit, observable, shots=8192, repetitions=300, seed=2)
     assert 0.6 < std2 / std1 < 0.8
+
+
+def test_estimate_error_simulates_once_and_matches_expectation_loop(monkeypatch):
+    """One `run` per call, and the values of one `expectation` per repetition bit for bit."""
+    calls = []
+
+    def counting_run(circuit):
+        calls.append(circuit)
+        return run(circuit)
+
+    monkeypatch.setattr(circuits, "run", counting_run)
+    rng = np.random.default_rng(8)
+    circuit = Circuit(AnsatzShape(3, 2), rng.uniform(-np.pi, np.pi, 27))
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    for entropy in (0, 5, 9):
+        calls.clear()
+        mean, std = estimate_error(circuit, observable, 1024, 7, np.random.SeedSequence(entropy))
+        assert calls == [circuit]
+        children = np.random.SeedSequence(entropy).spawn(7)
+        values = [expectation(circuit, observable, 1024, np.random.default_rng(c)) for c in children]
+        assert mean == float(np.mean(values)) and std == float(np.std(values, ddof=1))
 
 
 def test_estimate_error_rejects_single_repetition():
