@@ -37,15 +37,17 @@ MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # largest two-mode constraint this admits on an 8 GiB machine (5 qubits per
 # mode, 547 groups of H^2) that peaked at 1.6x the count, inside the range above
 MATRICES_HELD = {"vqe": 7, "constraint": 8, "noise-scan": 7}
-# spectrum solves d x d mode terms, never the whole model.  It counts
-# SCAN_MATRICES d x d float64 matrices for building one dim's terms (x, q,
-# the parity blocks of the even powers and of the terms) and solving them
-# (the blocks' eigenvectors, embedded at their parity rows, LAPACK workspace,
-# the residual), and SPECTRUM_VECTORS dim-long vectors (the flat and sorted
-# eigenvalues, the CSV columns, the nearest-zero sort keys).  Since the terms
-# are built and solved as (d/2) x (d/2) blocks, peaks measured 0.5-0.9x this
-# count: DoubleWell at 10-11 qubits, ClosedPhi4 at 8-10 qubits per mode
-SCAN_MATRICES = 8
+# spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
+# and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
+# matrices for building one dim's terms (the parity slices of x and q, the
+# even powers, the terms' blocks) and solving them (the blocks' eigenvectors,
+# LAPACK workspace, the residual), and SPECTRUM_VECTORS dim-long vectors (the
+# flat and sorted eigenvalues, the CSV columns, the nearest-zero sort keys).
+# Peaks above the import floor measured 0.35-0.9x this count: DoubleWell at
+# 10-11 qubits, ClosedPhi4 at 8-10 qubits per mode.  The top is ClosedPhi4 at
+# 8, where fixed costs outweigh the blocks; six matrices would put it at
+# 0.94-0.97x, inside the half-MiB spread of the import floor
+SCAN_MATRICES = 7
 SPECTRUM_VECTORS = 6
 # cells `_write_csv` formats per write (at least one row).  A block's text and
 # Python floats must not lift a run's peak RSS over np.savetxt's: 4096-row
@@ -196,7 +198,7 @@ def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for prefix, row in zip(prefixes, rows):
-            fh.write("".join(prefix + c for c in cells) % tuple(row.tolist()))
+            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:

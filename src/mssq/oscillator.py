@@ -12,15 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 
-# Quartic coefficients as printed in the source models, kept as exact rationals.
-COEFF_0275_OVER_4 = Fraction(275, 1000) / 4
-COEFF_015_OVER_4 = Fraction(15, 100) / 4
+# Quartic coefficients of the source models, 0.275/4 and 0.15/4, each the float
+# nearest the exact rational.
+COEFF_0275_OVER_4 = 0.06875
+COEFF_015_OVER_4 = 0.0375
 
 
 class Family(str, Enum):
@@ -51,10 +51,10 @@ TWO_MODE_FAMILIES = (Family.CLOSED_FREE, Family.CLOSED_PHI4, Family.OPEN_PHI4)
 # Default (lambda_abs, quartic_c) per family, absent families (0.0, 0.0).  A
 # default of 0.0 marks a term the family's Hamiltonian lacks; it must stay 0.
 DEFAULT_COUPLINGS = {
-    Family.ANHARMONIC_OSC: (0.0, float(COEFF_0275_OVER_4)),
-    Family.DOUBLE_WELL: (0.0, float(COEFF_015_OVER_4)),
-    Family.CLOSED_PHI4: (float(COEFF_0275_OVER_4), float(COEFF_0275_OVER_4)),
-    Family.OPEN_PHI4: (float(COEFF_015_OVER_4), float(COEFF_015_OVER_4)),
+    Family.ANHARMONIC_OSC: (0.0, COEFF_0275_OVER_4),
+    Family.DOUBLE_WELL: (0.0, COEFF_015_OVER_4),
+    Family.CLOSED_PHI4: (COEFF_0275_OVER_4, COEFF_0275_OVER_4),
+    Family.OPEN_PHI4: (COEFF_015_OVER_4, COEFF_015_OVER_4),
 }
 
 
@@ -138,27 +138,41 @@ class OperatorMatrix:
         return self.entries.shape[0]
 
 
+def _parity_squares(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even-n and odd-n blocks of A @ A, for A with upper[n-1] = A[n-1, n], lower[n-1] = A[n, n-1]
+    and zeros elsewhere.
+
+    A flips the parity of n, so its even-to-odd and odd-to-even slices are each
+    a (d/2) x (d/2) matrix with two bands, written directly; A is never built.
+    Both slices are written out: taking one as a transposed view of the other
+    can change the products' last bits.
+    """
+    half = (len(upper) + 1) // 2
+    even_odd = np.zeros((half, half))
+    even_odd.flat[:: half + 1] = upper[0::2]  # A[2a, 2a+1]
+    even_odd.flat[half :: half + 1] = lower[1::2]  # A[2a, 2a-1]
+    odd_even = np.zeros((half, half))
+    odd_even.flat[:: half + 1] = lower[0::2]  # A[2a+1, 2a]
+    odd_even.flat[1 :: half + 1] = upper[1::2]  # A[2a+1, 2a+2]
+    return even_odd @ odd_even, odd_even @ even_odd
+
+
 def _even_powers(spec: ModelSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """x^2, p^2 and x^4 as float64 blocks, (x2, p2, x4) for the even-n rows then the odd-n rows.
 
     x and q come from the truncated lowering matrix, lower[n-1, n] = sqrt(n):
-    x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2) (lower^T - lower),
-    written entry by entry on their two off-diagonals.  x is real and p = i q
-    with q real, so p^2 = -q q.  Both change the parity of n, so each even
-    power maps a parity onto itself: its block over rows and columns r is the
-    product of the r-to-c and c-to-r slices, c the other parity.
+    x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2) (lower^T - lower).
+    x is real and p = i q with q real, so p^2 = -q q.  Both change the parity
+    of n, so each even power maps a parity onto itself (`_parity_squares`).
     """
-    n = np.arange(1, spec.mode_dim)
-    root = np.sqrt(n)
-    x, q = np.zeros((2, spec.mode_dim, spec.mode_dim))
-    x[n - 1, n] = x[n, n - 1] = root * (1 / np.sqrt(2 * spec.omega))
-    q[n, n - 1] = np.sqrt(spec.omega / 2) * root
-    q[n - 1, n] = -q[n, n - 1]
-    blocks = []
-    for r, c in ((slice(0, None, 2), slice(1, None, 2)), (slice(1, None, 2), slice(0, None, 2))):
-        x2 = x[r, c] @ x[c, r]
-        blocks.append((x2, -(q[r, c] @ q[c, r]), x2 @ x2))
-    return tuple(blocks)
+    root = np.sqrt(np.arange(1, spec.mode_dim))
+    x = root * (1 / np.sqrt(2 * spec.omega))
+    q = np.sqrt(spec.omega / 2) * root  # q[n, n-1] = -q[n-1, n]
+    x2 = _parity_squares(x, x)
+    p2 = _parity_squares(-q, q)
+    for block in p2:
+        np.negative(block, out=block)
+    return tuple((x2_r, p2_r, x2_r @ x2_r) for x2_r, p2_r in zip(x2, p2))
 
 
 # Each family's per-mode terms, mode a first: (sign, p^2 coefficient, x^2
@@ -186,9 +200,18 @@ def mode_terms(spec: ModelSpec) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray
     terms = []
     for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
         x4_coeff = getattr(spec, coupling)
-        blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in powers]
-        # enforce exact symmetry against float roundoff in the products
-        terms.append((sign, tuple((block + block.T) / 2 for block in blocks)))
+        symmetric = []
+        for x2, p2, x4 in powers:
+            # in place, in the order c_p p^2 + c_x x^2 + c x^4 sums left to right
+            block = p2_coeff * p2
+            block += x2_coeff * x2
+            block += x4_coeff * x4
+            # enforce exact symmetry against float roundoff in the products
+            sym = block + block.T
+            del block
+            sym /= 2
+            symmetric.append(sym)
+        terms.append((sign, tuple(symmetric)))
     return tuple(terms)
 
 

@@ -105,26 +105,33 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
     return np.linspace(-extent, extent, points)
 
 
-def _solve_term(blocks: tuple[np.ndarray, np.ndarray]) -> SpectrumResult:
-    """A mode term's solve from one `eigendecompose` per parity block.
+@dataclass(frozen=True)
+class TermSolve:
+    """A mode term's solve, kept as its even-n and odd-n block solves.
 
-    The eigenvalues come sorted ascending (stable, even-n first on a tie) and
-    each eigenvector sits at its block's rows; the residual is the larger
-    block residual.
+    eigenvalues are both blocks' eigenvalues sorted ascending (stable, even-n
+    first on a tie); order[k] is the index of eigenvalue k in the even-n then
+    odd-n concatenation, so it names the block and the column of its eigenvector.
     """
-    solves = [eigendecompose(block) for block in blocks]
+
+    blocks: tuple[SpectrumResult, SpectrumResult]
+    eigenvalues: np.ndarray
+    order: np.ndarray
+
+    @property
+    def residual(self) -> float:
+        return max(block.residual for block in self.blocks)
+
+
+def _solve_term(blocks: tuple[np.ndarray, np.ndarray]) -> TermSolve:
+    """A mode term's solve from one `eigendecompose` per parity block."""
+    solves = tuple(eigendecompose(block) for block in blocks)
     vals = np.concatenate([solve.eigenvalues for solve in solves])
     order = np.argsort(vals, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    half = len(blocks[0])
-    vecs = np.zeros((len(vals), len(vals)))
-    for parity, solve in enumerate(solves):
-        vecs[parity::2, column[parity * half : (parity + 1) * half]] = solve.eigenvectors
-    return SpectrumResult(vals[order], vecs, max(solve.residual for solve in solves))
+    return TermSolve(solves, vals[order], order)
 
 
-def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[SpectrumResult]]:
+def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[TermSolve]]:
     """H's eigenvalues in flat (i, j) order, and the solve of each unsigned mode term.
 
     H's eigenvalues are the outer sum of the signed terms' eigenvalues,
@@ -139,13 +146,21 @@ def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[SpectrumResult]]:
 def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray]:
     """Ground state for one-mode models, nearest-zero state for two-mode ones.
 
-    `_target_index` over `spectrum`'s flat (i, j) index picks one, ties to the lowest.
+    `_target_index` over `spectrum`'s flat (i, j) index picks one, ties to the
+    lowest.  The state is the Kronecker product of each term's picked
+    eigenvector, placed at its parity block's rows of a d-long vector.
     """
     vals, solves = spectrum(spec)
     flat = _target_index(vals, nearest_zero=spec.n_modes == 2)
     picks = np.unravel_index(flat, [len(solve.eigenvalues) for solve in solves])
-    state = reduce(np.kron, [solve.eigenvectors[:, i] for solve, i in zip(solves, picks)])
-    return float(vals[flat]), state
+    vectors = []
+    for solve, pick in zip(solves, picks):
+        half = len(solve.blocks[0].eigenvalues)
+        parity, column = divmod(int(solve.order[pick]), half)
+        vector = np.zeros(2 * half)
+        vector[parity::2] = solve.blocks[parity].eigenvectors[:, column]
+        vectors.append(vector)
+    return float(vals[flat]), reduce(np.kron, vectors)
 
 
 def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) -> list[tuple]:

@@ -1,7 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mssq.oscillator import (
+    COEFF_015_OVER_4,
+    COEFF_0275_OVER_4,
+    FAMILY_TERMS,
     ONE_MODE_FAMILIES,
     TWO_MODE_FAMILIES,
     Family,
@@ -10,6 +15,7 @@ from mssq.oscillator import (
     _even_powers,
     build_model,
     matrix_square,
+    mode_terms,
 )
 
 
@@ -116,6 +122,58 @@ def dense_mode_terms(spec):
     return tuple((sign, (term + term.T) / 2) for sign, term in terms)
 
 
+def dense_slice_powers(spec):
+    """(x2, p2, x4) per parity, even-n first, from the parity slices of dense x and q:
+    x2 = x[r, c] @ x[c, r] and p2 = -(q[r, c] @ q[c, r]), c the other parity."""
+    n = np.arange(1, spec.mode_dim)
+    root = np.sqrt(n)
+    x, q = np.zeros((2, spec.mode_dim, spec.mode_dim))
+    x[n - 1, n] = x[n, n - 1] = root * (1 / np.sqrt(2 * spec.omega))
+    q[n, n - 1] = np.sqrt(spec.omega / 2) * root
+    q[n - 1, n] = -q[n, n - 1]
+    powers = []
+    for r, c in ((slice(0, None, 2), slice(1, None, 2)), (slice(1, None, 2), slice(0, None, 2))):
+        x2 = x[r, c] @ x[c, r]
+        powers.append((x2, -(q[r, c] @ q[c, r]), x2 @ x2))
+    return powers
+
+
+def dense_slice_mode_terms(spec):
+    """Signed terms as (even-n, odd-n) blocks, each one expression of dense_slice_powers, symmetrized."""
+    terms = []
+    for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
+        x4_coeff = getattr(spec, coupling)
+        blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in dense_slice_powers(spec)]
+        terms.append((sign, tuple((block + block.T) / 2 for block in blocks)))
+    return terms
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9, 0.05, 17.3])
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in ONE_MODE_FAMILIES for n in range(1, 11)]
+    + [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)],
+)
+def test_banded_slices_equal_dense_slices(family, n, omega):
+    """The two-band slices give the dense slices' even powers and mode-term blocks bit for
+    bit, signed zeros included."""
+    spec = ModelSpec(family, n, omega=omega)
+    for got, want in zip(_even_powers(spec), dense_slice_powers(spec), strict=True):
+        for got_power, want_power in zip(got, want, strict=True):
+            assert_bit_equal(got_power, want_power)
+    want_terms = dense_slice_mode_terms(spec)
+    for (sign, blocks), (want_sign, want_blocks) in zip(mode_terms(spec), want_terms, strict=True):
+        assert sign == want_sign
+        for block, want_block in zip(blocks, want_blocks, strict=True):
+            assert_bit_equal(block, want_block)
+
+
 def dense_kronecker_sum(terms):
     (sign, h), *rest = terms
     h = sign * h
@@ -202,6 +260,11 @@ def test_default_couplings():
     assert open_.lambda_abs == open_.quartic_c == pytest.approx(0.15 / 4)
     dw = ModelSpec(Family.DOUBLE_WELL, 2)
     assert dw.quartic_c == pytest.approx(0.15 / 4)
+
+
+def test_quartic_coefficients_are_the_rationals_as_floats():
+    assert COEFF_0275_OVER_4 == float(Fraction(275, 1000) / 4)
+    assert COEFF_015_OVER_4 == float(Fraction(15, 100) / 4)
 
 
 def test_matrix_square_zero_and_harmonic():

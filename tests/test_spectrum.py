@@ -1,10 +1,12 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
+    _outer_sum,
     _target_index,
     convergence_scan,
     default_grid,
@@ -249,3 +251,60 @@ def test_two_mode_density_peak_stays_under_3_5x():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * grid.density.nbytes
+
+
+def test_spectrum_peak_stays_under_2_5_full_matrices():
+    """Every term is built and solved as (d/2) x (d/2) blocks and no eigenvector is embedded
+    in a d x d matrix, so neither call's traced peak reaches 2.5 d x d float64 matrices."""
+    spec = ModelSpec(Family.DOUBLE_WELL, 10)
+    for solve in (spectrum, ground_or_nearest_zero):
+        tracemalloc.start()
+        try:
+            solve(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * spec.mode_dim**2 * 8
+
+
+def embedded_eigenvectors(blocks):
+    """A term's sorted eigenvalues and d x d eigenvector matrix: each block's eigenvectors at
+    its parity rows, in the stable ascending order of the even-then-odd eigenvalues."""
+    solves = [eigendecompose(block) for block in blocks]
+    vals = np.concatenate([solve.eigenvalues for solve in solves])
+    order = np.argsort(vals, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    half = len(blocks[0])
+    vecs = np.zeros((len(vals), len(vals)))
+    for parity, solve in enumerate(solves):
+        vecs[parity::2, column[parity * half : (parity + 1) * half]] = solve.eigenvectors
+    return vals[order], vecs
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(Family.HARMONIC_OSC, 1),
+        ModelSpec(Family.DOUBLE_WELL, 3),
+        ModelSpec(Family.DOUBLE_WELL, 6, omega=1.3),
+        ModelSpec(Family.ANHARMONIC_OSC, 4, quartic_c=0.3),
+        ModelSpec(Family.CLOSED_FREE, 2),
+        ModelSpec(Family.CLOSED_PHI4, 3, lambda_abs=0.1),
+        ModelSpec(Family.OPEN_PHI4, 2),
+        ModelSpec(Family.OPEN_PHI4, 3, lambda_abs=0.2, omega=1.3),
+    ],
+)
+def test_exact_state_equals_kron_of_embedded_columns(spec):
+    """Placing only the picked column at its parity rows gives the Kronecker product of the
+    full embedded eigenvector matrices' columns bit for bit, signed zeros included."""
+    signs, terms = zip(*mode_terms(spec))
+    solves = [embedded_eigenvectors(blocks) for blocks in terms]
+    vals = _outer_sum([sign * term_vals for sign, (term_vals, _) in zip(signs, solves)])
+    flat = _target_index(vals, nearest_zero=spec.n_modes == 2)
+    picks = np.unravel_index(flat, [len(term_vals) for term_vals, _ in solves])
+    want = reduce(np.kron, [vecs[:, pick] for (_, vecs), pick in zip(solves, picks)])
+    energy, state = ground_or_nearest_zero(spec)
+    assert energy == vals[flat]
+    assert np.array_equal(state, want)
+    assert np.array_equal(np.signbit(state), np.signbit(want))
