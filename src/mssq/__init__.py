@@ -2,7 +2,7 @@
 quantum-mechanical potentials and Wheeler-DeWitt mini-superspace models."""
 
 from .circuits import AnsatzShape, Circuit, expectation, run
-from .oscillator import Family, ModelSpec, OperatorMatrix, build_model, matrix_square
+from .oscillator import Family, ModelSpec, build_model, matrix_square
 from .pauli import PauliSum, decompose, group_by_basis, reconstruct
 from .spectrum import (
     SpectrumResult,
@@ -18,7 +18,6 @@ __all__ = [
     "Circuit",
     "Family",
     "ModelSpec",
-    "OperatorMatrix",
     "PauliSum",
     "SpectrumResult",
     "SpsaConfig",

@@ -287,7 +287,7 @@ def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
     grid = cfg["noise.shots_grid"]
     repetitions = cfg["noise.repetitions"]
     model = _model_spec(cfg)
-    observable = decompose(build_model(model).entries)
+    observable = decompose(build_model(model))
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     root = np.random.SeedSequence(_seed(cfg))
     ss_params, ss_reps = root.spawn(2)

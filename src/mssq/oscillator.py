@@ -59,7 +59,10 @@ DEFAULT_COUPLINGS = {
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
-    """Reject a non-finite matrix, or one with |H - H^dagger| > 1e-12 * max(1, max|H|) entrywise."""
+    """Reject a matrix that is not 2-D, square and non-empty, a non-finite one, or one with
+    |H - H^dagger| > 1e-12 * max(1, max|H|) entrywise; every solver checks its input here."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
+        raise ValueError(f"matrix must be square and non-empty, got shape {entries.shape}")
     if not np.isfinite(entries).all():
         raise ValueError("matrix has non-finite entries")
     bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
@@ -117,25 +120,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return 2**self.total_qubits
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A dense Hermitian operator of power-of-two size; real input stays float64."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex if np.iscomplexobj(self.entries) else float)
-        object.__setattr__(self, "entries", entries)
-        dim = entries.shape[0]
-        if entries.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
-            raise ValueError(f"entries must be square with power-of-two size, got {entries.shape}")
-        _check_hermitian(entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _parity_squares(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +208,17 @@ def _scatter(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return full
 
 
-def build_model(spec: ModelSpec) -> OperatorMatrix:
+def build_model(spec: ModelSpec) -> np.ndarray:
     """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms."""
     (sign, blocks), *rest = mode_terms(spec)
     h = sign * _scatter(blocks)
     for sign, blocks in rest:
         term = _scatter(blocks)
         h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
-    return OperatorMatrix(h)
+    return h
 
 
-def matrix_square(op: OperatorMatrix) -> OperatorMatrix:
-    """H -> H @ H, the objective for zero-eigenstate searches."""
-    sq = op.entries @ op.entries
-    sq = (sq + sq.conj().T) / 2
-    return OperatorMatrix(sq)
+def matrix_square(h: np.ndarray) -> np.ndarray:
+    """H -> H @ H, symmetrized: the objective for zero-eigenstate searches."""
+    sq = h @ h
+    return (sq + sq.conj().T) / 2

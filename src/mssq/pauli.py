@@ -125,12 +125,12 @@ def _words(index: np.ndarray, n: int) -> list[str]:
 
 def decompose(h: np.ndarray) -> PauliSum:
     """Decompose a Hermitian 2^n x 2^n matrix: coeff(P) = trace(P H) / 2^n."""
-    h = np.asarray(getattr(h, "entries", h), dtype=complex)
-    dim = h.shape[0]
-    n = dim.bit_length() - 1
-    if h.shape != (dim, dim) or 2**n != dim:
-        raise ValueError("matrix dimension must be a power of two")
+    h = np.asarray(h, dtype=complex)
     _check_hermitian(h)
+    dim = len(h)
+    n = dim.bit_length() - 1
+    if 2**n != dim:
+        raise ValueError(f"matrix dimension must be a power of two, got {dim}")
     interleaved = h.reshape((2,) * 2 * n).transpose([a for q in range(n) for a in (q, n + q)])
     # trace(P H) = sum_rc conj(P[r, c]) H[r, c], as every Pauli matrix is Hermitian
     coeffs = _per_axis(_SIGMA.conj(), interleaved, n) / dim

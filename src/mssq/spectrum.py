@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 
-from .oscillator import ModelSpec, OperatorMatrix, _check_hermitian, mode_terms
+from .oscillator import ModelSpec, _check_hermitian, mode_terms
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,15 @@ class WavefunctionGrid:
     norm: float
 
 
-def eigendecompose(h: OperatorMatrix | np.ndarray) -> SpectrumResult:
-    """Eigendecompose a Hermitian matrix with LAPACK, in real arithmetic when it is real.
+def eigendecompose(h: np.ndarray) -> SpectrumResult:
+    """Eigendecompose a Hermitian matrix with LAPACK, in float64 arithmetic when it is real.
 
     The eigenvectors are orthonormal; ordering inside a degenerate cluster is unspecified.
     """
-    if isinstance(h, OperatorMatrix):
-        entries = h.entries  # checked when the operator was built
-    else:
-        entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
-        _check_hermitian(entries)
+    entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
+    _check_hermitian(entries)
     vals, vecs = np.linalg.eigh(entries)
-    residual = float(np.max(np.linalg.norm(entries @ vecs - vecs * vals, axis=0))) if len(vals) else 0.0
+    residual = float(np.max(np.linalg.norm(entries @ vecs - vecs * vals, axis=0)))
     return SpectrumResult(vals, vecs, residual)
 
 
@@ -48,7 +45,11 @@ def _target_index(vals: np.ndarray, nearest_zero: bool) -> int:
     a tie going to the more negative one; any remaining tie goes to the lowest index."""
     if len(vals) == 0:
         raise ValueError("empty spectrum")
-    return int(np.lexsort((vals, np.abs(vals)))[0] if nearest_zero else np.argmin(vals))
+    if not nearest_zero:
+        return int(np.argmin(vals))
+    mag = np.abs(vals)
+    ties = np.flatnonzero(mag == mag.min())
+    return int(ties[np.argmin(vals[ties])])
 
 
 def _outer_sum(parts) -> np.ndarray:

@@ -187,9 +187,9 @@ def vqe_run(
     if spsa is None:
         spsa = SpsaConfig(iterations=300)
     hamiltonian = build_model(spec)
-    h_sum = pauli.decompose(hamiltonian.entries)
+    h_sum = pauli.decompose(hamiltonian)
     objective_sum = (
-        pauli.decompose(matrix_square(hamiltonian).entries)
+        pauli.decompose(matrix_square(hamiltonian))
         if objective_kind == "constraint"
         else h_sum
     )

@@ -247,8 +247,8 @@ def test_expectation_ansatz_zero_params_matches_matrix_element():
     # the harmonic Hamiltonian is diagonal, so every shot on |00> reads the same parities
     h = build_model(ModelSpec(Family.HARMONIC_OSC, 2))
     circuit = Circuit(AnsatzShape(2, 2), np.zeros(18))
-    value = expectation(circuit, decompose(h.entries), shots=64, seed=0)
-    assert value == pytest.approx(h.entries[0, 0].real)
+    value = expectation(circuit, decompose(h), shots=64, seed=0)
+    assert value == pytest.approx(h[0, 0])
 
 
 def test_expectation_qubit_mismatch():
@@ -270,7 +270,7 @@ def test_shot_expectation_unbiased():
 
 def test_stderr_scales_as_inverse_sqrt_shots():
     rng = np.random.default_rng(13)
-    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)).entries)
+    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
     circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
     shots_grid = [256, 1024, 4096, 16384]
     stds = []
@@ -367,7 +367,7 @@ def test_shot_expectation_runs_circuit_once(monkeypatch):
 
     monkeypatch.setattr(circuits, "run", counting_run)
     circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(5).uniform(-np.pi, np.pi, 18))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
     assert len(group_by_basis(observable)) > 1
     expectation(circuit, observable, shots=1024, seed=0)
     assert calls == [circuit]
@@ -382,7 +382,7 @@ def test_shot_expectation_groups_observable_once(monkeypatch):
 
     monkeypatch.setattr(pauli, "group_by_basis", counting_group_by_basis)
     circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(6).uniform(-np.pi, np.pi, 18))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
     rng = np.random.default_rng(0)
     for _ in range(50):
         expectation(circuit, observable, shots=256, seed=rng)

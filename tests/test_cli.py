@@ -555,7 +555,7 @@ def test_noise_scan_coefficient_linearity():
     from mssq.pauli import PauliSum, decompose
     from mssq.vqe import estimate_error
 
-    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)).entries)
+    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
     doubled = PauliSum(2, tuple((2 * c, s) for c, s in psum.terms))
     shape = AnsatzShape(2, 1)
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, shape.parameter_count)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,13 @@ from mssq.oscillator import (
     TWO_MODE_FAMILIES,
     Family,
     ModelSpec,
-    OperatorMatrix,
     _even_powers,
     build_model,
     matrix_square,
     mode_terms,
 )
+from mssq.pauli import decompose
+from mssq.spectrum import eigendecompose
 
 
 def ladder(dim):
@@ -53,17 +55,15 @@ def _complex_reference(spec):
 @pytest.mark.parametrize("family", list(Family))
 def test_build_model_is_real_and_matches_complex_reference(family, n, omega):
     spec = ModelSpec(family, n, omega=omega)
-    h = build_model(spec).entries
+    h = build_model(spec)
     reference = _complex_reference(spec)
     assert h.dtype == np.float64
     assert np.max(np.abs(h - reference)) <= 1e-12 * max(1.0, np.abs(reference).max())
 
 
-def test_operator_matrix_upcasts_only_complex_input():
-    real = OperatorMatrix(np.eye(2, dtype=np.float32))
-    assert real.entries.dtype == np.float64
-    assert matrix_square(real).entries.dtype == np.float64
-    assert OperatorMatrix(np.eye(2, dtype=np.complex64)).entries.dtype == np.complex128
+def test_real_input_stays_float64():
+    assert matrix_square(np.eye(2)).dtype == np.float64
+    assert eigendecompose(np.eye(2, dtype=np.float32)).eigenvectors.dtype == np.float64
 
 
 def test_ladder_dim2():
@@ -191,7 +191,7 @@ def dense_kronecker_sum(terms):
 def test_build_model_equals_dense_reference(family, n, omega):
     """Scattering the parity blocks rebuilds the dense products' Kronecker sum bit for bit."""
     spec = ModelSpec(family, n, omega=omega)
-    assert np.array_equal(build_model(spec).entries, dense_kronecker_sum(dense_mode_terms(spec)))
+    assert np.array_equal(build_model(spec), dense_kronecker_sum(dense_mode_terms(spec)))
 
 
 def test_quadratures_dim2():
@@ -213,12 +213,12 @@ def test_commutator_truncation_artifact(dim):
 
 def test_harmonic_n1_is_half_identity():
     h = build_model(ModelSpec(Family.HARMONIC_OSC, 1))
-    assert np.allclose(h.entries, 0.5 * np.eye(2))
+    assert np.allclose(h, 0.5 * np.eye(2))
 
 
 def test_closed_free_n1_is_zero():
     h = build_model(ModelSpec(Family.CLOSED_FREE, 1))
-    assert np.allclose(h.entries, np.zeros((4, 4)))
+    assert np.allclose(h, np.zeros((4, 4)))
 
 
 def test_closed_free_structure():
@@ -227,13 +227,13 @@ def test_closed_free_structure():
     x, p = complex_quadratures(4, 1.0)
     piece = (p @ p) / 4 + x @ x
     expected = -np.kron(piece, np.eye(4)) + np.kron(np.eye(4), piece)
-    assert np.allclose(build_model(spec).entries, expected, atol=1e-12)
+    assert np.allclose(build_model(spec), expected, atol=1e-12)
 
 
 def test_anharmonic_c0_reduces_to_harmonic():
     anh = build_model(ModelSpec(Family.ANHARMONIC_OSC, 3, quartic_c=0.0))
     harm = build_model(ModelSpec(Family.HARMONIC_OSC, 3))
-    assert np.array_equal(anh.entries, harm.entries)
+    assert np.array_equal(anh, harm)
 
 
 @pytest.mark.parametrize(
@@ -241,14 +241,14 @@ def test_anharmonic_c0_reduces_to_harmonic():
     [(f, 2) for f in Family] + [(Family.DOUBLE_WELL, 4), (Family.CLOSED_PHI4, 3)],
 )
 def test_hermiticity(family, n):
-    h = build_model(ModelSpec(family, n)).entries
+    h = build_model(ModelSpec(family, n))
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 @pytest.mark.parametrize("family", [Family.CLOSED_FREE, Family.CLOSED_PHI4, Family.OPEN_PHI4])
 def test_two_mode_spectral_antisymmetry(family):
     # the +/- pair construction has a spectrum symmetric under negation
-    h = build_model(ModelSpec(family, 2)).entries
+    h = build_model(ModelSpec(family, 2))
     vals = np.linalg.eigvalsh(h)
     assert np.allclose(np.sort(vals), np.sort(-vals), atol=1e-9)
 
@@ -268,31 +268,46 @@ def test_quartic_coefficients_are_the_rationals_as_floats():
 
 
 def test_matrix_square_zero_and_harmonic():
-    zero = OperatorMatrix(np.zeros((4, 4)))
-    assert np.array_equal(matrix_square(zero).entries, np.zeros((4, 4)))
+    assert np.array_equal(matrix_square(np.zeros((4, 4))), np.zeros((4, 4)))
     h1 = build_model(ModelSpec(Family.HARMONIC_OSC, 1))
-    assert np.allclose(matrix_square(h1).entries, 0.25 * np.eye(2))
+    assert np.allclose(matrix_square(h1), 0.25 * np.eye(2))
 
 
 def test_matrix_square_eigenvalues():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = (a + a.conj().T) / 2
-    op = OperatorMatrix(h)
-    sq_vals = np.linalg.eigvalsh(matrix_square(op).entries)
+    sq_vals = np.linalg.eigvalsh(matrix_square(h))
     assert np.allclose(np.sort(sq_vals), np.sort(np.linalg.eigvalsh(h) ** 2), atol=1e-10)
     assert sq_vals.min() >= -1e-12
 
 
-def test_operator_matrix_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+SOLVERS = pytest.mark.parametrize("solve", [eigendecompose, decompose], ids=lambda solve: solve.__name__)
 
 
+@SOLVERS
+@pytest.mark.parametrize(
+    "h",
+    [np.array([[0.0, 1j], [1j, 0.0]]), np.array([[0.0, 1.0], [1.0 + 2e-12, 0.0]])],
+    ids=["complex-symmetric", "past-tolerance"],
+)
+def test_solvers_reject_non_hermitian(solve, h):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        solve(h)
+
+
+@SOLVERS
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_operator_matrix_rejects_non_finite(bad):
+def test_solvers_reject_non_finite(solve, bad):
     # symmetric placements: a NaN bound used to turn the Hermiticity test false
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(np.array([[0.0, bad], [bad, 0.0]]))
+        solve(np.array([[0.0, bad], [bad, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+        solve(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@SOLVERS
+@pytest.mark.parametrize("shape", [(1, 4), (0, 0), (4,)], ids=["1x4", "0x0", "1-d"])
+def test_solvers_reject_non_square_or_empty(solve, shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        solve(np.zeros(shape))

@@ -59,13 +59,18 @@ def test_reconstruct_empty():
 
 
 def test_model_roundtrip():
-    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)).entries
+    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 2))
     assert np.max(np.abs(reconstruct(decompose(h)) - h)) < 1e-9
 
 
 def test_rejects_non_hermitian():
     with pytest.raises(ValueError):
         decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_rejects_non_power_of_two():
+    with pytest.raises(ValueError, match="power of two, got 3"):
+        decompose(np.eye(3))
 
 
 def test_linearity():
@@ -122,7 +127,7 @@ def brute_force_terms(h):
 @pytest.mark.parametrize(
     "h",
     [random_hermitian(2**n, 200 + n) for n in range(1, 7)]
-    + [matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 2))).entries],
+    + [matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 2)))],
     ids=[f"random-{n}q" for n in range(1, 7)] + ["closedphi4-h2-4q"],
 )
 def test_decompose_matches_trace_oracle(h):
@@ -159,7 +164,7 @@ def test_group_conflicting_pair():
 
 
 def test_group_count_bounded_by_terms():
-    psum = decompose(build_model(ModelSpec(Family.HARMONIC_OSC, 2)).entries)
+    psum = decompose(build_model(ModelSpec(Family.HARMONIC_OSC, 2)))
     groups = group_by_basis(psum)
     assert len(groups) <= len(psum.terms)
     regrouped = [t for g in groups for t in g.terms]

@@ -15,7 +15,7 @@ from mssq.circuits import AnsatzShape, Circuit, run
 from mssq.cli import _write_density, main
 from mssq.oscillator import DEFAULT_COUPLINGS, TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
-from mssq.spectrum import WavefunctionGrid, ground_or_nearest_zero, spectrum
+from mssq.spectrum import WavefunctionGrid, _target_index, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv
 from test_oscillator import dense_mode_terms
 
@@ -59,8 +59,8 @@ def test_ansatz_state_has_unit_norm(point):
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_dense_energy_and_variance_bounds(spec, data):
-    model = build_model(spec)
-    h, h2 = model.entries, matrix_square(model).entries
+    h = build_model(spec)
+    h2 = matrix_square(h)
     tol = 1e-9 * max(1.0, np.abs(h2).max())
     psi = run(Circuit(*data.draw(ansatz_points(spec.total_qubits, max_depth=2))))
     energy = np.vdot(psi, h @ psi).real
@@ -85,7 +85,7 @@ def two_mode_specs(draw):
 @given(two_mode_specs())
 def test_two_mode_spectrum_matches_dense_eigh(spec):
     vals, _ = spectrum(spec)
-    dense = np.linalg.eigvalsh(build_model(spec).entries)
+    dense = np.linalg.eigvalsh(build_model(spec))
     tol = 1e-12 * np.abs(dense).max()
     assert np.max(np.abs(np.sort(vals) - dense)) <= tol
     near = ground_or_nearest_zero(spec)[0]
@@ -93,6 +93,21 @@ def test_two_mode_spectrum_matches_dense_eigh(spec):
     # where |eigenvalue| ties to roundoff either member may be picked, so match any tied one
     tied = dense[np.abs(np.abs(dense) - abs(dense_near)) <= tol]
     assert np.min(np.abs(tied - near)) <= tol
+
+
+# few distinct magnitudes, both signs and both zeros, so |eigenvalue| ties are common
+tie_heavy = arrays(
+    np.float64,
+    st.integers(1, 12),
+    elements=st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 2.0, 1e-300, -1e-300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy)
+def test_nearest_zero_index_matches_lexsort(vals):
+    # smallest |eigenvalue|, then the more negative one, then the lowest index
+    assert _target_index(vals, nearest_zero=True) == np.lexsort((vals, np.abs(vals)))[0]
 
 
 @PROPERTY_SETTINGS

@@ -21,7 +21,7 @@ from mssq.spectrum import (
 def dense_target(spec):
     """The ground (one mode) or nearest-zero (two modes) eigenvalue of a dense eigh of
     the whole H, a tie going to the more negative one, and the largest |eigenvalue|."""
-    vals = np.linalg.eigvalsh(build_model(spec).entries)
+    vals = np.linalg.eigvalsh(build_model(spec))
     target = min(vals, key=lambda v: (abs(v), v)) if spec.n_modes == 2 else vals[0]
     return target, np.abs(vals).max()
 
@@ -59,7 +59,7 @@ def test_residual_and_orthonormality():
 
 
 def test_trace_preservation():
-    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 4)).entries
+    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 4))
     vals = eigendecompose(h).eigenvalues
     assert np.isclose(vals.sum(), np.trace(h).real, rtol=1e-8)
 
@@ -168,12 +168,11 @@ def test_convergence_scan_rejects_non_power_of_two():
     ],
 )
 def test_real_solve_matches_complex_oracle(family, n):
-    model = build_model(ModelSpec(family, n))
-    oracle = np.linalg.eigh(model.entries.astype(complex))[0]
-    for h in (model, model.entries):
-        result = eigendecompose(h)
-        assert result.eigenvectors.dtype == np.float64
-        assert np.max(np.abs(result.eigenvalues - oracle)) <= 1e-12 * np.abs(oracle).max()
+    h = build_model(ModelSpec(family, n))
+    oracle = np.linalg.eigh(h.astype(complex))[0]
+    result = eigendecompose(h)
+    assert result.eigenvectors.dtype == np.float64
+    assert np.max(np.abs(result.eigenvalues - oracle)) <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize(
@@ -218,7 +217,7 @@ def test_two_mode_exact_state_is_lowest_product_zero_mode(family, n):
     product = np.kron(u0, u0)
     assert energy == 0.0
     assert np.array_equal(state, product) or np.array_equal(state, -product)
-    h = build_model(spec).entries
+    h = build_model(spec)
     assert np.linalg.norm(h @ state) <= 1e-12 * max(1.0, np.abs(h).max())
 
 
@@ -236,7 +235,7 @@ def test_ground_or_nearest_zero_is_an_eigenpair_of_h(spec):
     energy, state = ground_or_nearest_zero(spec)
     expected, scale = dense_target(spec)
     assert abs(energy - expected) <= 1e-12 * scale
-    assert np.linalg.norm(build_model(spec).entries @ state - energy * state) <= 1e-12 * scale
+    assert np.linalg.norm(build_model(spec) @ state - energy * state) <= 1e-12 * scale
     assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 

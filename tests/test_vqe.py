@@ -157,7 +157,7 @@ def test_estimate_error_simulates_once_and_matches_expectation_loop(monkeypatch)
     monkeypatch.setattr(circuits, "run", counting_run)
     rng = np.random.default_rng(8)
     circuit = Circuit(AnsatzShape(3, 2), rng.uniform(-np.pi, np.pi, 27))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)).entries)
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
     for entropy in (0, 5, 9):
         calls.clear()
         mean, std = estimate_error(circuit, observable, 1024, 7, np.random.SeedSequence(entropy))
