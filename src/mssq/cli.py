@@ -24,19 +24,21 @@ from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
-# an eighth of physical memory: temporaries lift a run's peak RSS to 0.7-3.4x
-# its counted arrays, above ~30 MiB for Python and numpy; the top is a
+# an eighth of physical memory: temporaries lift a run's peak RSS to at most
+# 3.4x its counted arrays, above ~30 MiB for Python and numpy; the top is a
 # two-mode density grid (3.1-3.4x), where reconstruct_wavefunction holds psi
 # (complex) and |psi| at once
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-# dim x dim float64 matrices each other command holds at once: the model, H^2
-# for constraint, and three complex arrays (two floats per entry each) while
-# pauli.decompose runs: its copy of the matrix, the interleaved copy and one
-# per-axis result.  Later, each SPSA pair holds its (2, groups, dim) complex
-# readout block and up to three more while the basis changes apply; at the
-# largest two-mode constraint this admits on an 8 GiB machine (5 qubits per
-# mode, 547 groups of H^2) that peaked at 1.6x the count, inside the range above
-MATRICES_HELD = {"vqe": 7, "constraint": 8, "noise-scan": 7}
+# dim x dim float64 matrices each other command holds at once.  Building the
+# observables holds the model, H^2 for constraint, and two real arrays while
+# pauli.decompose runs (the check's difference and its abs, then one per-axis
+# step's input and output).  Shot readout then holds a (states, groups, dim)
+# complex block, two states for an SPSA pair, and up to three more while the
+# basis changes apply.  That sets the peak above the import floor: 14-16.5
+# matrices for vqe and 7-10 for noise-scan on DoubleWell at 10-12 qubits,
+# 11-13 for constraint on ClosedPhi4 at 5-6 qubits per mode, 3.6 for vqe and
+# noise-scan on ClosedPhi4 at 6 (47 groups): 0.6-2.8x these counts
+MATRICES_HELD = {"vqe": 6, "constraint": 5, "noise-scan": 4}
 # spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
 # and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
 # matrices for building one dim's terms (the parity slices of x and q, the
@@ -104,30 +106,13 @@ def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
         family = Family(cfg["model.family"])
     except ValueError as exc:
         raise ConfigError(f"unknown model.family {cfg['model.family']!r}") from exc
-    return _from_section(
-        "model",
-        ModelSpec,
-        family=family,
-        qubits_per_mode=cfg["model.qubits_per_mode"],
-        lambda_abs=cfg["model.lambda_abs"],
-        quartic_c=cfg["model.quartic_c"],
-        omega=cfg["model.omega"],
-    )
+    fields = ("qubits_per_mode", "lambda_abs", "quartic_c", "omega")
+    return _from_section("model", ModelSpec, family=family, **{f: cfg[f"model.{f}"] for f in fields})
 
 
 def _spsa_config(cfg: ExperimentConfig, seed: int) -> SpsaConfig:
-    return _from_section(
-        "spsa",
-        SpsaConfig,
-        iterations=cfg["spsa.iterations"],
-        a=cfg["spsa.a"],
-        c=cfg["spsa.c"],
-        stability=cfg["spsa.stability"],
-        alpha=cfg["spsa.alpha"],
-        gamma=cfg["spsa.gamma"],
-        calibration_samples=cfg["spsa.calibration_samples"],
-        seed=seed,
-    )
+    fields = ("iterations", "a", "c", "stability", "alpha", "gamma", "calibration_samples")
+    return _from_section("spsa", SpsaConfig, seed=seed, **{f: cfg[f"spsa.{f}"] for f in fields})
 
 
 def _prepare_outdir(cfg: ExperimentConfig) -> Path:

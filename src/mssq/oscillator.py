@@ -58,9 +58,11 @@ DEFAULT_COUPLINGS = {
 }
 
 
-def _check_hermitian(entries: np.ndarray) -> None:
-    """Reject a matrix that is not 2-D, square and non-empty, a non-finite one, or one with
-    |H - H^dagger| > 1e-12 * max(1, max|H|) entrywise; every solver checks its input here."""
+def _check_hermitian(h) -> np.ndarray:
+    """h as float64 (not copied if it is), or complex128 if complex, for every solver: rejects a
+    matrix that is not 2-D, square and non-empty, a non-finite one, or one with
+    |H - H^dagger| > 1e-12 * max(1, max|H|) entrywise."""
+    entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or not entries.size:
         raise ValueError(f"matrix must be square and non-empty, got shape {entries.shape}")
     if not np.isfinite(entries).all():
@@ -68,6 +70,7 @@ def _check_hermitian(entries: np.ndarray) -> None:
     bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
     if np.max(np.abs(entries - entries.conj().T)) > bound:
         raise ValueError(f"matrix is not Hermitian to {bound:.3g}")
+    return entries
 
 
 @dataclass(frozen=True)

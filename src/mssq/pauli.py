@@ -4,9 +4,15 @@ A Pauli string is stored as a word over {I, X, Y, Z}, most significant qubit
 first.  Decomposition and reconstruction are one tensorized transform
 (Hantzko, Binkowski, Gupta, arXiv:2310.13421): H reshaped to (2,)*2n with
 each qubit's row and column bit interleaved into one axis of size 4, and one
-4x4 change of basis between those (row, column) pairs and {I, X, Y, Z}
+real 4x4 change of basis between those (row, column) pairs and {I, X, -iY, Z}
 applied per axis.  All 4^n coefficients come out at once, in lexicographic
 order, at O(n 4^n) cost.
+
+Each string is sigma = i^k tau, k its Y count and tau the real Kronecker
+product of I, X, -iY = [[0, -1], [1, 0]] and Z, so trace(sigma H) / 2^n is
+(-1)^floor(k/2) <tau, Re H> / 2^n for even k and the same with Im H for odd
+k: a real H has no odd-k strings and a complex one takes a second transform.
+Reconstruction gives Re H from the even-k terms and Im H from the odd-k ones.
 
 Grouping and readout work on each string's (x, z) bit masks, its binary
 symplectic form (Aaronson & Gottesman, arXiv:quant-ph/0406196): X sets x,
@@ -25,13 +31,13 @@ from .oscillator import _check_hermitian
 
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
-IMAG_TOL = 1e-10
 _BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
 # a group's measured letter per (x bit, z bit) of its qubit
 _BASIS_LETTERS = {(0, 0): None, (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-# _SIGMA[a, 2r + c] = sigma_a[r, c] for sigma = I, X, Y, Z
-_SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+# _TAU[a, 2r + c] = tau_a[r, c] for tau = I, X, -iY, Z, and each letter's Y count
+_TAU = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
+_Y_COUNT = np.array([0, 0, 1, 0], dtype=np.uint8)
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
@@ -123,33 +129,43 @@ def _words(index: np.ndarray, n: int) -> list[str]:
     return ["".join(word) for word in np.array(list(PAULI_LETTERS))[digits]]
 
 
+def _traces(part: np.ndarray, n: int) -> np.ndarray:
+    """<tau, part> for every real string tau, in base-4 order."""
+    interleaved = part.reshape((2,) * 2 * n).transpose([a for q in range(n) for a in (q, n + q)])
+    return _per_axis(_TAU, interleaved, n)
+
+
 def decompose(h: np.ndarray) -> PauliSum:
     """Decompose a Hermitian 2^n x 2^n matrix: coeff(P) = trace(P H) / 2^n."""
-    h = np.asarray(h, dtype=complex)
-    _check_hermitian(h)
+    h = _check_hermitian(h)
     dim = len(h)
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"matrix dimension must be a power of two, got {dim}")
-    interleaved = h.reshape((2,) * 2 * n).transpose([a for q in range(n) for a in (q, n + q)])
-    # trace(P H) = sum_rc conj(P[r, c]) H[r, c], as every Pauli matrix is Hermitian
-    coeffs = _per_axis(_SIGMA.conj(), interleaved, n) / dim
-    bad = np.flatnonzero(np.abs(coeffs.imag) > IMAG_TOL)
-    if bad.size:
-        raise ValueError(f"non-real coefficient for {_words(bad[:1], n)[0]}: {coeffs[bad[0]]}")
-    kept = np.flatnonzero(np.abs(coeffs.real) >= COEFF_CUTOFF)
-    return PauliSum(n, tuple(zip(coeffs.real[kept].tolist(), _words(kept, n))))
+    y_count = np.zeros(1, dtype=np.uint8)  # mod 256, which keeps its low two bits exact
+    for _ in range(n):
+        y_count = np.add.outer(y_count, _Y_COUNT).ravel()
+    coeffs = _traces(h.real, n)
+    odd = (y_count & 1).astype(bool)
+    np.copyto(coeffs, _traces(h.imag, n) if np.iscomplexobj(h) else 0.0, where=odd)
+    np.negative(coeffs, out=coeffs, where=(y_count & 2).astype(bool))
+    coeffs /= dim
+    kept = np.flatnonzero(np.abs(coeffs) >= COEFF_CUTOFF)
+    return PauliSum(n, tuple(zip(coeffs[kept].tolist(), _words(kept, n))))
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:
-    """Dense matrix of a PauliSum: the inverse transform of decompose."""
+    """Dense complex128 matrix of a PauliSum: the inverse transform of decompose."""
     n = psum.n_qubits
-    coeffs = np.zeros(4**n, dtype=complex)
+    # column k % 2 holds the (-1)^floor(k/2)-signed coefficients of the strings with k Ys
+    coeffs = np.zeros((4**n, 2))
     for coeff, string in psum.terms:
-        coeffs[int(string.translate(_BASE4_DIGITS) or "0", 4)] = coeff
-    interleaved = _per_axis(_SIGMA.T, coeffs, n).reshape((2,) * 2 * n)
-    rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    return interleaved.transpose(rows_then_columns).reshape(psum.dim, psum.dim)
+        k = string.count("Y")
+        coeffs[int(string.translate(_BASE4_DIGITS) or "0", 4), k % 2] = -coeff if k & 2 else coeff
+    interleaved = _per_axis(_TAU.T, coeffs, n).reshape((2,) * (2 * n + 1))
+    rows_then_columns = [0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2)]
+    re, im = interleaved.transpose(rows_then_columns).reshape(2, psum.dim, psum.dim)
+    return re + 1j * im
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ def eigendecompose(h: np.ndarray) -> SpectrumResult:
 
     The eigenvectors are orthonormal; ordering inside a degenerate cluster is unspecified.
     """
-    entries = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
-    _check_hermitian(entries)
+    entries = _check_hermitian(h)
     vals, vecs = np.linalg.eigh(entries)
     residual = float(np.max(np.linalg.norm(entries @ vecs - vecs * vals, axis=0)))
     return SpectrumResult(vals, vecs, residual)

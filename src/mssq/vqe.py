@@ -188,11 +188,8 @@ def vqe_run(
         spsa = SpsaConfig(iterations=300)
     hamiltonian = build_model(spec)
     h_sum = pauli.decompose(hamiltonian)
-    objective_sum = (
-        pauli.decompose(matrix_square(hamiltonian))
-        if objective_kind == "constraint"
-        else h_sum
-    )
+    constraint = objective_kind == "constraint"
+    objective_sum = pauli.decompose(matrix_square(hamiltonian)) if constraint else h_sum
 
     root = np.random.SeedSequence(spsa.seed)
     ss_init, ss_shots, ss_final, ss_stages = root.spawn(4)
@@ -203,10 +200,6 @@ def vqe_run(
     def objective(pair):
         return expectation(Circuit(shape, pair), objective_sum, shots=current_shots, seed=shot_rng)
 
-    def tail_mean(traj):
-        objs = [obj for _, obj in traj[-20:]]
-        return float(np.mean(objs))
-
     stage_seeds = iter(ss_stages.spawn(restarts + len(refinements)))
     candidates = []
     trajectory: list[tuple[np.ndarray, float]] = []
@@ -215,7 +208,7 @@ def vqe_run(
         stage_cfg = replace(spsa, seed=_child_seed(next(stage_seeds)))
         params, traj = spsa_minimize(objective, init_params, stage_cfg)
         trajectory.extend(traj)
-        candidates.append((tail_mean(traj), params))
+        candidates.append((float(np.mean([obj for _, obj in traj[-20:]])), params))
     best_params = min(candidates, key=lambda t: t[0])[1]
     for stage_iters, stage_c, stage_shots in refinements:
         current_shots = stage_shots
@@ -245,7 +238,7 @@ def vqe_run(
         h_stderr=float(h_stderr),
         circuit=best_circuit,
     )
-    if objective_kind == "constraint":
+    if constraint:
         h2_mean, h2_std = estimate_error(best_circuit, objective_sum, shots, repetitions, ss_h2)
         result.h2_mean = h2_mean
         result.h2_stderr = float(h2_std / np.sqrt(repetitions))

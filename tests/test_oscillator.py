@@ -64,6 +64,10 @@ def test_build_model_is_real_and_matches_complex_reference(family, n, omega):
 def test_real_input_stays_float64():
     assert matrix_square(np.eye(2)).dtype == np.float64
     assert eigendecompose(np.eye(2, dtype=np.float32)).eigenvectors.dtype == np.float64
+    ints = [[2, 1, 0, 0], [1, -3, 0, 4], [0, 0, 5, 0], [0, 4, 0, 1]]
+    terms = decompose(np.array(ints, dtype=float)).terms
+    for h in (ints, np.array(ints), np.array(ints, dtype=np.float32)):
+        assert decompose(h).terms == terms
 
 
 def test_ladder_dim2():
@@ -294,6 +298,18 @@ SOLVERS = pytest.mark.parametrize("solve", [eigendecompose, decompose], ids=lamb
 def test_solvers_reject_non_hermitian(solve, h):
     with pytest.raises(ValueError, match="not Hermitian"):
         solve(h)
+
+
+@SOLVERS
+def test_solvers_accept_within_tolerance(solve):
+    # asymmetric by 5e-9, inside the bound 1e-12 * max|H| = 1e-8: each solver takes H as checked
+    h = np.array([[1e4, 1 + 5e-9], [1, -1e4]])
+    result = solve(h)
+    if solve is decompose:
+        # the Hermitian part's coefficients; the anti-Hermitian part would be an imaginary Y term
+        assert result.terms == ((1.0000000025, "X"), (10000.0, "Z"))
+    else:
+        assert np.allclose(result.eigenvalues, [-np.hypot(1e4, 1), np.hypot(1e4, 1)], rtol=1e-15)
 
 
 @SOLVERS

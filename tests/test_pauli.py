@@ -1,5 +1,6 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ def strings_of(n):
     return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
 
 
-def random_hermitian(dim, seed):
+def random_hermitian(dim, seed, real=False):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = rng.normal(size=(dim, dim)) + (0 if real else 1j * rng.normal(size=(dim, dim)))
     return (a + a.conj().T) / 2
 
 
@@ -85,7 +86,6 @@ def test_linearity():
 
 
 def test_diagonal_matrix_uses_only_iz_strings():
-    low, high = np.zeros((4, 4)), None
     number = np.diag([0.0, 1.0, 2.0, 3.0])
     for _, string in decompose(number).terms:
         assert set(string) <= {"I", "Z"}
@@ -145,6 +145,74 @@ def test_reconstruct_matches_kron_sum(n):
     psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
     expected = sum(c * kron_string(s) for c, s in psum.terms)
     assert np.max(np.abs(reconstruct(psum) - expected)) < 1e-12
+
+
+# The complex transform decompose and reconstruct ran before their real table, kept as the
+# reference for bit-equality: SIGMA[a, 2r + c] = sigma_a[r, c] for sigma = I, X, Y, Z, applied
+# per interleaved axis in the same order.
+SIGMA = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
+
+
+def complex_per_axis(table, x, n):
+    for _ in range(n):
+        x = x.reshape(4, x.size // 4).T @ table.T
+    return x.reshape(-1)
+
+
+def complex_reference_terms(h):
+    h = np.asarray(h, dtype=complex)
+    n = len(h).bit_length() - 1
+    interleaved = h.reshape((2,) * 2 * n).transpose([a for q in range(n) for a in (q, n + q)])
+    coeffs = complex_per_axis(SIGMA.conj(), interleaved, n) / len(h)
+    strings = strings_of(n)
+    kept = np.flatnonzero(np.abs(coeffs.real) >= COEFF_CUTOFF)
+    return tuple(zip(coeffs.real[kept].tolist(), [strings[i] for i in kept]))
+
+
+def complex_reference_matrix(psum):
+    n = psum.n_qubits
+    index = {string: i for i, string in enumerate(strings_of(n))}
+    coeffs = np.zeros(4**n, dtype=complex)
+    for coeff, string in psum.terms:
+        coeffs[index[string]] = coeff
+    interleaved = complex_per_axis(SIGMA.T, coeffs, n).reshape((2,) * 2 * n)
+    rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return interleaved.transpose(rows_then_columns).reshape(psum.dim, psum.dim)
+
+
+REFERENCE_CASES = [
+    *(
+        pytest.param(random_hermitian(2**n, 400 + n, real), id=f"random-{kind}-{n}q")
+        for kind, real in (("real", True), ("complex", False))
+        for n in range(1, 7)
+    ),
+    *(
+        pytest.param(power(build_model(ModelSpec(family, q))), id=f"{family.value}-{q}-{label}")
+        for family in Family
+        for q in (1, 2, 3)
+        for label, power in (("h", np.asarray), ("h2", matrix_square))
+    ),
+]
+
+
+@pytest.mark.parametrize("h", REFERENCE_CASES)
+def test_transform_bit_equal_to_complex_reference(h):
+    psum = decompose(h)
+    assert psum.terms == complex_reference_terms(h)
+    assert np.array_equal(reconstruct(psum), complex_reference_matrix(psum))
+
+
+def test_decompose_peak_stays_under_3_input_sizes():
+    """Real input is transformed as float64 with no complex copy, so the traced peak is the
+    check's temporaries or the per-axis input and output, well under 3 input-sized arrays."""
+    h = matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 4)))
+    tracemalloc.start()
+    try:
+        decompose(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * h.nbytes
 
 
 def test_two_mode_four_qubit_h_squared_term_count():
