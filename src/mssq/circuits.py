@@ -135,15 +135,21 @@ def _readout_probabilities(circuit: Circuit, observable: PauliSum) -> np.ndarray
 
     The circuit is simulated once and each state is repeated over the groups;
     the groups' stacked basis changes rotate the whole block in one
-    `_apply_u3_layer`.
+    `_apply_u3_layer`.  Nothing holds the repeated block, so each rotation step
+    frees its input, and the squares and normalisation are taken in place.
     """
     if observable.n_qubits != circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     plan = observable.readout
-    states = run(circuit)
-    block = np.repeat(states[..., None, :], len(plan.weights), axis=-2)
-    probs = np.abs(_apply_u3_layer(block, _basis_changes()[plan.bases])) ** 2
-    return probs / probs.sum(axis=-1, keepdims=True)
+    rotated = _apply_u3_layer(
+        np.repeat(run(circuit)[..., None, :], len(plan.weights), axis=-2),
+        _basis_changes()[plan.bases],
+    )
+    probs = np.abs(rotated)
+    del rotated
+    np.square(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def _sampled_expectation(pvals: np.ndarray, observable: PauliSum, shots: int, seed=None):

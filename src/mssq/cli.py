@@ -33,12 +33,15 @@ MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # observables holds the model, H^2 for constraint, and two real arrays while
 # pauli.decompose runs (the check's difference and its abs, then one per-axis
 # step's input and output).  Shot readout then holds a (states, groups, dim)
-# complex block, two states for an SPSA pair, and up to three more while the
-# basis changes apply.  That sets the peak above the import floor: 14-16.5
-# matrices for vqe and 7-10 for noise-scan on DoubleWell at 10-12 qubits,
-# 11-13 for constraint on ClosedPhi4 at 5-6 qubits per mode, 3.6 for vqe and
-# noise-scan on ClosedPhi4 at 6 (47 groups): 0.6-2.8x these counts
-MATRICES_HELD = {"vqe": 6, "constraint": 5, "noise-scan": 4}
+# complex block, two states for an SPSA pair, and up to three such blocks
+# while one basis-change step runs (its input, gemm result and reordered
+# copy).  That sets the peak above the import floor: 11-14 matrices for vqe
+# and 5.6-9.4 for noise-scan on DoubleWell at 10-12 qubits, 8.7-11.3 for
+# constraint on ClosedPhi4 at 5-6 qubits per mode, 3.6 for vqe and
+# noise-scan on ClosedPhi4 at 6 (47 groups): 0.7-2.8x these counts.  One
+# matrix fewer for noise-scan or constraint would put them above that, at
+# 3.1x and 2.84x
+MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
 # spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
 # and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
 # matrices for building one dim's terms (the parity slices of x and q, the

@@ -58,8 +58,8 @@ def _refinement_list(text: str) -> tuple[tuple[int, float, int], ...]:
     for part in text.split(","):
         iters, c, shots = part.split(":")
         iters, c, shots = int(iters), float(c), _shot_count(shots)
-        if iters < 1 or not c > 0:
-            raise ValueError(f"stage {part!r} needs iterations >= 1 and c > 0")
+        if iters < 1 or not 0 < c < float("inf"):
+            raise ValueError(f"stage {part!r} needs iterations >= 1 and a finite c > 0")
         stages.append((iters, c, shots))
     return tuple(stages)
 

@@ -41,12 +41,12 @@ class SpsaConfig:
             raise ValueError("alpha must lie in (0.5, 1]")
         if not 0 < self.gamma <= 0.5:
             raise ValueError("gamma must lie in (0, 0.5]")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-        if self.a is not None and not self.a > 0:
-            raise ValueError("a must be positive")
-        if self.stability is not None and not self.stability >= 0:
-            raise ValueError("stability must be nonnegative")
+        if not (self.c > 0 and np.isfinite(self.c)):
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if self.a is not None and not (self.a > 0 and np.isfinite(self.a)):
+            raise ValueError(f"a must be positive and finite, got {self.a}")
+        if self.stability is not None and not (self.stability >= 0 and np.isfinite(self.stability)):
+            raise ValueError(f"stability must be finite and nonnegative, got {self.stability}")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if self.calibration_samples < 1:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,6 +388,24 @@ def test_shot_expectation_groups_observable_once(monkeypatch):
     for _ in range(50):
         expectation(circuit, observable, shots=256, seed=rng)
     assert len(calls) == 1 and calls[0] is observable
+
+
+def test_readout_peak_memory():
+    # the (2, G, dim) complex block is 2x the returned float64 array; while one
+    # rotation step copies, the step's input, its gemm result and the copy are
+    # alive: 6x.  Holding the repeated block through the steps would make it 8x
+    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 8)))
+    shape = AnsatzShape(8, 2)
+    circuit = Circuit(shape, np.random.default_rng(7).uniform(-np.pi, np.pi, (2, shape.parameter_count)))
+    circuits._readout_probabilities(circuit, observable)  # build the cached plan and tables
+    tracemalloc.start()
+    try:
+        probs = circuits._readout_probabilities(circuit, observable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (2, len(group_by_basis(observable)), 256)
+    assert peak <= 6.5 * probs.nbytes
 
 
 def tensordot_u3(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -475,6 +475,10 @@ def test_cli_unknown_family_exit_code(tmp_path):
             None,
             "spectrum.scan_dims",
         ),
+        ("vqe", ["spsa.c=inf"], None, "spsa.c"),
+        ("vqe", ["spsa.a=inf"], None, "spsa.a"),
+        ("vqe", ["spsa.stability=inf"], None, "spsa.stability"),
+        ("vqe", ["spsa.refinements=5:inf:100"], None, "spsa.refinements"),
     ],
 )
 def test_bad_value_exits_2_naming_key(
