@@ -42,6 +42,14 @@ MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # matrix fewer for noise-scan or constraint would put them above that, at
 # 3.1x and 2.84x
 MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
+# u3 stacks counted for each other command under ansatz.depth: `run` builds
+# the u3 gates of every layer as one (states, depth + 1, n, 2, 2) complex
+# stack, two states for an SPSA pair and one for noise-scan, beside the
+# angles, their sines, cosines and phases.  Peaks above the import floor at
+# depth 2-6 x 10^4 with one SPSA iteration measured 13.0-13.3 stacks for vqe
+# and constraint, where writing trajectory.csv makes Python objects per
+# parameter column, and 5.0-5.3 for noise-scan: 1.3-3.3x this count
+U3_STACKS = 4
 # spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
 # and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
 # matrices for building one dim's terms (the parity slices of x and q, the
@@ -145,8 +153,9 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
     larger of mode_dim and the largest scan dim d, plus SPECTRUM_VECTORS
     dim-long vectors; for the other commands, their dim x dim matrices; and,
     for the density-writing commands, the Hermite tables (mode_dim x
-    grid.points per mode) and the density grid (grid.points^n_modes).  The
-    largest count names the key.
+    grid.points per mode) and the density grid (grid.points^n_modes); and, at
+    16 B per complex, U3_STACKS u3 stacks for the ansatz.  The largest count
+    names the key.
     """
     model = _model_spec(cfg)
     if command == "spectrum":
@@ -156,6 +165,9 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
         counted[key] += 8 * SCAN_MATRICES * max(scan_dim, model.mode_dim) ** 2
     else:
         counted = {"model.qubits_per_mode": 8 * MATRICES_HELD[command] * model.dim**2}
+        states = 1 if command == "noise-scan" else 2
+        layers = cfg["ansatz.depth"] + 1
+        counted["ansatz.depth"] = 16 * U3_STACKS * states * layers * model.total_qubits * 4
     if command in ("vqe", "constraint"):
         points = cfg["grid.points"]
         tables = model.n_modes * model.mode_dim * points

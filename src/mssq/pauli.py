@@ -1,12 +1,13 @@
 """Pauli-string decomposition of Hermitian matrices and measurement grouping.
 
-A Pauli string is stored as a word over {I, X, Y, Z}, most significant qubit
-first.  Decomposition and reconstruction are one tensorized transform
-(Hantzko, Binkowski, Gupta, arXiv:2310.13421): H reshaped to (2,)*2n with
-each qubit's row and column bit interleaved into one axis of size 4, and one
-real 4x4 change of basis between those (row, column) pairs and {I, X, -iY, Z}
-applied per axis.  All 4^n coefficients come out at once, in lexicographic
-order, at O(n 4^n) cost.
+A Pauli sum is its coefficients and each string's base-4 index, qubit 0 the
+most significant digit and I, X, Y, Z = 0, 1, 2, 3; words over IXYZ appear
+only in `PauliSum.from_terms` and `.terms`.  Decomposition and reconstruction
+are one tensorized transform (Hantzko, Binkowski, Gupta, arXiv:2310.13421): H
+reshaped to (2,)*2n with each qubit's row and column bit interleaved into one
+axis of size 4, and one real 4x4 change of basis between those (row, column)
+pairs and {I, X, -iY, Z} applied per axis.  All 4^n coefficients come out at
+once, in index order, at O(n 4^n) cost.
 
 Each string is sigma = i^k tau, k its Y count and tau the real Kronecker
 product of I, X, -iY = [[0, -1], [1, 0]] and Z, so trace(sigma H) / 2^n is
@@ -14,9 +15,9 @@ product of I, X, -iY = [[0, -1], [1, 0]] and Z, so trace(sigma H) / 2^n is
 k: a real H has no odd-k strings and a complex one takes a second transform.
 Reconstruction gives Re H from the even-k terms and Im H from the odd-k ones.
 
-Grouping and readout work on each string's (x, z) bit masks, its binary
-symplectic form (Aaronson & Gottesman, arXiv:quant-ph/0406196): X sets x,
-Z sets z and Y sets both, qubit 0 in the most significant bit.
+Grouping works on each string's (x, z) bit masks, its binary symplectic form
+(Aaronson & Gottesman, arXiv:quant-ph/0406196): X sets x, Z sets z and Y sets
+both, qubit 0 in the most significant bit.  A group is an array of term positions.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .oscillator import _check_hermitian
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
 _BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
-# a group's measured letter per (x bit, z bit) of its qubit
-_BASIS_LETTERS = {(0, 0): None, (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 # _TAU[a, 2r + c] = tau_a[r, c] for tau = I, X, -iY, Z, and each letter's Y count
 _TAU = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
@@ -54,52 +53,73 @@ class Readout(NamedTuple):
     bases: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Real-weighted sum of Pauli strings over n qubits."""
+    """Real-weighted sum of Pauli strings over n qubits: float64 coeffs[j] weights int64 index[j]."""
 
     n_qubits: int
-    terms: tuple[tuple[float, str], ...]
+    coeffs: np.ndarray
+    index: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for coeff, string in self.terms:
-            if len(string) != self.n_qubits or any(c not in PAULI_LETTERS for c in string):
-                raise ValueError(f"bad Pauli string {string!r} for {self.n_qubits} qubits")
-            if string in seen:
-                raise ValueError(f"duplicate Pauli string {string!r}")
-            seen.add(string)
+        if self.index.ndim != 1 or self.coeffs.shape != self.index.shape:
+            raise ValueError(f"{self.coeffs.shape} coefficients for {self.index.shape} indices")
+        if np.any((self.index < 0) | (self.index >= 4**self.n_qubits)):
+            raise ValueError(f"string index outside [0, 4^{self.n_qubits})")
+        # np.unique without return_index, as np.setdiff1d calls it, imports numpy.ma on first use
+        first = np.unique(self.index, return_index=True)[1]
+        if len(first) < len(self.index):
+            again = np.setdiff1d(np.arange(len(self.index)), first)[0]
+            raise ValueError(f"duplicate Pauli string {self.terms[again][1]!r}")
+
+    @classmethod
+    def from_terms(cls, n_qubits: int, terms) -> PauliSum:
+        """The sum of (coeff, string) pairs, each string a word over IXYZ, qubit 0 first."""
+        terms = tuple(terms)
+        for _, string in terms:
+            if len(string) != n_qubits or any(c not in PAULI_LETTERS for c in string):
+                raise ValueError(f"bad Pauli string {string!r} for {n_qubits} qubits")
+        index = np.array([int(s.translate(_BASE4_DIGITS) or "0", 4) for _, s in terms], dtype=np.int64)
+        return cls(n_qubits, np.array([coeff for coeff, _ in terms], dtype=np.float64), index)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, str], ...]:
+        """The (coeff, string) pairs in term order, each string qubit 0 first."""
+        digits = (self.index[:, None] >> 2 * np.arange(self.n_qubits - 1, -1, -1)) & 3
+        words = ["".join(word) for word in np.array(list(PAULI_LETTERS))[digits]]
+        return tuple(zip(self.coeffs.tolist(), words))
 
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
     @cached_property
-    def groups(self) -> list[MeasurementGroup]:
-        """The qubit-wise measurement groups, computed once; the sum is frozen."""
+    def groups(self) -> list[np.ndarray]:
+        """The qubit-wise measurement groups as term positions, computed once; the sum is frozen."""
         return group_by_basis(self)
 
     @cached_property
     def readout(self) -> Readout:
         """The groups' readout plan, computed once and shared; callers must not modify it.
 
-        Within a group a string is fixed by its support, so the weights are
-        the Walsh-Hadamard transform of each group's coefficients placed at
-        their support masks.
+        Within a group a string is fixed by its support, so the weights are the
+        Walsh-Hadamard transform of each group's coefficients placed at their support
+        masks; members agree where they act, so a qubit's basis is their largest x (1 + z).
         """
         n, groups = self.n_qubits, self.groups
-        members = [term for group in groups for term in group.terms]
-        coeffs = np.array([coeff for coeff, _ in members], dtype=float)
-        x, z = _masks([string for _, string in members], n)
+        rows = np.zeros(len(self.index), dtype=np.intp)
+        for g, group in enumerate(groups):
+            rows[group] = g
+        x, z = _masks(self.index, n)
         support = x | z
-        rows = np.repeat(np.arange(len(groups)), [len(group.terms) for group in groups])
         measured = support > 0
         placed = np.zeros((len(groups), self.dim))
-        placed[rows[measured], support[measured]] = coeffs[measured]
+        placed[rows[measured], support[measured]] = self.coeffs[measured]
         weights = _per_axis(_HADAMARD, placed.T, n).reshape(len(groups), self.dim)
-        codes = {None: 0, "Z": 0, "X": 1, "Y": 2}
-        bases = np.array([[codes[b] for b in group.basis] for group in groups], dtype=np.intp)
-        return Readout(float(coeffs[~measured].sum()), weights, bases.reshape(-1, n))
+        shifts = np.arange(n - 1, -1, -1)
+        bases = np.zeros((len(groups), n), dtype=np.intp)
+        np.maximum.at(bases, rows, ((x[:, None] >> shifts) & 1) * (1 + ((z[:, None] >> shifts) & 1)))
+        return Readout(float(self.coeffs[~measured].sum()), weights, bases)
 
 
 def _per_axis(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -114,19 +134,14 @@ def _per_axis(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(-1)
 
 
-def _masks(strings: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, z) bit masks of each string, qubit 0 in the most significant bit."""
-    letters = np.frombuffer("".join(strings).encode(), dtype=np.uint8).reshape(len(strings), n)
-    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    x = ((letters == ord("X")) | (letters == ord("Y"))) @ bits
-    z = ((letters == ord("Z")) | (letters == ord("Y"))) @ bits
-    return x, z
+def _masks(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) bit masks of each base-4 index, qubit 0 in the most significant bit.
 
-
-def _words(index: np.ndarray, n: int) -> list[str]:
-    """The Pauli strings at these base-4 indices, most significant qubit first."""
+    Digit d = 0, 1, 2, 3 (I, X, Y, Z) has x = (d ^ (d >> 1)) & 1 and z = d >> 1.
+    """
     digits = (index[:, None] >> 2 * np.arange(n - 1, -1, -1)) & 3
-    return ["".join(word) for word in np.array(list(PAULI_LETTERS))[digits]]
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return ((digits ^ (digits >> 1)) & 1) @ bits, (digits >> 1) @ bits
 
 
 def _traces(part: np.ndarray, n: int) -> np.ndarray:
@@ -151,36 +166,25 @@ def decompose(h: np.ndarray) -> PauliSum:
     np.negative(coeffs, out=coeffs, where=(y_count & 2).astype(bool))
     coeffs /= dim
     kept = np.flatnonzero(np.abs(coeffs) >= COEFF_CUTOFF)
-    return PauliSum(n, tuple(zip(coeffs[kept].tolist(), _words(kept, n))))
+    return PauliSum(n, coeffs[kept], kept)
 
 
 def reconstruct(psum: PauliSum) -> np.ndarray:
     """Dense complex128 matrix of a PauliSum: the inverse transform of decompose."""
     n = psum.n_qubits
+    x, z = _masks(psum.index, n)
+    k = np.bitwise_count(x & z)
     # column k % 2 holds the (-1)^floor(k/2)-signed coefficients of the strings with k Ys
     coeffs = np.zeros((4**n, 2))
-    for coeff, string in psum.terms:
-        k = string.count("Y")
-        coeffs[int(string.translate(_BASE4_DIGITS) or "0", 4), k % 2] = -coeff if k & 2 else coeff
+    coeffs[psum.index, k % 2] = np.where(k & 2, -psum.coeffs, psum.coeffs)
     interleaved = _per_axis(_TAU.T, coeffs, n).reshape((2,) * (2 * n + 1))
     rows_then_columns = [0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2)]
     re, im = interleaved.transpose(rows_then_columns).reshape(2, psum.dim, psum.dim)
     return re + 1j * im
 
 
-@dataclass(frozen=True)
-class MeasurementGroup:
-    """Qubit-wise compatible strings sharing one measurement basis.
-
-    basis[q] is 'X', 'Y', 'Z', or None when every member string has I there.
-    """
-
-    basis: tuple[str | None, ...]
-    terms: tuple[tuple[float, str], ...]
-
-
-def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:
-    """Greedy first-fit grouping of qubit-wise compatible strings, input order.
+def group_by_basis(psum: PauliSum) -> list[np.ndarray]:
+    """Greedy first-fit grouping of qubit-wise compatible strings: term positions, input order.
 
     String s fits open group g when the two agree on every qubit both act on:
     (sup_s & sup_g) & ((x_s ^ x_g) | (z_s ^ z_g)) == 0, with sup = x | z and
@@ -189,12 +193,12 @@ def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:
     (word_s ^ word_g) & support_s & support_g == 0.
     """
     n = psum.n_qubits
-    x, z = _masks([string for _, string in psum.terms], n)
+    x, z = _masks(psum.index, n)
     words, supports = ((x << n) | z).tolist(), ((x | z) * ((1 << n) + 1)).tolist()
     group_words = np.zeros(len(words), dtype=np.int64)
     group_supports = np.zeros(len(words), dtype=np.int64)
-    members: list[list] = []
-    for term, word, support in zip(psum.terms, words, supports):
+    members: list[list[int]] = []
+    for position, (word, support) in enumerate(zip(words, supports)):
         clash = group_words[: len(members)] ^ word
         clash &= support
         clash &= group_supports[: len(members)]
@@ -202,12 +206,7 @@ def group_by_basis(psum: PauliSum) -> list[MeasurementGroup]:
         if not members or clash[g]:
             g = len(members)
             members.append([])
-        members[g].append(term)
+        members[g].append(position)
         group_words[g] |= word
         group_supports[g] |= support
-    shifts = np.arange(2 * n - 1, -1, -1)
-    bits = (group_words[: len(members), None] >> shifts) & 1
-    return [
-        MeasurementGroup(tuple(_BASIS_LETTERS[xz] for xz in zip(row[:n], row[n:])), tuple(terms))
-        for row, terms in zip(bits.tolist(), members)
-    ]
+    return [np.array(group, dtype=np.int64) for group in members]

@@ -8,6 +8,7 @@ from mssq.circuits import AnsatzShape, Circuit, expectation, run, u3_matrix
 from mssq import circuits, pauli
 from mssq.pauli import PauliSum, decompose, group_by_basis, reconstruct
 from mssq.oscillator import Family, ModelSpec, build_model
+from test_pauli import group_letters
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -239,7 +240,7 @@ def test_ansatz_reaches_real_states():
 
 def test_expectation_shot_x_on_zero_state():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
-    value = expectation(circuit, PauliSum(1, ((1.0, "X"),)), shots=8192, seed=3)
+    value = expectation(circuit, PauliSum.from_terms(1, ((1.0, "X"),)), shots=8192, seed=3)
     assert isinstance(value, float)
     assert abs(value) < 4 / np.sqrt(8192)
 
@@ -254,7 +255,7 @@ def test_expectation_ansatz_zero_params_matches_matrix_element():
 
 def test_expectation_qubit_mismatch():
     with pytest.raises(ValueError):
-        expectation(Circuit(AnsatzShape(2, 0), np.zeros(6)), PauliSum(1, ((1.0, "Z"),)), shots=1)
+        expectation(Circuit(AnsatzShape(2, 0), np.zeros(6)), PauliSum.from_terms(1, ((1.0, "Z"),)), shots=1)
 
 
 def test_shot_expectation_unbiased():
@@ -295,12 +296,12 @@ def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, 
     value = 0.0
     for group in group_by_basis(observable):
         state = run(circuit)
-        for q, basis in enumerate(group.basis):
+        for q, basis in enumerate(group_letters(observable, group)):
             if basis in rotations:
                 state = apply_gate(state, u3_reference(*rotations[basis]), q)
         probs = np.abs(state) ** 2
         freq = rng.multinomial(shots, probs / probs.sum()) / shots
-        for coeff, string in group.terms:
+        for coeff, string in (observable.terms[i] for i in group):
             mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
             if not mask:
                 value += coeff
@@ -329,7 +330,7 @@ def test_shot_expectation_matches_resimulating_oracle():
         dim = 2**circuit.n_qubits
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         observable = decompose((a + a.conj().T) / 2)
-        bases = {b for group in group_by_basis(observable) for b in group.basis}
+        bases = {b for group in group_by_basis(observable) for b in group_letters(observable, group)}
         assert bases >= {"X", "Y", "Z"}
         for seed in (trial, 1000 + trial, 2**40 + trial):
             shots = int(rng.choice([1, 64, 4096]))

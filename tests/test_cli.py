@@ -479,6 +479,8 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("vqe", ["spsa.a=inf"], None, "spsa.a"),
         ("vqe", ["spsa.stability=inf"], None, "spsa.stability"),
         ("vqe", ["spsa.refinements=5:inf:100"], None, "spsa.refinements"),
+        ("vqe", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
+        ("noise-scan", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
     ],
 )
 def test_bad_value_exits_2_naming_key(
@@ -560,7 +562,7 @@ def test_noise_scan_coefficient_linearity():
     from mssq.vqe import estimate_error
 
     psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
-    doubled = PauliSum(2, tuple((2 * c, s) for c, s in psum.terms))
+    doubled = PauliSum.from_terms(2, tuple((2 * c, s) for c, s in psum.terms))
     shape = AnsatzShape(2, 1)
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, shape.parameter_count)
     circuit = Circuit(shape, params)

@@ -25,6 +25,14 @@ def strings_of(n):
     return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
 
 
+def group_letters(psum, group):
+    """A group's basis read off its members: each qubit's one non-I letter, or None."""
+    strings = [psum.terms[i][1] for i in group]
+    letters = [{string[q] for string in strings} - {"I"} for q in range(psum.n_qubits)]
+    assert all(len(found) <= 1 for found in letters)  # the members are qubit-wise compatible
+    return tuple(min(found, default=None) for found in letters)
+
+
 def random_hermitian(dim, seed, real=False):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, dim)) + (0 if real else 1j * rng.normal(size=(dim, dim)))
@@ -52,11 +60,11 @@ def test_roundtrip_random_8x8(seed):
 
 
 def test_reconstruct_z():
-    assert np.allclose(reconstruct(PauliSum(1, ((0.5, "Z"),))), np.diag([0.5, -0.5]))
+    assert np.allclose(reconstruct(PauliSum.from_terms(1, ((0.5, "Z"),))), np.diag([0.5, -0.5]))
 
 
 def test_reconstruct_empty():
-    assert np.array_equal(reconstruct(PauliSum(2, ())), np.zeros((4, 4)))
+    assert np.array_equal(reconstruct(PauliSum.from_terms(2, ())), np.zeros((4, 4)))
 
 
 def test_model_roundtrip():
@@ -107,7 +115,7 @@ def test_lexicographic_order():
 def test_string_matrix_against_kron():
     for string in ["X", "Y", "XZ", "YY", "IZX", "ZIY"]:
         expected = kron_string(string)
-        assert np.allclose(reconstruct(PauliSum(len(string), ((1.0, string),))), expected)
+        assert np.allclose(reconstruct(PauliSum.from_terms(len(string), ((1.0, string),))), expected)
         ((coeff, decomposed),) = decompose(expected).terms
         assert decomposed == string and coeff == pytest.approx(1.0)
 
@@ -142,7 +150,7 @@ def test_decompose_matches_trace_oracle(h):
 def test_reconstruct_matches_kron_sum(n):
     rng = np.random.default_rng(300 + n)
     strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
-    psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
+    psum = PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings))
     expected = sum(c * kron_string(s) for c, s in psum.terms)
     assert np.max(np.abs(reconstruct(psum) - expected)) < 1e-12
 
@@ -221,13 +229,15 @@ def test_two_mode_four_qubit_h_squared_term_count():
 
 
 def test_group_compatible_pair():
-    groups = group_by_basis(PauliSum(2, ((1.0, "XI"), (2.0, "XZ"))))
-    assert len(groups) == 1
-    assert groups[0].basis == ("X", "Z")
+    psum = PauliSum.from_terms(2, ((1.0, "XI"), (2.0, "XZ")))
+    groups = group_by_basis(psum)
+    assert len(groups) == 1 and groups[0].dtype == np.int64 and groups[0].tolist() == [0, 1]
+    assert group_letters(psum, groups[0]) == ("X", "Z")
+    assert psum.readout.bases.tolist() == [[1, 0]]
 
 
 def test_group_conflicting_pair():
-    groups = group_by_basis(PauliSum(2, ((1.0, "XI"), (2.0, "YI"))))
+    groups = group_by_basis(PauliSum.from_terms(2, ((1.0, "XI"), (2.0, "YI"))))
     assert len(groups) == 2
 
 
@@ -235,13 +245,49 @@ def test_group_count_bounded_by_terms():
     psum = decompose(build_model(ModelSpec(Family.HARMONIC_OSC, 2)))
     groups = group_by_basis(psum)
     assert len(groups) <= len(psum.terms)
-    regrouped = [t for g in groups for t in g.terms]
+    regrouped = [psum.terms[i] for group in groups for i in group]
     assert sorted(regrouped) == sorted(psum.terms)
+    assert sorted(i for group in groups for i in group.tolist()) == list(range(len(psum.terms)))
 
 
 def test_duplicate_strings_rejected():
-    with pytest.raises(ValueError):
-        PauliSum(1, ((1.0, "X"), (2.0, "X")))
+    with pytest.raises(ValueError, match="duplicate Pauli string 'X'"):
+        PauliSum.from_terms(1, ((1.0, "X"), (2.0, "X")))
+    with pytest.raises(ValueError, match="duplicate Pauli string 'ZY'"):
+        PauliSum(2, np.ones(4), np.array([14, 1, 14, 1]))  # ZY = 3 * 4 + 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_terms_round_trip_through_arrays(n):
+    rng = np.random.default_rng(500 + n)
+    for _ in range(5):
+        strings = rng.choice(strings_of(n), size=int(rng.integers(0, min(4**n, 200) + 1)), replace=False)
+        psum = PauliSum.from_terms(n, [(float(rng.normal()), str(s)) for s in strings])
+        assert psum.coeffs.dtype == np.float64 and psum.index.dtype == np.int64
+        assert psum.index.tolist() == [strings_of(n).index(s) for s in strings]
+        again = PauliSum.from_terms(n, psum.terms)
+        assert np.array_equal(again.coeffs, psum.coeffs) and np.array_equal(again.index, psum.index)
+
+
+@pytest.mark.parametrize(
+    "coeffs,index,message",
+    [
+        ([1.0], [16], "outside"),
+        ([1.0, 2.0], [0, -1], "outside"),
+        ([1.0, 2.0], [0], "coefficients for"),
+        ([1.0], [0, 1], "coefficients for"),
+        ([[1.0]], [[0]], "coefficients for"),
+    ],
+)
+def test_bad_arrays_rejected(coeffs, index, message):
+    with pytest.raises(ValueError, match=message):
+        PauliSum(2, np.array(coeffs), np.array(index))
+
+
+@pytest.mark.parametrize("string", ["XQ", "X", "XYZ", "xy"])
+def test_bad_strings_rejected(string):
+    with pytest.raises(ValueError, match=f"bad Pauli string {string!r} for 2 qubits"):
+        PauliSum.from_terms(2, [(1.0, "ZZ"), (1.0, string)])
 
 
 def test_grouped_estimator_unbiased():
@@ -260,7 +306,7 @@ def test_grouped_estimator_unbiased():
         grouped = [expectation(circuit, psum, 10**5, seed=reps * seed + r) for r in range(reps)]
         ungrouped = [
             sum(
-                expectation(circuit, PauliSum(2, (term,)), 10**5, seed=1000 + reps * seed + r)
+                expectation(circuit, PauliSum.from_terms(2, (term,)), 10**5, seed=1000 + reps * seed + r)
                 for term in psum.terms
             )
             for r in range(reps)
@@ -277,23 +323,26 @@ def test_readout_weights_match_bit_count_oracle():
     for trial in range(20):
         n = int(rng.integers(1, 6))
         strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
-        psum = PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings))
+        psum = PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings))
         assert psum.groups is psum.groups and psum.readout is psum.readout
-        assert psum.groups == group_by_basis(psum)
+        regrouped = group_by_basis(psum)
+        assert len(psum.groups) == len(regrouped)
+        assert all(np.array_equal(a, b) for a, b in zip(psum.groups, regrouped))
         plan = psum.readout
         assert plan.weights.shape == (len(psum.groups), 2**n) and plan.weights.dtype == np.float64
         assert plan.constant == dict((s, c) for c, s in psum.terms).get("I" * n, 0.0)
         idx = np.arange(2**n)
         for g, group in enumerate(psum.groups):
-            codes = [{"X": 1, "Y": 2}.get(b, 0) for b in group.basis]
+            members = [psum.terms[i] for i in group]
+            codes = [{"X": 1, "Y": 2}.get(b, 0) for b in group_letters(psum, group)]
             assert plan.bases[g].tolist() == codes
             expected = np.zeros(2**n)
-            for coeff, string in group.terms:
+            for coeff, string in members:
                 mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
                 if mask:
                     expected += coeff * np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0)
-            # each weight is a sum of len(group.terms) signed coefficients, added in another order
-            bound = 2 * (len(group.terms) + n) * eps * sum(abs(coeff) for coeff, _ in group.terms)
+            # each weight is a sum of len(members) signed coefficients, added in another order
+            bound = 2 * (len(members) + n) * eps * sum(abs(coeff) for coeff, _ in members)
             assert np.max(np.abs(plan.weights[g] - expected)) <= bound
 
 
@@ -320,8 +369,12 @@ def test_group_by_basis_matches_greedy_string_reference():
         n = int(rng.integers(1, 7))
         size = int(rng.integers(0, min(4**n, 300) + 1))
         strings = rng.choice(strings_of(n), size=size, replace=False)
-        cases.append(PauliSum(n, tuple((float(rng.normal()), str(s)) for s in strings)))
+        cases.append(PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings)))
     for psum in cases:
-        got = [(group.basis, group.terms) for group in group_by_basis(psum)]
-        assert got == greedy_string_grouping(psum)
+        expected = greedy_string_grouping(psum)
+        groups = group_by_basis(psum)
+        got = [(group_letters(psum, group), tuple(psum.terms[i] for i in group)) for group in groups]
+        assert got == expected
+        codes = [[{"X": 1, "Y": 2}.get(b, 0) for b in basis] for basis, _ in expected]
+        assert psum.readout.bases.tolist() == codes
     assert len(cases[0].groups) == 25

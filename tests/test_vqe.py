@@ -124,7 +124,7 @@ def test_spsa_pair_objective_matches_two_call_loop():
 
 def test_estimate_error_exact_mode_zero_spread():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
-    observable = PauliSum(1, ((1.0, "Z"),))
+    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
     # Z on |0> is deterministic, so every shot run returns exactly 1
     mean, std = estimate_error(circuit, observable, shots=512, repetitions=10, seed=0)
     assert mean == 1.0 and std == 0.0
@@ -132,7 +132,7 @@ def test_estimate_error_exact_mode_zero_spread():
 
 def test_estimate_error_binomial_scale():
     circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])  # |+>
-    observable = PauliSum(1, ((1.0, "Z"),))
+    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
     mean, std = estimate_error(circuit, observable, shots=8192, repetitions=100, seed=1)
     assert abs(mean) < 0.005
     assert 0.008 < std < 0.015
@@ -140,7 +140,7 @@ def test_estimate_error_binomial_scale():
 
 def test_estimate_error_shot_doubling():
     circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])
-    observable = PauliSum(1, ((1.0, "Z"),))
+    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
     _, std1 = estimate_error(circuit, observable, shots=4096, repetitions=300, seed=2)
     _, std2 = estimate_error(circuit, observable, shots=8192, repetitions=300, seed=2)
     assert 0.6 < std2 / std1 < 0.8
@@ -170,7 +170,7 @@ def test_estimate_error_simulates_once_and_matches_expectation_loop(monkeypatch)
 def test_estimate_error_rejects_single_repetition():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
     with pytest.raises(ValueError):
-        estimate_error(circuit, PauliSum(1, ((1.0, "Z"),)), 100, 1, 0)
+        estimate_error(circuit, PauliSum.from_terms(1, ((1.0, "Z"),)), 100, 1, 0)
 
 
 def test_vqe_closed_free_single_qubit_modes():
