@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,15 @@ MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
 # the u3 gates of every layer as one (states, depth + 1, n, 2, 2) complex
 # stack, two states for an SPSA pair and one for noise-scan, beside the
 # angles, their sines, cosines and phases.  Peaks above the import floor at
-# depth 2-6 x 10^4 with one SPSA iteration measured 13.0-13.3 stacks for vqe
-# and constraint, where writing trajectory.csv makes Python objects per
-# parameter column, and 5.0-5.3 for noise-scan: 1.3-3.3x this count
+# depth 2-6 x 10^4 with one SPSA iteration measured 5.0-6.3 stacks for vqe
+# and constraint, and 4.7-7.2 for noise-scan: 1.2-1.8x this count
 U3_STACKS = 4
+# float64 copies of the SPSA trajectory, one parameter vector per step of
+# every restart and refinement, that vqe and constraint hold while writing
+# trajectory.csv: `vqe_run`'s list and the stacked array.  At depth 1-2 x
+# 10^4 and 41-81 steps, peaks grew by 1.8 vectors a step and measured 1.0x
+# the u3 stacks and trajectory copies counted
+TRAJECTORY_COPIES = 2
 # spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
 # and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
 # matrices for building one dim's terms (the parity slices of x and q, the
@@ -62,11 +68,13 @@ U3_STACKS = 4
 # 0.94-0.97x, inside the half-MiB spread of the import floor
 SCAN_MATRICES = 7
 SPECTRUM_VECTORS = 6
-# cells `_write_csv` formats per write (at least one row).  A block's text and
-# Python floats must not lift a run's peak RSS over np.savetxt's: 4096-row
-# blocks did, by 0.4-0.7 MB, for the 38-column trajectory.csv of a 3-qubit,
-# depth-3 vqe run; 512 cells write 2^20 two-column rows about as fast
-CSV_BLOCK_CELLS = 512
+# cells `_cell_words` formats per call.  Writing a 321 x 321 density peaks
+# at 0.62 MB under tracemalloc with 2048 (0.92 MB with 3072, 1.22 MB with
+# 4096), inside test_density_writer_memory_stays_at_one_row's 1 MB; peak RSS
+# of the vqe-doublewell and constraint-phi4-6q benchmark runs stayed within
+# 0.2 MB from 512 to 4096, and 512-cell blocks wrote the density 1.6-1.8x
+# slower
+CSV_BLOCK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -82,22 +90,161 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_csv(path: Path, header: str, *columns) -> None:
-    """A header line, then row i of the equal-length columns per line, the bytes np.savetxt writes.
+# the kernel prints |x| in [1e-280, 1e280]; its tables hold 10^(16 - e) for
+# decimal exponents |e| <= _EXP_SPAN, which stay normal and whose 2^27 + 1
+# Veltkamp split stays finite
+_EXP_SPAN = 284
+_SPLIT = 134217729.0
 
-    Integer columns (indices and counts, exact in float64) print with %d and
-    all others as `_fmt` prints them, after the columns are stacked to one
-    dtype as savetxt stacks them.  Streamed in blocks of about CSV_BLOCK_CELLS
-    cells, each block formatted by one %-string.
+
+@cache
+def _text_tables() -> dict[str, np.ndarray]:
+    """The lookup tables of `_cell_words`, built on its first call (a few ms).
+
+    Word tables are built from bytes, so they hold in either byte order.
+    """
+
+    def words(texts) -> np.ndarray:
+        return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
+
+    # 10^k = hi + lo for k = 16 - e, each part correctly rounded (int / int
+    # is), and hi's Veltkamp halves for Dekker's exact product
+    powers = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(16 - _EXP_SPAN, 17 + _EXP_SPAN)]
+    hi = [num / den for num, den in powers]
+    ratios = [h.as_integer_ratio() for h in hi]
+    lo = [(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(powers, ratios)]
+    hi = np.array(hi)
+    big = hi * _SPLIT - (hi * _SPLIT - hi)
+    # quad[g]: the 4 digits of g in 4 bytes; sig[j, g]: the digits shown
+    # through group j's last nonzero digit (group j holds digits 1 + 4j ..
+    # 4 + 4j, after digit 0)
+    g = np.arange(10000, dtype=np.int16)
+    ascii4 = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8) + 48
+    last = np.uint8(4) - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0) - (g == 0)
+    sig = np.where(last > 0, last + np.uint8([[1], [5], [9], [13]]), np.uint8(0))
+    # per exponent e: the digit the dot follows (17: none among the digits),
+    # the digits always shown, the sign and "0.000" prefix, the exponent
+    es = np.arange(-_EXP_SPAN, _EXP_SPAN + 1)
+    fixed = (es >= -4) & (es <= 16)
+    prefixes = [b"0.000"[: 1 - e] if -4 <= e < 0 else b"" for e in es.tolist()]
+    return {
+        "hi": hi,
+        "hi_big": big,
+        "hi_small": hi - big,
+        "lo": np.array(lo),
+        "quad": ascii4.view(np.uint32).ravel(),
+        "sig": sig,
+        # keep[w, s]: the bytes of digits 1 + 8w .. 8 + 8w a text of s digits shows
+        "keep": np.stack(
+            [words(bytes(255 * (w + b < s) for b in range(1, 9)) for s in range(18)) for w in (0, 8)]
+        ),
+        # digit 0 in byte 6, and its dot in byte 7 from index 10 on
+        "lead": words(b"\0" * 6 + bytes([48 + i % 10, 46 * (i >= 10)]) for i in range(20)),
+        "dot_after": np.where(fixed, np.where(es >= 0, es, 17), 0).astype(np.uint8),
+        "min_shown": np.where(fixed & (es >= 0), es + 1, 1).astype(np.uint8),
+        "head": words(sign + prefix for prefix in prefixes for sign in (b"\0", b"-")),
+        "tail": words(b"" if f else b"e%+03d" % e for e, f in zip(es.tolist(), fixed.tolist())),
+    }
+
+
+def _cell_words(cells: np.ndarray, ends, ints: np.ndarray | None = None) -> np.ndarray:
+    """Each of the cells as np.savetxt prints it, then its byte of `ends`.
+
+    Cells print with %.17g, or %d where `ints` is true, byte for byte.
+    Returns 4 uint64 words a cell; the text is their nonzero bytes
+    in order, at fixed places: the sign and the "0.000" prefix, digit 0 and
+    its dot; digits 1-8; digits 9-16; the exponent and the end byte.
+
+    The 17 significant digits are N = round(|x| 10^(16 - e)), e = floor(log10
+    |x|), exact from Dekker's two-product of |x| and 10^(16 - e) as a
+    double-double (Numer. Math. 18, 224 (1971)).  Python prints a cell instead
+    when |x| is outside [1e-280, 1e280] (zeros, inf and nan too), when the
+    fraction of |x| 10^(16 - e) is within 1e-6 of a half (ties round half to
+    even), when e is one off (log10's rounding, or a carry into an 18th
+    digit), and for %d cells that are not integers below 2^53.
+    """
+    t = _text_tables()
+    x = cells.astype(np.float64, copy=False)
+    a = np.abs(x)
+    python = ~((a >= 1e-280) & (a <= 1e280))
+    if ints is not None:
+        # %d prints an integer below 2^53 as %.17g does
+        whole = np.where(a < 2**53, x, 0.5)
+        python |= ints & (whole != np.trunc(whole))
+    a[python] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = _EXP_SPAN - e
+    p = a * t["hi"][k]
+    a_big = a * _SPLIT - (a * _SPLIT - a)
+    a_small = a - a_big
+    big, small = t["hi_big"][k], t["hi_small"][k]
+    f = (((a_big * big - p) + a_big * small + a_small * big) + a_small * small) + a * t["lo"][k]
+    r = np.rint(f)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    python |= (np.abs(f - r) > 0.5 - 1e-6) | ((p - 1e16) + f < 0) | (n >= 10**17)
+    n[python] = 10**16
+    top = n // 10**8
+    lead = top // 10**8
+    # digits 1-4, 5-8, 9-12 and 13-16 as 4-digit groups
+    g1, g3 = top - lead * 10**8, n - top * 10**8
+    g0, g2 = g1 // 10**4, g3 // 10**4
+    g1 -= g0 * 10**4
+    g3 -= g2 * 10**4
+    sig = t["sig"]
+    ei = e + _EXP_SPAN
+    shown = np.maximum(sig[0][g0], sig[1][g1])
+    np.maximum(shown, sig[2][g2], out=shown)
+    np.maximum(shown, sig[3][g3], out=shown)
+    np.maximum(shown, t["min_shown"][ei], out=shown)
+    dot_after = t["dot_after"][ei]
+    words = np.empty((len(x), 4), np.uint64)
+    lead += 10 * ((dot_after == 0) & (shown > 1))
+    words[:, 0] = t["head"][2 * ei + np.signbit(x)] | t["lead"][lead]
+    quads = words.view(np.uint32)
+    for i, g in enumerate((g0, g1, g2, g3)):
+        quads[:, 2 + i] = t["quad"][g]
+    words[:, 1] &= t["keep"][0][shown]
+    words[:, 2] &= t["keep"][1][shown]
+    words[:, 3] = t["tail"][ei]
+    text = words.view(np.uint8)
+    # a dot after digit 1-15 (fixed notation, 10 <= |x| < 1e16): the digits
+    # after it, and byte 24 (free without an exponent), move one byte on
+    mid = np.flatnonzero((dot_after > 0) & (dot_after + 1 < shown))
+    if len(mid):
+        moved = np.append(text[mid, 8:25], np.full((len(mid), 1), 46, np.uint8), axis=1)
+        j = np.arange(17)
+        at = dot_after[mid, None]
+        text[mid, 8:25] = np.take_along_axis(moved, np.where(j < at, j, np.where(j == at, 17, j - 1)), axis=1)
+    for i in np.flatnonzero(python).tolist():
+        cell = (b"%d" if ints is not None and ints[i] else b"%.17g") % cells[i]
+        text[i] = np.frombuffer(cell.ljust(32, b"\0"), np.uint8)
+    text[:, 31] = ends
+    return words
+
+
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """A header line, then row i of the columns per line, the bytes np.savetxt writes.
+
+    A column is one array or a 2-D block of them (one per block column), all
+    as long.  Integer columns (indices and counts, exact in float64) print
+    with %d and all others as `_fmt` prints them, after the columns are
+    stacked to one dtype as savetxt stacks them.  Streamed in blocks of at
+    most CSV_BLOCK_CELLS cells (whole rows, or one row in parts), each
+    formatted by `_cell_words`.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    rows = max(1, CSV_BLOCK_CELLS // len(columns))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    ints = np.concatenate([np.full(c.shape[1] if c.ndim == 2 else 1, c.dtype.kind in "iu") for c in columns])
+    rows = max(1, CSV_BLOCK_CELLS // len(ints))
+    ends = np.tile(np.frombuffer(b"," * (len(ints) - 1) + b"\n", np.uint8), rows)
+    ints = np.tile(ints, rows) if ints.any() else None
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), rows):
-            block = np.column_stack([c[start : start + rows] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            cells = np.column_stack([c[start : start + rows] for c in columns]).ravel()
+            for part in range(0, len(cells), CSV_BLOCK_CELLS):
+                at = slice(part, min(part + CSV_BLOCK_CELLS, len(cells)))
+                words = _cell_words(cells[at], ends[at], None if ints is None else ints[at])
+                fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def _from_section(section: str, build, **fields):
@@ -154,8 +301,9 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
     dim-long vectors; for the other commands, their dim x dim matrices; and,
     for the density-writing commands, the Hermite tables (mode_dim x
     grid.points per mode) and the density grid (grid.points^n_modes); and, at
-    16 B per complex, U3_STACKS u3 stacks for the ansatz.  The largest count
-    names the key.
+    16 B per complex, U3_STACKS u3 stacks for the ansatz; and, for vqe and
+    constraint, TRAJECTORY_COPIES of the trajectory's parameter vectors.  The
+    largest count names the key.
     """
     model = _model_spec(cfg)
     if command == "spectrum":
@@ -172,6 +320,13 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
         points = cfg["grid.points"]
         tables = model.n_modes * model.mode_dim * points
         counted["grid.points"] = 8 * (tables + points**model.n_modes)
+        # one parameter vector per SPSA step, named after the larger of the
+        # step count and the ansatz's layers
+        steps = cfg["spsa.restarts"] * cfg["spsa.iterations"], sum(s[0] for s in cfg["spsa.refinements"])
+        key = "spsa.iterations" if steps[0] >= steps[1] else "spsa.refinements"
+        key = key if sum(steps) > layers else "ansatz.depth"
+        vectors = TRAJECTORY_COPIES * sum(steps)
+        counted[key] = counted.get(key, 0) + 8 * vectors * 3 * model.total_qubits * layers
     total = sum(counted.values())
     if total > MEMORY_BOUND:
         key = max(counted, key=counted.get)
@@ -188,17 +343,32 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
 def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
     """One line per grid point, the first axis varying slowest, as `_write_csv` prints it.
 
-    Streamed one outer-axis row of text at a time, each axis value formatted once.
+    Each axis value is formatted once; the density is formatted and written
+    in blocks of about CSV_BLOCK_CELLS points, whole outer-axis rows each.
     """
     *outer, inner = grid_result.axes
     header = "x,density" if not outer else "x_a,x_chi,density"
-    cells = [_fmt(x) + ",%.17g\n" for x in inner.tolist()]
-    prefixes = [_fmt(x) + "," for x in outer[0].tolist()] if outer else [""]
-    rows = grid_result.density.reshape(len(prefixes), len(cells))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for prefix, row in zip(prefixes, rows):
-            fh.write((prefix + prefix.join(cells)) % tuple(row.tolist()))
+    prefix = _axis_text(outer[0]) if outer else np.empty((1, 0), np.uint8)
+    inner_text = _axis_text(inner)
+    rows = grid_result.density.reshape(len(prefix), len(inner))
+    per = min(len(rows), max(1, CSV_BLOCK_CELLS // len(inner)))
+    width = prefix.shape[1] + inner_text.shape[1]
+    lines = np.empty((per, len(inner), width + 32), np.uint8)
+    lines[:, :, prefix.shape[1] : width] = inner_text
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(rows), per):
+            block = rows[start : start + per]
+            lines[: len(block), :, : prefix.shape[1]] = prefix[start : start + per, None]
+            text = _cell_words(block.ravel(), ord("\n")).view(np.uint8)
+            lines[: len(block), :, width:] = text.reshape(len(block), len(inner), 32)
+            fh.write(lines[: len(block)].tobytes().translate(None, b"\0"))
+
+
+def _axis_text(axis: np.ndarray) -> np.ndarray:
+    """Each axis value's text and a comma, as uint8 rows zero-padded to the longest."""
+    texts = [w.tobytes().translate(None, b"\0") for w in _cell_words(axis, ord(","))]
+    return np.array(texts).view(np.uint8).reshape(len(texts), -1)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> Path:
@@ -249,8 +419,7 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
     )
     params, objectives = zip(*result.trajectory)
     header = "iteration,objective," + ",".join(f"p{i}" for i in range(len(result.best_params)))
-    columns = (np.arange(len(objectives)), objectives, *np.transpose(params))
-    _write_csv(outdir / "trajectory.csv", header, *columns)
+    _write_csv(outdir / "trajectory.csv", header, np.arange(len(objectives)), objectives, np.stack(params))
     state = run(result.circuit)
     indices = np.arange(len(state))
     _write_csv(outdir / "probabilities.csv", "basis_index,probability", indices, np.abs(state) ** 2)

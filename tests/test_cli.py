@@ -248,7 +248,10 @@ def parent_density_rows(grid_result):
 
 
 # values whose %.17g text is easy to get wrong: non-finite, signed zero,
-# subnormal, and values that need all 17 significant digits
+# subnormal, values that need all 17 significant digits, exact ties at the
+# 17th digit (round half to even; the second scales by an inexact 10^23),
+# the edges of fixed notation and of the 17-digit range, and the smallest
+# magnitude the vectorised path prints
 SPECIAL_VALUES = [
     np.nan,
     np.inf,
@@ -261,6 +264,16 @@ SPECIAL_VALUES = [
     1 / 3,
     np.nextafter(1.0, 2.0),
     -1.7976931348623157e308,
+    1125899906842624.25,
+    3 / 2**24,
+    1e16,
+    np.nextafter(1e16, 0),
+    np.nextafter(1e16, np.inf),
+    1e17,
+    np.nextafter(1e17, 0),
+    np.nextafter(1e17, np.inf),
+    9.9999999999999999e-5,
+    1e-280,
 ]
 
 
@@ -316,6 +329,10 @@ def test_csv_writer_matches_savetxt(tmp_path):
     ]
     vals, _ = spectrum(ModelSpec(Family.CLOSED_PHI4, 8, lambda_abs=0.1))
     cases.append(("index,eigenvalue", np.arange(len(vals)), np.sort(vals)))
+    cases.append(("bits", rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)))
+    # %d of integers past 2^53, stacked with floats and alone
+    big = np.array([2**53, 2**53 + 1, 2**60, -(2**62), 10**17, 12])
+    cases += [("shots,stddev", big, floats[:6]), ("a,b", big, big[::-1])]
     assert len(vals) == 65536
     for header, *columns in cases:
         _write_csv(new, header, *columns)
@@ -481,6 +498,13 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("vqe", ["spsa.refinements=5:inf:100"], None, "spsa.refinements"),
         ("vqe", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
         ("noise-scan", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
+        ("vqe", ["ansatz.depth=1000000000000", "spsa.iterations=10000000000000"], None, "spsa.iterations"),
+        (
+            "constraint",
+            ["model.family=ClosedFree", "ansatz.depth=1000000000000", "spsa.refinements=10000000000000:0.1:64"],
+            None,
+            "spsa.refinements",
+        ),
     ],
 )
 def test_bad_value_exits_2_naming_key(
