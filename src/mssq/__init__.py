@@ -22,7 +22,7 @@ from .spectrum import (
     eigendecompose,
     reconstruct_wavefunction,
 )
-from .vqe import SpsaConfig, VqeResult, estimate_error, spsa_minimize, vqe_run
+from .vqe import SpsaConfig, Trajectory, VqeResult, estimate_error, spsa_minimize, vqe_run
 
 __all__ = [
     "AnsatzShape",
@@ -32,6 +32,7 @@ __all__ = [
     "PauliSum",
     "SpectrumResult",
     "SpsaConfig",
+    "Trajectory",
     "VqeResult",
     "WavefunctionGrid",
     "build_model",

@@ -32,8 +32,8 @@ from .vqe import SpsaConfig, estimate_error, vqe_run
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
 # dim x dim float64 matrices each other command holds at once.  Building the
 # observables holds the model, H^2 for constraint, and two real arrays while
-# pauli.decompose runs (the check's difference and its abs, then one per-axis
-# step's input and output).  Shot readout then holds a (states, groups, dim)
+# pauli.decompose runs (the check's difference, then one per-axis step's
+# input and output).  Shot readout then holds a (states, groups, dim)
 # complex block, two states for an SPSA pair, and up to three such blocks
 # while one basis-change step runs (its input, gemm result and reordered
 # copy).  That sets the peak above the import floor: 11-14 matrices for vqe
@@ -52,21 +52,23 @@ MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
 U3_STACKS = 4
 # float64 copies of the SPSA trajectory, one parameter vector per step of
 # every restart and refinement, that vqe and constraint hold while writing
-# trajectory.csv: `vqe_run`'s list and the stacked array.  At depth 1-2 x
-# 10^4 and 41-81 steps, peaks grew by 1.8 vectors a step and measured 1.0x
-# the u3 stacks and trajectory copies counted
-TRAJECTORY_COPIES = 2
-# spectrum builds and solves d x d mode terms as (d/2) x (d/2) parity blocks
-# and allocates nothing larger.  It counts SCAN_MATRICES d x d float64
-# matrices for building one dim's terms (the parity slices of x and q, the
-# even powers, the terms' blocks) and solving them (the blocks' eigenvectors,
-# LAPACK workspace, the residual), and SPECTRUM_VECTORS dim-long vectors (the
-# flat and sorted eigenvalues, the CSV columns, the nearest-zero sort keys).
-# Peaks above the import floor measured 0.35-0.9x this count: DoubleWell at
-# 10-11 qubits, ClosedPhi4 at 8-10 qubits per mode.  The top is ClosedPhi4 at
-# 8, where fixed costs outweigh the blocks; six matrices would put it at
-# 0.94-0.97x, inside the half-MiB spread of the import floor
-SCAN_MATRICES = 7
+# trajectory.csv: the one (steps, P) array `vqe_run` fills in place.  At
+# depth 1-2 x 10^4 and 1-81 steps, peaks grew by 1.0 vectors a step and
+# measured 1.1-1.2x the u3 stacks and trajectory copies counted
+TRAJECTORY_COPIES = 1
+# spectrum builds and solves d x d mode terms one (d/2) x (d/2) parity block
+# at a time, keeps only eigenvalues, and allocates nothing larger.  It counts
+# SCAN_MATRICES d x d float64 matrices for building one block (the parity
+# slices of x or q, its powers) and solving it (LAPACK's copy and workspace,
+# the eigenvectors, the residual), and SPECTRUM_VECTORS dim-long vectors (the
+# flat and sorted eigenvalues, the CSV columns).  Peaks above the import
+# floor measured 0.24-0.87x this count: DoubleWell at 10-11 qubits,
+# ClosedPhi4 at 8-10 qubits per mode.  The top is ClosedPhi4 at 8, where the
+# 2.7-2.9 MiB that a run at 2 qubits already adds outweighs the blocks; less
+# that, the peaks are 1.4 matrices for DoubleWell and 3.4-4.8 matrices and
+# vectors together for ClosedPhi4, but five matrices would put ClosedPhi4 at
+# 8 at 0.94x, inside the half-MiB spread of the import floor
+SCAN_MATRICES = 6
 SPECTRUM_VECTORS = 6
 # cells `_cell_words` formats per call.  Writing a 321 x 321 density peaks
 # at 0.62 MB under tracemalloc with 2048 (0.92 MB with 3072, 1.22 MB with
@@ -417,9 +419,11 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
         restarts=cfg["spsa.restarts"],
         refinements=cfg["spsa.refinements"],
     )
-    params, objectives = zip(*result.trajectory)
+    trajectory = result.trajectory
     header = "iteration,objective," + ",".join(f"p{i}" for i in range(len(result.best_params)))
-    _write_csv(outdir / "trajectory.csv", header, np.arange(len(objectives)), objectives, np.stack(params))
+    _write_csv(
+        outdir / "trajectory.csv", header, np.arange(len(trajectory)), trajectory.objectives, trajectory.params
+    )
     state = run(result.circuit)
     indices = np.arange(len(state))
     _write_csv(outdir / "probabilities.csv", "basis_index,probability", indices, np.abs(state) ** 2)

@@ -67,8 +67,15 @@ def _check_hermitian(h) -> np.ndarray:
         raise ValueError(f"matrix must be square and non-empty, got shape {entries.shape}")
     if not np.isfinite(entries).all():
         raise ValueError("matrix has non-finite entries")
-    bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
-    if np.max(np.abs(entries - entries.conj().T)) > bound:
+    if np.iscomplexobj(entries):
+        bound = HERMITICITY_ATOL * max(1.0, np.abs(entries).max())
+        gap = np.abs(entries - entries.conj().T)
+    else:
+        # one full-size temporary: max|H| from the extremes, the difference's abs in place
+        bound = HERMITICITY_ATOL * max(1.0, entries.max(), -entries.min())
+        gap = entries - entries.T
+        np.abs(gap, out=gap)
+    if gap.max() > bound:
         raise ValueError(f"matrix is not Hermitian to {bound:.3g}")
     return entries
 
@@ -125,9 +132,9 @@ class ModelSpec:
         return 2**self.total_qubits
 
 
-def _parity_squares(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even-n and odd-n blocks of A @ A, for A with upper[n-1] = A[n-1, n], lower[n-1] = A[n, n-1]
-    and zeros elsewhere.
+def _square_block(upper: np.ndarray, lower: np.ndarray, parity: int) -> np.ndarray:
+    """The even-n (parity 0) or odd-n (parity 1) block of A @ A, for A with
+    upper[n-1] = A[n-1, n], lower[n-1] = A[n, n-1] and zeros elsewhere.
 
     A flips the parity of n, so its even-to-odd and odd-to-even slices are each
     a (d/2) x (d/2) matrix with two bands, written directly; A is never built.
@@ -141,25 +148,7 @@ def _parity_squares(upper: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, n
     odd_even = np.zeros((half, half))
     odd_even.flat[:: half + 1] = lower[0::2]  # A[2a+1, 2a]
     odd_even.flat[1 :: half + 1] = upper[1::2]  # A[2a+1, 2a+2]
-    return even_odd @ odd_even, odd_even @ even_odd
-
-
-def _even_powers(spec: ModelSpec) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """x^2, p^2 and x^4 as float64 blocks, (x2, p2, x4) for the even-n rows then the odd-n rows.
-
-    x and q come from the truncated lowering matrix, lower[n-1, n] = sqrt(n):
-    x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2) (lower^T - lower).
-    x is real and p = i q with q real, so p^2 = -q q.  Both change the parity
-    of n, so each even power maps a parity onto itself (`_parity_squares`).
-    """
-    root = np.sqrt(np.arange(1, spec.mode_dim))
-    x = root * (1 / np.sqrt(2 * spec.omega))
-    q = np.sqrt(spec.omega / 2) * root  # q[n, n-1] = -q[n-1, n]
-    x2 = _parity_squares(x, x)
-    p2 = _parity_squares(-q, q)
-    for block in p2:
-        np.negative(block, out=block)
-    return tuple((x2_r, p2_r, x2_r @ x2_r) for x2_r, p2_r in zip(x2, p2))
+    return even_odd @ odd_even if parity == 0 else odd_even @ even_odd
 
 
 # Each family's per-mode terms, mode a first: (sign, p^2 coefficient, x^2
@@ -175,31 +164,56 @@ FAMILY_TERMS = {
 }
 
 
-def mode_terms(spec: ModelSpec) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
-    """H as signed per-mode terms, each as its (even-n, odd-n) blocks: ((1, H),) for one mode,
-    ((-1, A), (1, B)) for two.
+def _term_block(spec: ModelSpec, term: int, parity: int) -> np.ndarray:
+    """One parity block (0: even n, 1: odd n) of spec's unsigned mode term `term`, symmetrized.
 
-    Each block is symmetrized; a term's entries between the two parities are 0.
-    H is the Kronecker sum of the terms, -A (x) I + I (x) B for two modes, with
-    mode a the most significant qubit block.
+    The block is c_p p^2 + c_x x^2 + c x^4 (FAMILY_TERMS), summed left to right
+    in place.  x and q come from the truncated lowering matrix, lower[n-1, n] =
+    sqrt(n): x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2)
+    (lower^T - lower).  x is real and p = i q with q real, so p^2 = -q q.  Both
+    change the parity of n, so each even power maps a parity onto itself; x^4
+    is x^2 @ x^2, taken before x^2 is scaled.  Only one parity's powers are
+    alive at a time.
     """
-    powers = _even_powers(spec)
-    terms = []
-    for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
-        x4_coeff = getattr(spec, coupling)
-        symmetric = []
-        for x2, p2, x4 in powers:
-            # in place, in the order c_p p^2 + c_x x^2 + c x^4 sums left to right
-            block = p2_coeff * p2
-            block += x2_coeff * x2
-            block += x4_coeff * x4
-            # enforce exact symmetry against float roundoff in the products
-            sym = block + block.T
-            del block
-            sym /= 2
-            symmetric.append(sym)
-        terms.append((sign, tuple(symmetric)))
-    return tuple(terms)
+    _, p2_coeff, x2_coeff, coupling = FAMILY_TERMS[spec.family][term]
+    root = np.sqrt(np.arange(1, spec.mode_dim))
+    q = np.sqrt(spec.omega / 2) * root  # q[n, n-1] = -q[n-1, n]
+    block = _square_block(-q, q, parity)
+    np.negative(block, out=block)
+    block *= p2_coeff
+    x = root * (1 / np.sqrt(2 * spec.omega))
+    x2 = _square_block(x, x, parity)
+    x4 = x2 @ x2
+    x2 *= x2_coeff
+    block += x2
+    del x2
+    x4 *= getattr(spec, coupling)
+    block += x4
+    del x4
+    # enforce exact symmetry against float roundoff in the products
+    sym = block + block.T
+    del block
+    sym /= 2
+    return sym
+
+
+def _term_signs(spec: ModelSpec) -> tuple[int, ...]:
+    """The sign of each of spec's mode terms, mode a first; `_term_block` takes their indices."""
+    return tuple(sign for sign, *_ in FAMILY_TERMS[spec.family])
+
+
+def mode_terms(spec: ModelSpec) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
+    """H as signed per-mode terms, each as its (even-n, odd-n) blocks (`_term_block`):
+    ((1, H),) for one mode, ((-1, A), (1, B)) for two.
+
+    A term's entries between the two parities are 0.  H is the Kronecker sum
+    of the terms, -A (x) I + I (x) B for two modes, with mode a the most
+    significant qubit block.
+    """
+    return tuple(
+        (sign, (_term_block(spec, term, 0), _term_block(spec, term, 1)))
+        for term, sign in enumerate(_term_signs(spec))
+    )
 
 
 def _scatter(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -7,7 +7,7 @@ from functools import reduce
 
 import numpy as np
 
-from .oscillator import ModelSpec, _check_hermitian, mode_terms
+from .oscillator import ModelSpec, _check_hermitian, _term_block, _term_signs
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,9 @@ def eigendecompose(h: np.ndarray) -> SpectrumResult:
     """
     entries = _check_hermitian(h)
     vals, vecs = np.linalg.eigh(entries)
-    residual = float(np.max(np.linalg.norm(entries @ vecs - vecs * vals, axis=0)))
+    r = entries @ vecs
+    r -= vecs * vals
+    residual = float(np.max(np.linalg.norm(r, axis=0)))
     return SpectrumResult(vals, vecs, residual)
 
 
@@ -46,9 +48,11 @@ def _target_index(vals: np.ndarray, nearest_zero: bool) -> int:
         raise ValueError("empty spectrum")
     if not nearest_zero:
         return int(np.argmin(vals))
-    mag = np.abs(vals)
-    ties = np.flatnonzero(mag == mag.min())
-    return int(ties[np.argmin(vals[ties])])
+    # the negative and the nonnegative value nearest zero, found under boolean
+    # masks so that no float array as long as vals is allocated
+    below = np.max(vals, where=vals < 0, initial=-np.inf)
+    above = np.min(vals, where=vals >= 0, initial=np.inf)
+    return int(np.argmax(vals == (below if -below <= above else above)))
 
 
 def _outer_sum(parts) -> np.ndarray:
@@ -107,28 +111,31 @@ def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TermSolve:
-    """A mode term's solve, kept as its even-n and odd-n block solves.
+    """A mode term's solve, kept as its even-n and odd-n blocks' eigenvalues only.
 
     eigenvalues are both blocks' eigenvalues sorted ascending (stable, even-n
     first on a tie); order[k] is the index of eigenvalue k in the even-n then
-    odd-n concatenation, so it names the block and the column of its eigenvector.
+    odd-n concatenation, so it names the block and the column of its
+    eigenvector; residual is the larger of the blocks' residuals.
     """
 
-    blocks: tuple[SpectrumResult, SpectrumResult]
     eigenvalues: np.ndarray
     order: np.ndarray
-
-    @property
-    def residual(self) -> float:
-        return max(block.residual for block in self.blocks)
+    residual: float
 
 
-def _solve_term(blocks: tuple[np.ndarray, np.ndarray]) -> TermSolve:
-    """A mode term's solve from one `eigendecompose` per parity block."""
-    solves = tuple(eigendecompose(block) for block in blocks)
-    vals = np.concatenate([solve.eigenvalues for solve in solves])
+def _block_solve(spec: ModelSpec, term: int, parity: int) -> tuple[np.ndarray, float]:
+    """A parity block's eigenvalues and residual; the block and its eigenvectors are freed on return."""
+    solve = eigendecompose(_term_block(spec, term, parity))
+    return solve.eigenvalues, solve.residual
+
+
+def _solve_term(spec: ModelSpec, term: int) -> TermSolve:
+    """A mode term's solve, one `eigendecompose` per parity block, built and solved one at a time."""
+    (even, even_residual), (odd, odd_residual) = (_block_solve(spec, term, parity) for parity in (0, 1))
+    vals = np.concatenate((even, odd))
     order = np.argsort(vals, kind="stable")
-    return TermSolve(solves, vals[order], order)
+    return TermSolve(vals[order], order, max(even_residual, odd_residual))
 
 
 def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[TermSolve]]:
@@ -136,10 +143,10 @@ def spectrum(spec: ModelSpec) -> tuple[np.ndarray, list[TermSolve]]:
 
     H's eigenvalues are the outer sum of the signed terms' eigenvalues,
     beta_j - alpha_i for two modes, and kron(u_i, v_j) is the eigenvector of entry (i, j).
-    Each term is solved as its two parity blocks (`_solve_term`).
+    Each term is solved as its two parity blocks (`_solve_term`); no eigenvector is kept.
     """
-    signs, terms = zip(*mode_terms(spec))
-    solves = [_solve_term(blocks) for blocks in terms]
+    signs = _term_signs(spec)
+    solves = [_solve_term(spec, term) for term in range(len(signs))]
     return _outer_sum([sign * solve.eigenvalues for sign, solve in zip(signs, solves)]), solves
 
 
@@ -148,26 +155,31 @@ def ground_or_nearest_zero(spec: ModelSpec) -> tuple[float, np.ndarray]:
 
     `_target_index` over `spectrum`'s flat (i, j) index picks one, ties to the
     lowest.  The state is the Kronecker product of each term's picked
-    eigenvector, placed at its parity block's rows of a d-long vector.
+    eigenvector, placed at its parity block's rows of a d-long vector; the
+    eigenvector comes from solving that one block again, which gives the
+    same bits.
     """
     vals, solves = spectrum(spec)
     flat = _target_index(vals, nearest_zero=spec.n_modes == 2)
+    energy = float(vals[flat])
     picks = np.unravel_index(flat, [len(solve.eigenvalues) for solve in solves])
+    del vals
     vectors = []
-    for solve, pick in zip(solves, picks):
-        half = len(solve.blocks[0].eigenvalues)
+    for term, (solve, pick) in enumerate(zip(solves, picks)):
+        half = len(solve.eigenvalues) // 2
         parity, column = divmod(int(solve.order[pick]), half)
         vector = np.zeros(2 * half)
-        vector[parity::2] = solve.blocks[parity].eigenvectors[:, column]
+        vector[parity::2] = np.linalg.eigh(_term_block(spec, term, parity))[1][:, column]
         vectors.append(vector)
-    return float(vals[flat]), reduce(np.kron, vectors)
+    return energy, reduce(np.kron, vectors)
 
 
 def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) -> list[tuple]:
     """Ground (or nearest-zero) energy per per-mode truncation dimension, from eigenvalues only.
 
     dims must be ascending powers of two; each sums its mode terms' parity-block
-    eigenvalues, and own_vals, `spectrum(spec)`'s eigenvalues, give the row at spec.mode_dim.
+    eigenvalues, each block built and solved alone, and own_vals,
+    `spectrum(spec)`'s eigenvalues, give the row at spec.mode_dim.
     Returns (dim, energy, |energy - previous energy|) rows, the first delta nan.
     """
     rows: list[tuple[int, float, float]] = []
@@ -179,9 +191,12 @@ def convergence_scan(spec: ModelSpec, dims, own_vals: np.ndarray | None = None) 
         if own_vals is not None and dim == spec.mode_dim:
             vals = own_vals
         else:
-            terms = mode_terms(replace(spec, qubits_per_mode=n))
+            scan_spec = replace(spec, qubits_per_mode=n)
             vals = _outer_sum(
-                [sign * np.concatenate([np.linalg.eigvalsh(b) for b in blocks]) for sign, blocks in terms]
+                [
+                    sign * np.concatenate([np.linalg.eigvalsh(_term_block(scan_spec, term, p)) for p in (0, 1)])
+                    for term, sign in enumerate(_term_signs(scan_spec))
+                ]
             )
         energy = float(vals[_target_index(vals, nearest_zero=spec.n_modes == 2)])
         rows.append((int(dim), energy, float("nan") if prev is None else abs(energy - prev)))

@@ -57,10 +57,28 @@ class SpsaConfig:
         return 0.1 * self.iterations if self.stability is None else self.stability
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """SPSA iterates, one row per step: params (steps, P) and the objective estimates (steps,)."""
+
+    params: np.ndarray
+    objectives: np.ndarray
+
+    @classmethod
+    def empty(cls, steps: int, n_params: int) -> Trajectory:
+        return cls(np.empty((steps, n_params)), np.empty(steps))
+
+    def __len__(self) -> int:
+        return len(self.objectives)
+
+    def __getitem__(self, rows: slice) -> Trajectory:
+        return Trajectory(self.params[rows], self.objectives[rows])
+
+
 @dataclass
 class VqeResult:
     best_params: np.ndarray
-    trajectory: list[tuple[np.ndarray, float]]
+    trajectory: Trajectory
     seed: int
     objective_kind: str
     h_mean: float
@@ -78,7 +96,7 @@ def _smoothed(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
     return (csum[stop] - csum[start]) / (stop - start)
 
 
-def spsa_minimize(objective, initial, config: SpsaConfig):
+def spsa_minimize(objective, initial, config: SpsaConfig, out: Trajectory | None = None):
     """Minimize a noisy objective with simultaneous-perturbation gradients.
 
     objective takes the (2, P) stack [theta + c delta, theta - c delta] and
@@ -90,13 +108,15 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
     When config.a is None the numerator a is calibrated so the first step
     moves parameters by about 0.1 rad.
 
-    Returns (best_params, trajectory); trajectory holds one (params, objective
-    estimate) pair per iteration, and best_params is the iterate whose
-    window-5 smoothed objective is lowest.
+    Returns (best_params, trajectory); trajectory holds each iteration's
+    params and objective estimate, written in place into `out` when given
+    (config.iterations rows), and best_params is the iterate whose window-5
+    smoothed objective is lowest.
     """
     theta = np.asarray(initial, dtype=float).copy()
     if theta.size == 0:
-        return theta, []
+        return theta, Trajectory.empty(0, 0)
+    trajectory = Trajectory.empty(config.iterations, theta.size) if out is None else out
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     big_a = config.stability_const
 
@@ -117,18 +137,17 @@ def spsa_minimize(objective, initial, config: SpsaConfig):
         mean_mag = max(float(np.mean(mags)), 1e-12)
         a = config.calibration_step * (1 + big_a) ** config.alpha / mean_mag
 
-    trajectory: list[tuple[np.ndarray, float]] = []
     for k in range(config.iterations):
         a_k = a / (k + 1 + big_a) ** config.alpha
         c_k = config.c / (k + 1) ** config.gamma
         delta = rng.choice([-1.0, 1.0], size=theta.shape)
         f_plus, f_minus = pair(c_k, delta, k)
         ghat = (f_plus - f_minus) / (2 * c_k) * (1.0 / delta)
-        trajectory.append((theta.copy(), float(0.5 * (f_plus + f_minus))))
+        trajectory.params[k] = theta
+        trajectory.objectives[k] = 0.5 * (f_plus + f_minus)
         theta = theta - a_k * ghat
-    objectives = np.array([obj for _, obj in trajectory])
-    best_k = int(np.argmin(_smoothed(objectives)))
-    return trajectory[best_k][0].copy(), trajectory
+    best_k = int(np.argmin(_smoothed(trajectory.objectives)))
+    return trajectory.params[best_k].copy(), trajectory
 
 
 def estimate_error(circuit: Circuit, observable: pauli.PauliSum, shots, repetitions, seed):
@@ -202,13 +221,16 @@ def vqe_run(
 
     stage_seeds = iter(ss_stages.spawn(restarts + len(refinements)))
     candidates = []
-    trajectory: list[tuple[np.ndarray, float]] = []
+    # every restart and refinement fills its own rows of one trajectory
+    ends = np.cumsum([0] + [spsa.iterations] * restarts + [stage[0] for stage in refinements])
+    trajectory = Trajectory.empty(ends[-1], shape.parameter_count)
+    stage_rows = iter([trajectory[start:end] for start, end in zip(ends, ends[1:])])
     for _ in range(restarts):
         init_params = init_rng.uniform(-np.pi, np.pi, size=shape.parameter_count)
         stage_cfg = replace(spsa, seed=_child_seed(next(stage_seeds)))
-        params, traj = spsa_minimize(objective, init_params, stage_cfg)
-        trajectory.extend(traj)
-        candidates.append((float(np.mean([obj for _, obj in traj[-20:]])), params))
+        rows = next(stage_rows)
+        params, _ = spsa_minimize(objective, init_params, stage_cfg, out=rows)
+        candidates.append((float(np.mean(rows.objectives[-20:])), params))
     best_params = min(candidates, key=lambda t: t[0])[1]
     for stage_iters, stage_c, stage_shots in refinements:
         current_shots = stage_shots
@@ -222,8 +244,7 @@ def vqe_run(
             calibration_step=stage_c,
             seed=_child_seed(next(stage_seeds)),
         )
-        best_params, traj = spsa_minimize(objective, best_params, stage_cfg)
-        trajectory.extend(traj)
+        best_params, _ = spsa_minimize(objective, best_params, stage_cfg, out=next(stage_rows))
     best_circuit = Circuit(shape, best_params)
 
     ss_h, ss_h2 = ss_final.spawn(2)

@@ -12,7 +12,7 @@ from mssq.oscillator import (
     TWO_MODE_FAMILIES,
     Family,
     ModelSpec,
-    _even_powers,
+    _check_hermitian,
     build_model,
     matrix_square,
     mode_terms,
@@ -92,18 +92,22 @@ def test_number_operator_dim4():
 @pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_even_powers_equal_complex_quadrature_products(n, omega):
-    """Each parity block of the real build is the complex reference's x.real and p.imag
-    products' block bit for bit, and the reference is 0 between the parities."""
+    """Each parity block of every family's real build is the same expression of the complex
+    reference's x.real and p.imag products' blocks bit for bit, and those products are 0
+    between the parities."""
     x, p = complex_quadratures(2**n, omega)
     x, q = x.real, p.imag
     x2 = x @ x
+    powers = (x2, -(q @ q), x2 @ x2)
     odd = np.add.outer(np.arange(2**n), np.arange(2**n)) % 2 == 1
-    spec = ModelSpec(Family.HARMONIC_OSC, n, omega=omega)
-    for parity, blocks in enumerate(_even_powers(spec)):
-        for got, want in zip(blocks, (x2, -(q @ q), x2 @ x2)):
-            assert got.dtype == np.float64
-            assert np.array_equal(got, want[parity::2, parity::2])
-            assert np.all(want[odd] == 0.0)
+    assert all(np.all(power[odd] == 0.0) for power in powers)
+    blocks = [tuple(power[parity::2, parity::2] for power in powers) for parity in (0, 1)]
+    for family in Family:
+        spec = ModelSpec(family, n, omega=omega)
+        for (sign, got), (want_sign, want) in zip(mode_terms(spec), slice_mode_terms(spec, blocks), strict=True):
+            assert sign == want_sign
+            for got_block, want_block in zip(got, want, strict=True):
+                assert_bit_equal(got_block, want_block)
 
 
 def dense_mode_terms(spec):
@@ -142,12 +146,13 @@ def dense_slice_powers(spec):
     return powers
 
 
-def dense_slice_mode_terms(spec):
-    """Signed terms as (even-n, odd-n) blocks, each one expression of dense_slice_powers, symmetrized."""
+def slice_mode_terms(spec, powers):
+    """Signed terms as (even-n, odd-n) blocks, each one expression of powers' (x2, p2, x4)
+    per parity, symmetrized."""
     terms = []
     for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
         x4_coeff = getattr(spec, coupling)
-        blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in dense_slice_powers(spec)]
+        blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in powers]
         terms.append((sign, tuple((block + block.T) / 2 for block in blocks)))
     return terms
 
@@ -165,13 +170,10 @@ def assert_bit_equal(got, want):
     + [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)],
 )
 def test_banded_slices_equal_dense_slices(family, n, omega):
-    """The two-band slices give the dense slices' even powers and mode-term blocks bit for
-    bit, signed zeros included."""
+    """The one-parity builds from two-band slices give the dense slices' mode-term blocks
+    bit for bit, signed zeros included."""
     spec = ModelSpec(family, n, omega=omega)
-    for got, want in zip(_even_powers(spec), dense_slice_powers(spec), strict=True):
-        for got_power, want_power in zip(got, want, strict=True):
-            assert_bit_equal(got_power, want_power)
-    want_terms = dense_slice_mode_terms(spec)
+    want_terms = slice_mode_terms(spec, dense_slice_powers(spec))
     for (sign, blocks), (want_sign, want_blocks) in zip(mode_terms(spec), want_terms, strict=True):
         assert sign == want_sign
         for block, want_block in zip(blocks, want_blocks, strict=True):
@@ -327,3 +329,19 @@ def test_solvers_reject_non_finite(solve, bad):
 def test_solvers_reject_non_square_or_empty(solve, shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         solve(np.zeros(shape))
+
+
+@pytest.mark.parametrize("scale", [1e4, -1e4, 0.5, -0.5])
+@pytest.mark.parametrize("skew", [0.0, 5e-9, 2e-8, -2e-8])
+def test_real_check_agrees_with_complex_check(scale, skew):
+    """The real path takes max|H| from max(H) and -min(H); it accepts, rejects and words the
+    rejection as the complex path does on the same matrix, whichever sign the largest entry has."""
+    h = np.array([[scale, 1.0 + skew], [1.0, 0.25]])
+    outcomes = []
+    for entries in (h, h.astype(complex)):
+        try:
+            outcomes.append(_check_hermitian(entries).real.tolist())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (abs(skew) > 1e-12 * max(1.0, abs(scale)))

@@ -58,6 +58,15 @@ def test_residual_and_orthonormality():
     assert np.all(np.diff(result.eigenvalues) >= 0)
 
 
+@pytest.mark.parametrize("family,n", [(Family.DOUBLE_WELL, 6), (Family.CLOSED_PHI4, 3)])
+def test_residual_is_largest_column_norm(family, n):
+    """The residual, computed in place from one product, is max_k |H v_k - lambda_k v_k| bit for bit."""
+    h = build_model(ModelSpec(family, n))
+    result = eigendecompose(h)
+    vals, vecs = result.eigenvalues, result.eigenvectors
+    assert result.residual == float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
+
+
 def test_trace_preservation():
     h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 4))
     vals = eigendecompose(h).eigenvalues
@@ -252,10 +261,13 @@ def test_two_mode_density_peak_stays_under_3_5x():
     assert peak <= 3.5 * grid.density.nbytes
 
 
-def test_spectrum_peak_stays_under_2_5_full_matrices():
-    """Every term is built and solved as (d/2) x (d/2) blocks and no eigenvector is embedded
-    in a d x d matrix, so neither call's traced peak reaches 2.5 d x d float64 matrices."""
-    spec = ModelSpec(Family.DOUBLE_WELL, 10)
+@pytest.mark.parametrize("family,n", [(Family.DOUBLE_WELL, 10), (Family.CLOSED_PHI4, 8)])
+def test_spectrum_peak_stays_under_1_4_full_matrices(family, n):
+    """Each parity block is built, solved and freed before the next, keeping only its
+    eigenvalues, so neither call's traced peak reaches 1.4 d x d float64 matrices (about
+    1.01 for DoubleWell at 10 qubits, one block's build or solve; 1.28 for ClosedPhi4
+    at 8 qubits per mode, where the d^2 flat eigenvalues add one more)."""
+    spec = ModelSpec(family, n)
     for solve in (spectrum, ground_or_nearest_zero):
         tracemalloc.start()
         try:
@@ -263,7 +275,24 @@ def test_spectrum_peak_stays_under_2_5_full_matrices():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * spec.mode_dim**2 * 8
+        assert peak <= 1.4 * spec.mode_dim**2 * 8
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in Family for n in range(1, 6)])
+def test_spectrum_equals_eigendecompose_of_each_block(family, n):
+    """spectrum's eigenvalues, sort orders and max residual are those of `eigendecompose`
+    run on each block of `mode_terms`, bit for bit."""
+    spec = ModelSpec(family, n)
+    signs, terms = zip(*mode_terms(spec))
+    block_solves = [[eigendecompose(block) for block in blocks] for blocks in terms]
+    term_vals = [np.concatenate([solve.eigenvalues for solve in solves]) for solves in block_solves]
+    orders = [np.argsort(vals, kind="stable") for vals in term_vals]
+    want = _outer_sum([sign * vals[order] for sign, vals, order in zip(signs, term_vals, orders)])
+    vals, solves = spectrum(spec)
+    assert vals.tobytes() == want.tobytes()
+    for solve, order in zip(solves, orders, strict=True):
+        assert np.array_equal(solve.order, order)
+    assert max(solve.residual for solve in solves) == max(s.residual for ss in block_solves for s in ss)
 
 
 def embedded_eigenvectors(blocks):

@@ -6,7 +6,7 @@ from mssq.circuits import AnsatzShape, Circuit, expectation, run
 from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.pauli import PauliSum, decompose
 from mssq.spectrum import eigendecompose
-from mssq.vqe import SpsaConfig, SpsaDiverged, _smoothed, estimate_error, spsa_minimize, vqe_run
+from mssq.vqe import SpsaConfig, SpsaDiverged, Trajectory, _smoothed, estimate_error, spsa_minimize, vqe_run
 
 
 def test_spsa_quadratic():
@@ -33,7 +33,7 @@ def test_spsa_noisy_quadratic_many_seeds():
 
 def test_spsa_empty_params():
     best, traj = spsa_minimize(lambda pair: np.zeros(2), np.array([]), SpsaConfig(iterations=10))
-    assert best.size == 0 and traj == []
+    assert best.size == 0 and len(traj) == 0
 
 
 def test_spsa_nonfinite_objective():
@@ -69,7 +69,22 @@ def test_spsa_deterministic():
         for _ in range(2)
     ]
     assert np.array_equal(runs[0][0], runs[1][0])
-    assert [o for _, o in runs[0][1]] == [o for _, o in runs[1][1]]
+    assert np.array_equal(runs[0][1].objectives, runs[1][1].objectives)
+
+
+def test_spsa_fills_out_in_place():
+    """Given rows of a larger trajectory, spsa_minimize writes its iterates there, bit for bit
+    the ones it returns without `out`, and leaves the other rows alone."""
+    config = SpsaConfig(iterations=30, seed=4)
+    initial = np.array([0.4, -0.7, 1.1])
+    best, alone = spsa_minimize(lambda pair: np.sum(pair**2, axis=1), initial, config)
+    whole = Trajectory(np.full((50, 3), -9.0), np.full(50, -9.0))
+    got_best, got = spsa_minimize(lambda pair: np.sum(pair**2, axis=1), initial, config, out=whole[10:40])
+    assert np.shares_memory(got.params, whole.params)
+    assert np.array_equal(got_best, best)
+    assert np.array_equal(whole.params[10:40], alone.params)
+    assert np.array_equal(whole.objectives[10:40], alone.objectives)
+    assert np.all(whole.params[:10] == -9.0) and np.all(whole.objectives[40:] == -9.0)
 
 
 def two_call_spsa(objective, initial, config: SpsaConfig):
@@ -118,7 +133,7 @@ def test_spsa_pair_objective_matches_two_call_loop():
         assert len(pairs) == calls and all(p.shape == (2, 3) for p in pairs)
         reference = two_call_spsa(quadratic, np.array([1.0, -0.5, 0.3]), config)
         assert len(traj) == len(reference)
-        for (params, obj), (ref_params, ref_obj) in zip(traj, reference):
+        for params, obj, (ref_params, ref_obj) in zip(traj.params, traj.objectives, reference):
             assert np.array_equal(params, ref_params) and obj == ref_obj
 
 
@@ -231,9 +246,7 @@ def test_vqe_deterministic_trajectory():
         )
         for _ in range(2)
     ]
-    obj0 = [o for _, o in runs[0].trajectory]
-    obj1 = [o for _, o in runs[1].trajectory]
-    assert obj0 == obj1
+    assert np.array_equal(runs[0].trajectory.objectives, runs[1].trajectory.objectives)
     assert runs[0].h_mean == runs[1].h_mean
 
 
@@ -258,6 +271,7 @@ def test_vqe_restarts_and_refinements_run():
         refinements=((10, 0.05, 4096),),
     )
     assert len(result.trajectory) == 15 * 2 + 10
+    assert result.trajectory.params.shape == (40, 12) and result.trajectory.params.base is None
 
 
 def test_smoothed_matches_loop_reference():
