@@ -19,8 +19,8 @@ import numpy as np
 
 from . import spectrum as spec_mod
 from .circuits import AnsatzShape, Circuit, run
-from .config import ConfigError, ExperimentConfig, parse_config
-from .oscillator import Family, ModelSpec, ONE_MODE_FAMILIES, build_model
+from .config import ConfigError, echo_text, parse_config
+from .oscillator import ModelSpec, build_model
 from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
@@ -50,12 +50,10 @@ MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
 # depth 2-6 x 10^4 with one SPSA iteration measured 5.0-6.3 stacks for vqe
 # and constraint, and 4.7-7.2 for noise-scan: 1.2-1.8x this count
 U3_STACKS = 4
-# float64 copies of the SPSA trajectory, one parameter vector per step of
-# every restart and refinement, that vqe and constraint hold while writing
-# trajectory.csv: the one (steps, P) array `vqe_run` fills in place.  At
-# depth 1-2 x 10^4 and 1-81 steps, peaks grew by 1.0 vectors a step and
-# measured 1.1-1.2x the u3 stacks and trajectory copies counted
-TRAJECTORY_COPIES = 1
+# bytes a repetition of `vqe.estimate_error` holds: its spawned SeedSequence
+# child and its value.  Traced peaks measured 399-401 B a repetition at
+# 10^4-3 x 10^5 repetitions, 367-368 B of it the children
+REPETITION_BYTES = 400
 # spectrum builds and solves d x d mode terms one (d/2) x (d/2) parity block
 # at a time, keeps only eigenvalues, and allocates nothing larger.  It counts
 # SCAN_MATRICES d x d float64 matrices for building one block (the parity
@@ -230,9 +228,9 @@ def _write_csv(path: Path, header: str, *columns) -> None:
     A column is one array or a 2-D block of them (one per block column), all
     as long.  Integer columns (indices and counts, exact in float64) print
     with %d and all others as `_fmt` prints them, after the columns are
-    stacked to one dtype as savetxt stacks them.  Streamed in blocks of at
-    most CSV_BLOCK_CELLS cells (whole rows, or one row in parts), each
-    formatted by `_cell_words`.
+    stacked to one dtype as savetxt stacks them.  Streamed in blocks of
+    whole rows, at most CSV_BLOCK_CELLS cells or one row, each formatted by
+    one `_cell_words` call.
     """
     columns = [np.asarray(c) for c in columns]
     ints = np.concatenate([np.full(c.shape[1] if c.ndim == 2 else 1, c.dtype.kind in "iu") for c in columns])
@@ -243,10 +241,8 @@ def _write_csv(path: Path, header: str, *columns) -> None:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), rows):
             cells = np.column_stack([c[start : start + rows] for c in columns]).ravel()
-            for part in range(0, len(cells), CSV_BLOCK_CELLS):
-                at = slice(part, min(part + CSV_BLOCK_CELLS, len(cells)))
-                words = _cell_words(cells[at], ends[at], None if ints is None else ints[at])
-                fh.write(words.tobytes().translate(None, b"\0"))
+            words = _cell_words(cells, ends[: len(cells)], None if ints is None else ints[: len(cells)])
+            fh.write(words.tobytes().translate(None, b"\0"))
 
 
 def _from_section(section: str, build, **fields):
@@ -261,28 +257,24 @@ def _from_section(section: str, build, **fields):
         raise ConfigError(f"{section}.{exc}") from exc
 
 
-def _model_spec(cfg: ExperimentConfig) -> ModelSpec:
-    try:
-        family = Family(cfg["model.family"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown model.family {cfg['model.family']!r}") from exc
-    fields = ("qubits_per_mode", "lambda_abs", "quartic_c", "omega")
-    return _from_section("model", ModelSpec, family=family, **{f: cfg[f"model.{f}"] for f in fields})
+def _model_spec(cfg: dict) -> ModelSpec:
+    fields = ("family", "qubits_per_mode", "lambda_abs", "quartic_c", "omega")
+    return _from_section("model", ModelSpec, **{f: cfg[f"model.{f}"] for f in fields})
 
 
-def _spsa_config(cfg: ExperimentConfig, seed: int) -> SpsaConfig:
+def _spsa_config(cfg: dict, seed: int) -> SpsaConfig:
     fields = ("iterations", "a", "c", "stability", "alpha", "gamma", "calibration_samples")
     return _from_section("spsa", SpsaConfig, seed=seed, **{f: cfg[f"spsa.{f}"] for f in fields})
 
 
-def _prepare_outdir(cfg: ExperimentConfig) -> Path:
+def _prepare_outdir(cfg: dict) -> Path:
     outdir = Path(cfg["output.dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.txt").write_text(cfg.echo_text())
+    (outdir / "config.txt").write_text(echo_text(cfg))
     return outdir
 
 
-def _seed(cfg: ExperimentConfig) -> int:
+def _seed(cfg: dict) -> int:
     env = os.environ.get("MSSQ_SEED")
     if not env:
         return cfg["run.seed"]
@@ -295,7 +287,7 @@ def _seed(cfg: ExperimentConfig) -> int:
     return seed
 
 
-def _check_memory(command: str, cfg: ExperimentConfig) -> None:
+def _check_memory(command: str, cfg: dict) -> None:
     """Refuse, naming the key, a run whose largest arrays alone exceed MEMORY_BOUND.
 
     Counted at 8 B per float: for spectrum, SCAN_MATRICES d x d matrices at the
@@ -304,8 +296,10 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
     for the density-writing commands, the Hermite tables (mode_dim x
     grid.points per mode) and the density grid (grid.points^n_modes); and, at
     16 B per complex, U3_STACKS u3 stacks for the ansatz; and, for vqe and
-    constraint, TRAJECTORY_COPIES of the trajectory's parameter vectors.  The
-    largest count names the key.
+    constraint, the trajectory's parameter vectors.  The final error bars
+    count REPETITION_BYTES per repetition: run.repetitions for vqe and
+    constraint, noise.repetitions for noise-scan.  The largest count names
+    the key.
     """
     model = _model_spec(cfg)
     if command == "spectrum":
@@ -318,17 +312,21 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
         states = 1 if command == "noise-scan" else 2
         layers = cfg["ansatz.depth"] + 1
         counted["ansatz.depth"] = 16 * U3_STACKS * states * layers * model.total_qubits * 4
+        repetitions = "noise.repetitions" if command == "noise-scan" else "run.repetitions"
+        counted[repetitions] = REPETITION_BYTES * cfg[repetitions]
     if command in ("vqe", "constraint"):
         points = cfg["grid.points"]
         tables = model.n_modes * model.mode_dim * points
         counted["grid.points"] = 8 * (tables + points**model.n_modes)
-        # one parameter vector per SPSA step, named after the larger of the
-        # step count and the ansatz's layers
+        # the SPSA trajectory, held while trajectory.csv is written: one
+        # (steps, P) array that `vqe_run` fills in place, a parameter vector
+        # per step of every restart and refinement (peaks grew by 1.0 vectors
+        # a step at depth 1-2 x 10^4 and 1-81 steps), named after the larger
+        # of the step count and the ansatz's layers
         steps = cfg["spsa.restarts"] * cfg["spsa.iterations"], sum(s[0] for s in cfg["spsa.refinements"])
         key = "spsa.iterations" if steps[0] >= steps[1] else "spsa.refinements"
         key = key if sum(steps) > layers else "ansatz.depth"
-        vectors = TRAJECTORY_COPIES * sum(steps)
-        counted[key] = counted.get(key, 0) + 8 * vectors * 3 * model.total_qubits * layers
+        counted[key] = counted.get(key, 0) + 8 * sum(steps) * 3 * model.total_qubits * layers
     total = sum(counted.values())
     if total > MEMORY_BOUND:
         key = max(counted, key=counted.get)
@@ -336,10 +334,6 @@ def _check_memory(command: str, cfg: ExperimentConfig) -> None:
             f"{key} = {cfg[key]} needs an estimated {total / 2**30:.3g} GiB,"
             f" more than the {MEMORY_BOUND / 2**30:.3g} GiB bound (physical memory / 8)"
         )
-
-
-def _grid(cfg: ExperimentConfig) -> np.ndarray:
-    return spec_mod.default_grid(cfg["grid.extent"], cfg["grid.points"])
 
 
 def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
@@ -373,7 +367,7 @@ def _axis_text(axis: np.ndarray) -> np.ndarray:
     return np.array(texts).view(np.uint8).reshape(len(texts), -1)
 
 
-def cmd_spectrum(cfg: ExperimentConfig) -> Path:
+def cmd_spectrum(cfg: dict) -> Path:
     model = _model_spec(cfg)
     outdir = _prepare_outdir(cfg)
     vals, solves = spec_mod.spectrum(model)
@@ -396,7 +390,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> Path:
     return outdir
 
 
-def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
+def cmd_variational(cfg: dict, objective_kind: str) -> Path:
     """VQE on <H> ("energy") or on <H^2> ("constraint"), then the density CSVs.
 
     Energy mode pairs the optimized density with the exact ground (or
@@ -404,7 +398,7 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
     """
     model = _model_spec(cfg)
     constraint = objective_kind == "constraint"
-    if constraint and model.family in ONE_MODE_FAMILIES:
+    if constraint and model.n_modes == 1:
         raise ConfigError(f"constraint needs a two-mode model.family, got {model.family.value}")
     spsa = _spsa_config(cfg, _seed(cfg))
     outdir = _prepare_outdir(cfg)
@@ -440,7 +434,7 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
         lines.append(f"h2_mean = {_fmt(result.h2_mean)}")
         lines.append(f"h2_stderr = {_fmt(result.h2_stderr)}")
     lines.append("config:")
-    lines.extend("  " + ln for ln in cfg.echo_text().splitlines())
+    lines.extend("  " + ln for ln in echo_text(cfg).splitlines())
     (outdir / "result.txt").write_text("\n".join(lines) + "\n")
     if constraint:
         names = ("density_2d.csv", "reference_density.csv")
@@ -449,13 +443,13 @@ def cmd_variational(cfg: ExperimentConfig, objective_kind: str) -> Path:
     else:
         names = ("vqe_density.csv", "exact_density.csv")
         _, reference = spec_mod.ground_or_nearest_zero(model)
-    axes = (_grid(cfg),) * model.n_modes
+    axes = (spec_mod.default_grid(cfg["grid.extent"], cfg["grid.points"]),) * model.n_modes
     for name, coeffs in zip(names, (state, reference)):
         _write_density(outdir / name, spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega))
     return outdir
 
 
-def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
+def noise_scan(cfg: dict) -> ShotNoiseReport:
     """Measure stddev-vs-shots for a fixed seeded circuit and fit A / x^beta."""
     grid = cfg["noise.shots_grid"]
     repetitions = cfg["noise.repetitions"]
@@ -483,7 +477,7 @@ def noise_scan(cfg: ExperimentConfig) -> ShotNoiseReport:
     )
 
 
-def cmd_noise_scan(cfg: ExperimentConfig) -> Path:
+def cmd_noise_scan(cfg: dict) -> Path:
     report = noise_scan(cfg)
     outdir = _prepare_outdir(cfg)
     _write_csv(outdir / "noise.csv", "shots,stddev", report.shots_grid, report.stddevs)
@@ -527,6 +521,7 @@ def main(argv=None) -> int:
             overrides.append((key.strip(), value.strip()))
         cfg = parse_config(args.config, overrides)
         _check_memory(args.command, cfg)
+        _from_section("model", _model_spec(cfg).check_scale)
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

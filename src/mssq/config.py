@@ -7,15 +7,9 @@ missing required keys are hard errors carrying the offending line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class ConfigError(ValueError):
     """Any configuration problem; maps to CLI exit code 2."""
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
 
 
 def _shot_count(text: str) -> int:
@@ -35,10 +29,12 @@ def _shots_grid(text: str) -> tuple[int, ...]:
 
 
 def _scan_dims(text: str) -> tuple[int, ...]:
-    """Per-mode truncation dims, each a power of two >= 2."""
-    dims = _int_list(text)
+    """Strictly increasing per-mode truncation dims, each a power of two >= 2."""
+    dims = tuple(int(part) for part in text.split(","))
     if any(d < 2 or d & (d - 1) for d in dims):
         raise ValueError(f"each dim must be a power of two >= 2, got {text!r}")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError(f"dims must be strictly increasing, got {text!r}")
     return dims
 
 
@@ -105,29 +101,22 @@ MINIMUMS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def echo_text(self) -> str:
-        """The fully-resolved config in its own file format."""
-        lines = []
-        for key in sorted(self.values):
-            value = self.values[key]
-            if value is None:
-                continue
-            if isinstance(value, tuple):
-                if value and isinstance(value[0], tuple):
-                    value = ",".join(f"{i}:{c!r}:{s}" for i, c, s in value)
-                else:
-                    value = ",".join(str(v) for v in value)
-            elif isinstance(value, float):
-                value = f"{value:.17g}"
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
+def echo_text(values: dict) -> str:
+    """A resolved config in its own file format."""
+    lines = []
+    for key in sorted(values):
+        value = values[key]
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            if value and isinstance(value[0], tuple):
+                value = ",".join(f"{i}:{c!r}:{s}" for i, c, s in value)
+            else:
+                value = ",".join(str(v) for v in value)
+        elif isinstance(value, float):
+            value = f"{value:.17g}"
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_assignments(lines, source: str):
@@ -141,8 +130,8 @@ def _parse_assignments(lines, source: str):
         yield lineno, key.strip(), value.strip()
 
 
-def resolve(assignments, source: str = "<config>", overrides=()) -> ExperimentConfig:
-    """Apply schema defaults, typed parsing, and required-key checks."""
+def resolve(assignments, source: str = "<config>", overrides=()) -> dict:
+    """Every SCHEMA key's value: schema defaults, typed parsing, and required-key checks."""
     values = {key: default for key, (_, default) in SCHEMA.items()}
     # (is an override, key) -> where it was set: a file line or a --set may
     # each set a key once, and a --set overrides the file's value
@@ -165,10 +154,10 @@ def resolve(assignments, source: str = "<config>", overrides=()) -> ExperimentCo
     missing = [key for key in REQUIRED_KEYS if values[key] is None]
     if missing:
         raise ConfigError(f"{source}: missing required keys: {', '.join(missing)}")
-    return ExperimentConfig(values)
+    return values
 
 
-def parse_config(path, overrides=()) -> ExperimentConfig:
+def parse_config(path, overrides=()) -> dict:
     """Parse a config file; overrides are (key, value) string pairs."""
     with open(path) as fh:
         lines = fh.readlines()

@@ -16,6 +16,13 @@ from enum import Enum
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
+# largest mode-term entry a model may hold (`ModelSpec.check_scale`).  Its
+# fourth power stays below float max (1.8e308) by 1e52: constraint mode
+# squares H, then takes the sample variance of <H^2>.  With the bound's
+# estimate at 1e77 every output was finite; at 1e90 h2_stderr was inf
+# (ClosedPhi4, 2 qubits per mode).  The spectrum's residual norm, which
+# squares entries, stayed finite to 1e150 (DoubleWell, 3 qubits)
+ENTRY_BOUND = 1e64
 
 # Quartic coefficients of the source models, 0.275/4 and 0.15/4, each the float
 # nearest the exact rational.
@@ -45,17 +52,21 @@ class Family(str, Enum):
     OPEN_PHI4 = "OpenPhi4"
 
 
-ONE_MODE_FAMILIES = (Family.HARMONIC_OSC, Family.ANHARMONIC_OSC, Family.DOUBLE_WELL)
-TWO_MODE_FAMILIES = (Family.CLOSED_FREE, Family.CLOSED_PHI4, Family.OPEN_PHI4)
-
-# Default (lambda_abs, quartic_c) per family, absent families (0.0, 0.0).  A
-# default of 0.0 marks a term the family's Hamiltonian lacks; it must stay 0.
-DEFAULT_COUPLINGS = {
-    Family.ANHARMONIC_OSC: (0.0, COEFF_0275_OVER_4),
-    Family.DOUBLE_WELL: (0.0, COEFF_015_OVER_4),
-    Family.CLOSED_PHI4: (COEFF_0275_OVER_4, COEFF_0275_OVER_4),
-    Family.OPEN_PHI4: (COEFF_015_OVER_4, COEFF_015_OVER_4),
+# Each family's per-mode terms, mode a first: (sign, p^2 coefficient, x^2
+# coefficient, the ModelSpec coupling of x^4, that coupling's default).  A
+# family's Hamiltonian is the Kronecker sum of sign * (c_p p^2 + c_x x^2 +
+# coupling x^4) over its terms; a default of 0.0 marks a term the family lacks,
+# whose coupling must stay 0, as must a coupling no term names.
+FAMILY_TERMS = {
+    Family.HARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c", 0.0),),
+    Family.ANHARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c", COEFF_0275_OVER_4),),
+    Family.DOUBLE_WELL: ((1, 1 / 2, -1, "quartic_c", COEFF_015_OVER_4),),
+    Family.CLOSED_FREE: ((-1, 1 / 4, 1, "lambda_abs", 0.0), (1, 1 / 4, 1, "quartic_c", 0.0)),
+    Family.CLOSED_PHI4: ((-1, 1 / 4, 1, "lambda_abs", COEFF_0275_OVER_4), (1, 1 / 4, 1, "quartic_c", COEFF_0275_OVER_4)),
+    Family.OPEN_PHI4: ((-1, 1 / 4, -1, "lambda_abs", COEFF_015_OVER_4), (1, 1 / 4, -1, "quartic_c", COEFF_015_OVER_4)),
 }
+ONE_MODE_FAMILIES = tuple(f for f, terms in FAMILY_TERMS.items() if len(terms) == 1)
+TWO_MODE_FAMILIES = tuple(f for f, terms in FAMILY_TERMS.items() if len(terms) == 2)
 
 
 def _check_hermitian(h) -> np.ndarray:
@@ -84,11 +95,12 @@ def _check_hermitian(h) -> np.ndarray:
 class ModelSpec:
     """Declarative description of which Hamiltonian to build.
 
-    lambda_abs is |Lambda| (the a^4 coefficient magnitude) and quartic_c is c
-    (the chi^4 / x^4 coefficient); hbar = 1 throughout.  A coupling left None
-    takes the family's default; one the family's Hamiltonian lacks must be 0.
-    omega sets the frequency scale of the ladder basis used for the
-    quadratures.  Each ValueError for a bad field starts with the field's name.
+    family is a Family or its name.  lambda_abs is |Lambda| (the a^4
+    coefficient magnitude) and quartic_c is c (the chi^4 / x^4 coefficient);
+    hbar = 1 throughout.  A coupling left None takes its default in
+    FAMILY_TERMS; one the family's Hamiltonian lacks must be 0.  omega sets
+    the frequency scale of the ladder basis used for the quadratures.  Each
+    ValueError for a bad field starts with the field's name.
     """
 
     family: Family
@@ -98,26 +110,51 @@ class ModelSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        family = Family(self.family)
-        object.__setattr__(self, "family", family)
+        try:
+            object.__setattr__(self, "family", Family(self.family))
+        except ValueError:
+            names = ", ".join(f.value for f in Family)
+            raise ValueError(f"family must be one of {names}, got {self.family!r}") from None
         if self.qubits_per_mode < 1:
             raise ValueError("qubits_per_mode must be positive")
         if not (self.omega > 0 and np.isfinite(self.omega)):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        defaults = DEFAULT_COUPLINGS.get(family, (0.0, 0.0))
-        for name, default in zip(("lambda_abs", "quartic_c"), defaults):
+        defaults = {coupling: default for *_, coupling, default in FAMILY_TERMS[self.family]}
+        for name in ("lambda_abs", "quartic_c"):
             value = getattr(self, name)
             if value is None:
-                value = default
+                value = defaults.get(name, 0.0)
                 object.__setattr__(self, name, value)
             if not (value >= 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-            if value and not default:
-                raise ValueError(f"{name} must be 0: {family.value} has no such term, got {value}")
+            if value and not defaults.get(name):
+                raise ValueError(f"{name} must be 0: {self.family.value} has no such term, got {value}")
+
+    def check_scale(self) -> None:
+        """Raise a ValueError naming the field if a mode term's entries may exceed ENTRY_BOUND.
+
+        Row sums bound them before anything is built: |x| by sqrt(2 (d - 1) /
+        omega) and |q| by sqrt(2 omega (d - 1)), so a term by |c_p| 2 omega
+        (d - 1) + |c_x| 2 (d - 1) / omega + c 4 (d - 1)^2 / omega^2, and the
+        unscaled x^2 @ x^2 by 4 (d - 1)^2 / omega^2; the check takes c as at
+        least 1 to cover both.  A coupling is named when its x^4 alone passes
+        the bound at omega = 1, else omega is.
+        """
+        n = self.mode_dim - 1
+        terms = FAMILY_TERMS[self.family]
+        for *_, coupling, _ in terms:
+            c = getattr(self, coupling)
+            if c * 4 * n * n > ENTRY_BOUND:
+                raise ValueError(f"{coupling} = {c} puts x^4 entries above {ENTRY_BOUND:g} at omega = 1")
+        x4 = 4 * (n / self.omega) * (n / self.omega)
+        for _, p2_coeff, x2_coeff, coupling, _ in terms:
+            largest = abs(p2_coeff) * 2 * self.omega * n + abs(x2_coeff) * 2 * n / self.omega
+            if largest + max(1.0, getattr(self, coupling)) * x4 > ENTRY_BOUND:
+                raise ValueError(f"omega = {self.omega} puts mode-term entries above {ENTRY_BOUND:g}")
 
     @property
     def n_modes(self) -> int:
-        return 2 if self.family in TWO_MODE_FAMILIES else 1
+        return len(FAMILY_TERMS[self.family])
 
     @property
     def total_qubits(self) -> int:
@@ -151,19 +188,6 @@ def _square_block(upper: np.ndarray, lower: np.ndarray, parity: int) -> np.ndarr
     return even_odd @ odd_even if parity == 0 else odd_even @ even_odd
 
 
-# Each family's per-mode terms, mode a first: (sign, p^2 coefficient, x^2
-# coefficient, the ModelSpec coupling of x^4).  A family's Hamiltonian is the
-# Kronecker sum of sign * (c_p p^2 + c_x x^2 + coupling x^4) over its terms.
-FAMILY_TERMS = {
-    Family.HARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c"),),
-    Family.ANHARMONIC_OSC: ((1, 1 / 2, 1 / 2, "quartic_c"),),
-    Family.DOUBLE_WELL: ((1, 1 / 2, -1, "quartic_c"),),
-    Family.CLOSED_FREE: ((-1, 1 / 4, 1, "lambda_abs"), (1, 1 / 4, 1, "quartic_c")),
-    Family.CLOSED_PHI4: ((-1, 1 / 4, 1, "lambda_abs"), (1, 1 / 4, 1, "quartic_c")),
-    Family.OPEN_PHI4: ((-1, 1 / 4, -1, "lambda_abs"), (1, 1 / 4, -1, "quartic_c")),
-}
-
-
 def _term_block(spec: ModelSpec, term: int, parity: int) -> np.ndarray:
     """One parity block (0: even n, 1: odd n) of spec's unsigned mode term `term`, symmetrized.
 
@@ -175,7 +199,7 @@ def _term_block(spec: ModelSpec, term: int, parity: int) -> np.ndarray:
     is x^2 @ x^2, taken before x^2 is scaled.  Only one parity's powers are
     alive at a time.
     """
-    _, p2_coeff, x2_coeff, coupling = FAMILY_TERMS[spec.family][term]
+    _, p2_coeff, x2_coeff, coupling, _ = FAMILY_TERMS[spec.family][term]
     root = np.sqrt(np.arange(1, spec.mode_dim))
     q = np.sqrt(spec.omega / 2) * root  # q[n, n-1] = -q[n-1, n]
     block = _square_block(-q, q, parity)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mssq.cli import _write_csv, _write_density, main, noise_scan
-from mssq.config import ConfigError, parse_config, resolve
+from mssq.config import ConfigError, echo_text, parse_config, resolve
 from mssq.oscillator import Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
     WavefunctionGrid,
@@ -96,9 +96,9 @@ def test_echo_roundtrip(tmp_path):
             f"output.dir = {tmp_path}/o\n",
         )
     )
-    assert f"spsa.refinements = {refinements}\n" in cfg.echo_text()
-    echoed = write_config(tmp_path, cfg.echo_text(), "echo.cfg")
-    assert parse_config(echoed).values == cfg.values
+    assert f"spsa.refinements = {refinements}\n" in echo_text(cfg)
+    echoed = write_config(tmp_path, echo_text(cfg), "echo.cfg")
+    assert parse_config(echoed) == cfg
 
 
 def test_spectrum_command(tmp_path):
@@ -317,7 +317,9 @@ def test_csv_writer_matches_savetxt(tmp_path):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
 
     def savetxt(header, *columns):
-        fmt = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns]
+        fmt = []
+        for c in map(np.asarray, columns):
+            fmt += ["%d" if c.dtype.kind in "iu" else "%.17g"] * (c.shape[1] if c.ndim == 2 else 1)
         np.savetxt(old, np.column_stack(columns), fmt=fmt, delimiter=",", header=header, comments="")
 
     rng = np.random.default_rng(23)
@@ -333,6 +335,8 @@ def test_csv_writer_matches_savetxt(tmp_path):
     # %d of integers past 2^53, stacked with floats and alone
     big = np.array([2**53, 2**53 + 1, 2**60, -(2**62), 10**17, 12])
     cases += [("shots,stddev", big, floats[:6]), ("a,b", big, big[::-1])]
+    # rows wider than CSV_BLOCK_CELLS, one `_cell_words` call each
+    cases.append(("wide", np.arange(5), floats[:6000].reshape(5, 1200), rng.normal(size=(5, 3000))))
     assert len(vals) == 65536
     for header, *columns in cases:
         _write_csv(new, header, *columns)
@@ -505,6 +509,16 @@ def test_cli_unknown_family_exit_code(tmp_path):
             None,
             "spsa.refinements",
         ),
+        ("spectrum", ["spectrum.scan_dims=8,4"], None, "spectrum.scan_dims"),
+        ("spectrum", ["spectrum.scan_dims=4,4"], None, "spectrum.scan_dims"),
+        ("spectrum", ["model.family=Nope"], None, "model.family"),
+        # a mode term's entries would overflow (DoubleWell at 3 qubits)
+        ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-160"], None, "model.omega"),
+        ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-150"], None, "model.omega"),
+        ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e300"], None, "model.omega"),
+        ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.quartic_c=1e200"], None, "model.quartic_c"),
+        ("vqe", ["run.repetitions=100000000000"], None, "run.repetitions"),
+        ("noise-scan", ["noise.repetitions=100000000000"], None, "noise.repetitions"),
     ],
 )
 def test_bad_value_exits_2_naming_key(

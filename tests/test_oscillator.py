@@ -150,7 +150,7 @@ def slice_mode_terms(spec, powers):
     """Signed terms as (even-n, odd-n) blocks, each one expression of powers' (x2, p2, x4)
     per parity, symmetrized."""
     terms = []
-    for sign, p2_coeff, x2_coeff, coupling in FAMILY_TERMS[spec.family]:
+    for sign, p2_coeff, x2_coeff, coupling, _ in FAMILY_TERMS[spec.family]:
         x4_coeff = getattr(spec, coupling)
         blocks = [p2_coeff * p2 + x2_coeff * x2 + x4_coeff * x4 for x2, p2, x4 in powers]
         terms.append((sign, tuple((block + block.T) / 2 for block in blocks)))

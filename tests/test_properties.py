@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, Circuit, run
 from mssq.cli import _write_density, main
-from mssq.oscillator import DEFAULT_COUPLINGS, TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import decompose, reconstruct
 from mssq.spectrum import WavefunctionGrid, _target_index, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv
@@ -119,7 +119,8 @@ def test_nearest_zero_index_matches_lexsort(vals):
 )
 def test_dense_mode_terms_vanish_between_parities(family, n, omega, couplings):
     """Every mode term maps each number parity onto itself: exact zeros at every odd i + j."""
-    lambda_abs, quartic_c = (c if d else 0.0 for c, d in zip(couplings, DEFAULT_COUPLINGS.get(family, (0, 0))))
+    defaults = ModelSpec(family, n)
+    lambda_abs, quartic_c = (c if getattr(defaults, k) else 0.0 for c, k in zip(couplings, ("lambda_abs", "quartic_c")))
     spec = ModelSpec(family, n, lambda_abs=lambda_abs, quartic_c=quartic_c, omega=omega)
     odd = np.add.outer(np.arange(spec.mode_dim), np.arange(spec.mode_dim)) % 2 == 1
     for _, term in dense_mode_terms(spec):
