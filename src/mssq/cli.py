@@ -56,16 +56,16 @@ U3_STACKS = 4
 REPETITION_BYTES = 400
 # spectrum builds and solves d x d mode terms one (d/2) x (d/2) parity block
 # at a time, keeps only eigenvalues, and allocates nothing larger.  It counts
-# SCAN_MATRICES d x d float64 matrices for building one block (the parity
-# slices of x or q, its powers) and solving it (LAPACK's copy and workspace,
-# the eigenvectors, the residual), and SPECTRUM_VECTORS dim-long vectors (the
-# flat and sorted eigenvalues, the CSV columns).  Peaks above the import
-# floor measured 0.24-0.87x this count: DoubleWell at 10-11 qubits,
-# ClosedPhi4 at 8-10 qubits per mode.  The top is ClosedPhi4 at 8, where the
-# 2.7-2.9 MiB that a run at 2 qubits already adds outweighs the blocks; less
-# that, the peaks are 1.4 matrices for DoubleWell and 3.4-4.8 matrices and
-# vectors together for ClosedPhi4, but five matrices would put ClosedPhi4 at
-# 8 at 0.94x, inside the half-MiB spread of the import floor
+# SCAN_MATRICES d x d float64 matrices for one block: the block, written from
+# its O(d) bands, and its solve (LAPACK's copy and workspace, the
+# eigenvectors, the residual, whose band products take 64 rows at a time),
+# and SPECTRUM_VECTORS dim-long vectors (the flat and sorted eigenvalues, the
+# CSV columns).  ru_maxrss above the 29.4 MiB import floor, median of five
+# runs: 0.28x and 0.23x this count for DoubleWell at 10 and 11 qubits (scan
+# dims to 1024 and 2048), 0.84x, 0.46x and 0.31x for ClosedPhi4 at 8, 9 and
+# 10 qubits per mode (scan dims to the model's dim).  The top is ClosedPhi4
+# at 8, where the 2.7-2.9 MiB that a run at 2 qubits already adds outweighs
+# the 0.5 MiB blocks; five matrices would put it at 0.92x
 SCAN_MATRICES = 6
 SPECTRUM_VECTORS = 6
 # cells `_cell_words` formats per call.  Writing a 321 x 321 density peaks
@@ -329,9 +329,12 @@ def _check_memory(command: str, cfg: dict) -> None:
         counted[key] = counted.get(key, 0) + 8 * sum(steps) * 3 * model.total_qubits * layers
     total = sum(counted.values())
     if total > MEMORY_BOUND:
+        # a Decimal formats a count past float max; imported only to refuse, off every run's import time
+        from decimal import Decimal
+
         key = max(counted, key=counted.get)
         raise ConfigError(
-            f"{key} = {cfg[key]} needs an estimated {total / 2**30:.3g} GiB,"
+            f"{key} = {cfg[key]} needs an estimated {Decimal(total) / 2**30:.3g} GiB,"
             f" more than the {MEMORY_BOUND / 2**30:.3g} GiB bound (physical memory / 8)"
         )
 

@@ -2,10 +2,10 @@
 
 All operators are dense matrices in the harmonic-oscillator number basis,
 truncated to a power-of-two dimension so they can be mapped onto qubits.
-Position and momentum are built from the truncated ladder matrices first and
-then multiplied, so the last row/column of x^2, p^2 etc. carry the usual
-truncation artifacts; convergence is handled by increasing the qubit count,
-not by patching entries.
+Position and momentum come from the truncated ladder matrices first and are
+then multiplied, band by band, so the last row/column of x^2, p^2 etc. carry
+the usual truncation artifacts; convergence is handled by increasing the
+qubit count, not by patching entries.
 """
 
 from __future__ import annotations
@@ -169,56 +169,64 @@ class ModelSpec:
         return 2**self.total_qubits
 
 
-def _square_block(upper: np.ndarray, lower: np.ndarray, parity: int) -> np.ndarray:
-    """The even-n (parity 0) or odd-n (parity 1) block of A @ A, for A with
-    upper[n-1] = A[n-1, n], lower[n-1] = A[n, n-1] and zeros elsewhere.
+def _term_bands(spec: ModelSpec, term: int, parity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The main, first and second bands of one parity block (0: even n, 1: odd n) of spec's
+    unsigned mode term `term`; each band holds both its upper and its lower side.
 
-    A flips the parity of n, so its even-to-odd and odd-to-even slices are each
-    a (d/2) x (d/2) matrix with two bands, written directly; A is never built.
-    Both slices are written out: taking one as a transposed view of the other
-    can change the products' last bits.
+    The block is c_p p^2 + c_x x^2 + c x^4 (FAMILY_TERMS), summed left to
+    right.  x and q come from the truncated lowering matrix, lower[n-1, n] =
+    sqrt(n): x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2)
+    (lower^T - lower).  x is real and p = i q with q real, so p^2 = -q q.  Both
+    change the parity of n, so each even power maps a parity onto itself: x^2
+    and p^2 are tridiagonal in the block index, and x^4, the truncated x^2
+    squared before it is scaled, is pentadiagonal.  Every band is formed in
+    O(d), after spec.check_scale has passed.
     """
-    half = (len(upper) + 1) // 2
-    even_odd = np.zeros((half, half))
-    even_odd.flat[:: half + 1] = upper[0::2]  # A[2a, 2a+1]
-    even_odd.flat[half :: half + 1] = lower[1::2]  # A[2a, 2a-1]
-    odd_even = np.zeros((half, half))
-    odd_even.flat[:: half + 1] = lower[0::2]  # A[2a+1, 2a]
-    odd_even.flat[1 :: half + 1] = upper[1::2]  # A[2a+1, 2a+2]
-    return even_odd @ odd_even if parity == 0 else odd_even @ even_odd
+    spec.check_scale()
+    _, p2_coeff, x2_coeff, coupling, _ = FAMILY_TERMS[spec.family][term]
+    root = np.sqrt(np.arange(1, spec.mode_dim))
+
+    def square(ladder):
+        """The block's main and first bands of S @ S, S the symmetric tridiagonal matrix with
+        S[n-1, n] = ladder[n-1]: S[n, n-1]^2 + S[n, n+1]^2 and S[n, n+1] S[n+1, n+2]."""
+        squares = np.concatenate(([0.0], ladder * ladder, [0.0]))
+        return (squares[:-1] + squares[1:])[parity::2], (ladder[:-1] * ladder[1:])[parity::2]
+
+    x2_main, x2_first = square(root * (1 / np.sqrt(2 * spec.omega)))
+    # q is S = |q| with its upper side negated, so q q has -(S @ S)'s main band and
+    # (S @ S)'s first one, and p^2 = -q q the opposite signs
+    p2_main, q2_first = square(np.sqrt(spec.omega / 2) * root)
+    first_squares = x2_first * x2_first
+    x4_main = x2_main * x2_main
+    x4_main[1:] += first_squares
+    x4_main[:-1] += first_squares
+    c = getattr(spec, coupling)
+    return (
+        p2_coeff * p2_main + x2_coeff * x2_main + c * x4_main,
+        p2_coeff * -q2_first + x2_coeff * x2_first + c * (x2_main[:-1] * x2_first + x2_first * x2_main[1:]),
+        c * (x2_first[:-1] * x2_first[1:]),
+    )
+
+
+def _band_matrix(bands: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The dense symmetric matrix holding bands[k] on its k-th diagonal above and below the
+    main one, +0.0 everywhere else.
+
+    The diagonals are written through strided `flat` slices; fancy indexing
+    instead raised the peak RSS of the benchmark's constraint runs by 0.1 MB.
+    """
+    size = len(bands[0])
+    full = np.zeros((size, size))
+    for offset, band in enumerate(bands):
+        full.flat[offset : (size - offset) * size : size + 1] = band
+        full.flat[offset * size :: size + 1] = band
+    return full
 
 
 def _term_block(spec: ModelSpec, term: int, parity: int) -> np.ndarray:
-    """One parity block (0: even n, 1: odd n) of spec's unsigned mode term `term`, symmetrized.
-
-    The block is c_p p^2 + c_x x^2 + c x^4 (FAMILY_TERMS), summed left to right
-    in place.  x and q come from the truncated lowering matrix, lower[n-1, n] =
-    sqrt(n): x = (lower + lower^T) / sqrt(2 omega) and q = sqrt(omega/2)
-    (lower^T - lower).  x is real and p = i q with q real, so p^2 = -q q.  Both
-    change the parity of n, so each even power maps a parity onto itself; x^4
-    is x^2 @ x^2, taken before x^2 is scaled.  Only one parity's powers are
-    alive at a time.
-    """
-    _, p2_coeff, x2_coeff, coupling, _ = FAMILY_TERMS[spec.family][term]
-    root = np.sqrt(np.arange(1, spec.mode_dim))
-    q = np.sqrt(spec.omega / 2) * root  # q[n, n-1] = -q[n-1, n]
-    block = _square_block(-q, q, parity)
-    np.negative(block, out=block)
-    block *= p2_coeff
-    x = root * (1 / np.sqrt(2 * spec.omega))
-    x2 = _square_block(x, x, parity)
-    x4 = x2 @ x2
-    x2 *= x2_coeff
-    block += x2
-    del x2
-    x4 *= getattr(spec, coupling)
-    block += x4
-    del x4
-    # enforce exact symmetry against float roundoff in the products
-    sym = block + block.T
-    del block
-    sym /= 2
-    return sym
+    """One parity block (0: even n, 1: odd n) of spec's unsigned mode term `term`: its
+    bands (`_term_bands`) written into a dense (d/2) x (d/2) array."""
+    return _band_matrix(_term_bands(spec, term, parity))
 
 
 def _term_signs(spec: ModelSpec) -> tuple[int, ...]:

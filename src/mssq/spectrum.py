@@ -7,7 +7,10 @@ from functools import reduce
 
 import numpy as np
 
-from .oscillator import ModelSpec, _check_hermitian, _term_block, _term_signs
+from .oscillator import ModelSpec, _band_matrix, _check_hermitian, _term_bands, _term_block, _term_signs
+
+# rows of a band residual's off-diagonal products formed at a time (`_band_residual`)
+RESIDUAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,40 @@ class TermSolve:
     residual: float
 
 
+def _band_residual(bands: tuple[np.ndarray, ...], vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """T vecs - vecs * vals for the symmetric T holding bands[k] on its k-th diagonals (`_band_matrix`).
+
+    r = (diag(T) - vals) * vecs is formed in place; each off-diagonal band then
+    adds its products above and below the diagonal RESIDUAL_ROWS rows at a
+    time, so nothing as large as r is allocated beside it.
+    """
+    main, *off_bands = bands
+    r = np.subtract.outer(main, vals)
+    r *= vecs
+    strip = np.empty((min(RESIDUAL_ROWS, len(main)), len(vals)))
+    for offset, band in enumerate(off_bands, start=1):
+        for top in range(0, len(band), RESIDUAL_ROWS):
+            rows = band[top : top + RESIDUAL_ROWS, None]
+            part = strip[: len(rows)]
+            # T[k, k + offset] v[k + offset] and T[k + offset, k] v[k], for the strip's rows k
+            np.multiply(rows, vecs[top + offset : top + offset + len(rows)], out=part)
+            r[top : top + len(rows)] += part
+            np.multiply(rows, vecs[top : top + len(rows)], out=part)
+            r[top + offset : top + offset + len(rows)] += part
+    return r
+
+
 def _block_solve(spec: ModelSpec, term: int, parity: int) -> tuple[np.ndarray, float]:
-    """A parity block's eigenvalues and residual; the block and its eigenvectors are freed on return."""
-    solve = eigendecompose(_term_block(spec, term, parity))
-    return solve.eigenvalues, solve.residual
+    """A parity block's eigenvalues, from `eigh` of `_term_block`, and its residual, the largest
+    |T v - lambda v| from `_band_residual`; the block and its eigenvectors are freed on return."""
+    bands = _term_bands(spec, term, parity)
+    vals, vecs = np.linalg.eigh(_band_matrix(bands))
+    residual = float(np.max(np.linalg.norm(_band_residual(bands, vals, vecs), axis=0)))
+    return vals, residual
 
 
 def _solve_term(spec: ModelSpec, term: int) -> TermSolve:
-    """A mode term's solve, one `eigendecompose` per parity block, built and solved one at a time."""
+    """A mode term's solve, one `_block_solve` per parity block, built and solved one at a time."""
     (even, even_residual), (odd, odd_residual) = (_block_solve(spec, term, parity) for parity in (0, 1))
     vals = np.concatenate((even, odd))
     order = np.argsort(vals, kind="stable")

@@ -519,6 +519,9 @@ def test_cli_unknown_family_exit_code(tmp_path):
         ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.quartic_c=1e200"], None, "model.quartic_c"),
         ("vqe", ["run.repetitions=100000000000"], None, "run.repetitions"),
         ("noise-scan", ["noise.repetitions=100000000000"], None, "noise.repetitions"),
+        # the estimate passes float max, so it is formatted without a float division
+        ("spectrum", ["model.qubits_per_mode=600"], None, "model.qubits_per_mode"),
+        ("vqe", ["model.qubits_per_mode=600"], None, "model.qubits_per_mode"),
     ],
 )
 def test_bad_value_exits_2_naming_key(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from mssq.oscillator import (
     Family,
     ModelSpec,
     _check_hermitian,
+    _term_block,
     build_model,
     matrix_square,
     mode_terms,
@@ -93,8 +95,8 @@ def test_number_operator_dim4():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_even_powers_equal_complex_quadrature_products(n, omega):
     """Each parity block of every family's real build is the same expression of the complex
-    reference's x.real and p.imag products' blocks bit for bit, and those products are 0
-    between the parities."""
+    reference's x.real and p.imag products' blocks to within BAND_ULPS rounding steps, +0.0
+    off its bands, and those products are 0 between the parities."""
     x, p = complex_quadratures(2**n, omega)
     x, q = x.real, p.imag
     x2 = x @ x
@@ -107,7 +109,7 @@ def test_even_powers_equal_complex_quadrature_products(n, omega):
         for (sign, got), (want_sign, want) in zip(mode_terms(spec), slice_mode_terms(spec, blocks), strict=True):
             assert sign == want_sign
             for got_block, want_block in zip(got, want, strict=True):
-                assert_bit_equal(got_block, want_block)
+                assert_close_banded(got_block, want_block)
 
 
 def dense_mode_terms(spec):
@@ -157,10 +159,24 @@ def slice_mode_terms(spec, powers):
     return terms
 
 
-def assert_bit_equal(got, want):
+# entrywise bound, in units of eps * max(1, max|H|), of the band build against dense
+# products: BLAS fuses each product's multiply-adds and numpy does not.  The largest
+# gap measured over these tests' cases was 3.97 (OpenPhi4, 4 qubits, omega 0.7)
+BAND_ULPS = 8
+
+
+def assert_close(got, want):
     assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    scale = max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() <= BAND_ULPS * np.finfo(float).eps * scale
+
+
+def assert_close_banded(got, want):
+    """got is within BAND_ULPS of want, and exactly +0.0 more than two diagonals off the main one."""
+    assert_close(got, want)
+    index = np.arange(len(got))
+    off_bands = got[np.abs(np.subtract.outer(index, index)) > 2]
+    assert np.all(off_bands == 0.0) and not np.signbit(off_bands).any()
 
 
 @pytest.mark.parametrize("omega", [1.0, 1.3, 0.7, 2.9, 0.05, 17.3])
@@ -170,14 +186,14 @@ def assert_bit_equal(got, want):
     + [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)],
 )
 def test_banded_slices_equal_dense_slices(family, n, omega):
-    """The one-parity builds from two-band slices give the dense slices' mode-term blocks
-    bit for bit, signed zeros included."""
+    """The band builds give the dense slices' mode-term blocks to within BAND_ULPS rounding
+    steps, with +0.0 off the bands."""
     spec = ModelSpec(family, n, omega=omega)
     want_terms = slice_mode_terms(spec, dense_slice_powers(spec))
     for (sign, blocks), (want_sign, want_blocks) in zip(mode_terms(spec), want_terms, strict=True):
         assert sign == want_sign
         for block, want_block in zip(blocks, want_blocks, strict=True):
-            assert_bit_equal(block, want_block)
+            assert_close_banded(block, want_block)
 
 
 def dense_kronecker_sum(terms):
@@ -195,9 +211,24 @@ def dense_kronecker_sum(terms):
     + [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)],
 )
 def test_build_model_equals_dense_reference(family, n, omega):
-    """Scattering the parity blocks rebuilds the dense products' Kronecker sum bit for bit."""
+    """Scattering the parity blocks rebuilds the dense products' Kronecker sum to within
+    BAND_ULPS rounding steps."""
     spec = ModelSpec(family, n, omega=omega)
-    assert np.array_equal(build_model(spec), dense_kronecker_sum(dense_mode_terms(spec)))
+    assert_close(build_model(spec), dense_kronecker_sum(dense_mode_terms(spec)))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_term_block_peak_stays_at_one_block(n):
+    """A parity block is written from its O(d) bands into one (d/2) x (d/2) array, so the
+    traced peak of building it stays within 1.1 of the block's own size."""
+    spec = ModelSpec(Family.DOUBLE_WELL, n)
+    tracemalloc.start()
+    try:
+        block = _term_block(spec, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * block.nbytes
 
 
 def test_quadratures_dim2():

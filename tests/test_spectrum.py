@@ -4,8 +4,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, mode_terms
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, _term_bands, build_model, mode_terms
 from mssq.spectrum import (
+    _band_residual,
     _outer_sum,
     _target_index,
     convergence_scan,
@@ -280,8 +281,9 @@ def test_spectrum_peak_stays_under_1_4_full_matrices(family, n):
 
 @pytest.mark.parametrize("family,n", [(f, n) for f in Family for n in range(1, 6)])
 def test_spectrum_equals_eigendecompose_of_each_block(family, n):
-    """spectrum's eigenvalues, sort orders and max residual are those of `eigendecompose`
-    run on each block of `mode_terms`, bit for bit."""
+    """spectrum's eigenvalues and sort orders are those of `eigendecompose` run on each
+    block of `mode_terms`, bit for bit.  Its max residual is the largest column norm of
+    the band residuals, each within 16 eps max|T| of the dense block @ vecs - vecs * vals."""
     spec = ModelSpec(family, n)
     signs, terms = zip(*mode_terms(spec))
     block_solves = [[eigendecompose(block) for block in blocks] for blocks in terms]
@@ -292,7 +294,26 @@ def test_spectrum_equals_eigendecompose_of_each_block(family, n):
     assert vals.tobytes() == want.tobytes()
     for solve, order in zip(solves, orders, strict=True):
         assert np.array_equal(solve.order, order)
-    assert max(solve.residual for solve in solves) == max(s.residual for ss in block_solves for s in ss)
+    band_residuals = []
+    for term, (blocks, solves_of_term) in enumerate(zip(terms, block_solves)):
+        for parity, (block, solve) in enumerate(zip(blocks, solves_of_term)):
+            r = _band_residual(_term_bands(spec, term, parity), solve.eigenvalues, solve.eigenvectors)
+            dense = block @ solve.eigenvectors - solve.eigenvectors * solve.eigenvalues
+            assert np.abs(r - dense).max() <= 16 * np.finfo(float).eps * np.abs(block).max()
+            band_residuals.append(np.max(np.linalg.norm(r, axis=0)))
+    assert max(solve.residual for solve in solves) == max(band_residuals)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [spectrum, ground_or_nearest_zero, lambda spec: convergence_scan(spec, [4, 8]), build_model],
+    ids=["spectrum", "ground_or_nearest_zero", "convergence_scan", "build_model"],
+)
+def test_overflowing_scale_names_omega(solve):
+    """Every path builds its blocks through `_term_bands`, which runs `ModelSpec.check_scale`
+    first, so a scale whose entries would overflow is refused with the field's name."""
+    with pytest.raises(ValueError, match=r"^omega = 1e-160 puts mode-term entries above"):
+        solve(ModelSpec(Family.DOUBLE_WELL, 3, omega=1e-160))
 
 
 def embedded_eigenvectors(blocks):
