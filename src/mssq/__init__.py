@@ -12,9 +12,9 @@ import os
 # when an idle worker sleeps, so no result depends on it.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
-from .circuits import AnsatzShape, Circuit, expectation, run
+from .circuits import AnsatzShape, Circuit, MeasurementPlan, expectation, measurement_plan, run
 from .oscillator import Family, ModelSpec, build_model, matrix_square
-from .pauli import PauliSum, decompose, group_by_basis, reconstruct
+from .pauli import PauliSum, decompose, reconstruct
 from .spectrum import (
     SpectrumResult,
     WavefunctionGrid,
@@ -28,6 +28,7 @@ __all__ = [
     "AnsatzShape",
     "Circuit",
     "Family",
+    "MeasurementPlan",
     "ModelSpec",
     "PauliSum",
     "SpectrumResult",
@@ -41,8 +42,8 @@ __all__ = [
     "eigendecompose",
     "estimate_error",
     "expectation",
-    "group_by_basis",
     "matrix_square",
+    "measurement_plan",
     "reconstruct",
     "reconstruct_wavefunction",
     "run",

@@ -4,16 +4,26 @@ Qubit 0 is the most significant bit of the basis index, matching the
 most-significant-first convention of the Pauli strings in `pauli`.  Both
 `run` and `expectation` work on a batch of states: a circuit whose params are
 a (B, P) stack simulates and measures its B rows at once.
+
+An observable is measured straight from its real symmetric matrix H, one
+circuit per XOR offset m of H: the entries H[i, i ^ m] are read out together
+by the extended Bell measurement of Kondo, Mori, Koh & Watanabe, Quantum 6,
+688 (2022), arXiv:2110.09735 (`measurement_plan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliSum
+from .oscillator import _check_hermitian
+
+# an offset is measured when one of its entries exceeds ENTRY_CUTOFF * max(1, max|H|); below
+# that it holds only rounding residue, as where HarmonicOsc's x^2 and p^2 parts cancel to 1e-16
+ENTRY_CUTOFF = 1e-12
 
 
 def u3_matrix(theta, phi, lam) -> np.ndarray:
@@ -26,25 +36,6 @@ def u3_matrix(theta, phi, lam) -> np.ndarray:
     mat[..., 1, 0] = e_phi * sin
     mat[..., 1, 1] = e_sum * cos
     return mat
-
-
-@cache
-def _basis_changes() -> np.ndarray:
-    """Read-only basis change per code of `Readout.bases`, built on first use.
-
-    Code 0, Z or an unmeasured qubit, is the identity; codes 1 and 2 are the
-    u3 gates mapping X and Y measurement onto the computational basis.  Built
-    lazily so that importing mssq touches no trigonometric numpy loops.
-    """
-    changes = np.stack(
-        [
-            np.eye(2, dtype=complex),
-            u3_matrix(np.pi / 2, 0.0, np.pi),
-            u3_matrix(np.pi / 2, 0.0, np.pi / 2),
-        ]
-    )
-    changes.flags.writeable = False
-    return changes
 
 
 def _apply_u3_layer(states: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -130,48 +121,91 @@ def run(circuit: Circuit) -> np.ndarray:
     return states.reshape(*params.shape[:-1], -1)
 
 
-def _readout_probabilities(circuit: Circuit, observable: PauliSum) -> np.ndarray:
-    """Each state's (G, dim) readout distributions over the observable's G groups: (..., G, dim).
+class MeasurementPlan(NamedTuple):
+    """How a real symmetric H is measured: one circuit per XOR offset, and how each is read.
 
-    The circuit is simulated once and each state is repeated over the groups;
-    the groups' stacked basis changes rotate the whole block in one
-    `_apply_u3_layer`.  Nothing holds the repeated block, so each rotation step
-    frees its input, and the squares and normalisation are taken in place.
+    Circuit g measures offsets[g] = m, ascending, with pivot k its highest set
+    bit: a CNOT from k to each other bit of m, a Hadamard on k, then every
+    qubit in Z.  Outcome r then has amplitude (psi[low] + signs * psi[partner])
+    / sqrt(2) and weight weights[g, r] = signs * H[low, partner], with low =
+    r & ~k, partner = low ^ m and signs = (-1)^(r_k); all four are (G, dim).
+    Offset 0 has pivot 0: the Z basis, low = partner = r and weight diag H.
     """
-    if observable.n_qubits != circuit.n_qubits:
+
+    offsets: np.ndarray
+    weights: np.ndarray
+    low: np.ndarray
+    partner: np.ndarray
+    signs: np.ndarray
+
+
+def measurement_plan(h) -> MeasurementPlan:
+    """The plan of a real symmetric 2^n x 2^n matrix: one circuit per offset above ENTRY_CUTOFF.
+
+    Over the outcomes of offset m, sum_r p(r) weights[r] = sum_i conj(psi_i)
+    H[i, i ^ m] psi_(i ^ m), so the offsets' exact estimates sum to <psi|H|psi>,
+    short of the dropped offsets' residue.
+    """
+    h = _check_hermitian(h)
+    if np.iscomplexobj(h):
+        raise ValueError("a measurement plan needs a real symmetric matrix, got a complex one")
+    dim = len(h)
+    if dim & (dim - 1):
+        raise ValueError(f"matrix dimension must be a power of two, got {dim}")
+    bound = ENTRY_CUTOFF * max(1.0, h.max(), -h.min())
+    rows, cols = np.nonzero((h > bound) | (h < -bound))
+    # a boolean mask, not np.unique, which imports numpy.ma on first use
+    present = np.zeros(dim, dtype=bool)
+    present[rows ^ cols] = True
+    offsets = np.flatnonzero(present)
+    # each offset's highest set bit, and 0 for offset 0: m = f 2^e with f in [0.5, 1)
+    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
+    outcomes = np.arange(dim)
+    low = outcomes & ~pivots[:, None]
+    partner = low ^ offsets[:, None]
+    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
+    return MeasurementPlan(offsets, signs * h[low, partner], low, partner, signs)
+
+
+def _readout_probabilities(circuit: Circuit, plan: MeasurementPlan) -> np.ndarray:
+    """Each state's (G, dim) outcome distributions over the plan's G circuits: (..., G, dim).
+
+    The circuit is simulated once.  Each circuit's amplitudes, without the
+    1/sqrt(2) that the normalisation removes, are formed in place as
+    psi[partner] * signs + psi[low], then squared and normalised in place, so
+    only the gathered psi[low] is held beside the (..., G, dim) block.
+    """
+    if plan.weights.shape[-1] != 2**circuit.n_qubits:
         raise ValueError("observable and circuit qubit counts differ")
-    plan = observable.readout
-    rotated = _apply_u3_layer(
-        np.repeat(run(circuit)[..., None, :], len(plan.weights), axis=-2),
-        _basis_changes()[plan.bases],
-    )
-    probs = np.abs(rotated)
-    del rotated
+    states = run(circuit)
+    amplitudes = states[..., plan.partner]
+    amplitudes *= plan.signs
+    amplitudes += states[..., plan.low]
+    probs = np.abs(amplitudes)
+    del amplitudes
     np.square(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def _sampled_expectation(pvals: np.ndarray, observable: PauliSum, shots: int, seed=None):
-    """One multinomial draw of `shots` per (state, group) row of pvals, the first state's groups
-    first, read out as a float or one value per state."""
-    plan = observable.readout
+def _sampled_expectation(pvals: np.ndarray, plan: MeasurementPlan, shots: int, seed=None):
+    """One multinomial draw of `shots` per (state, circuit) row of pvals, the first state's
+    circuits first, read out as a float or one value per state."""
     counts = np.random.default_rng(seed).multinomial(shots, pvals)
     freq = counts.reshape(*pvals.shape[:-2], -1) / shots
-    values = plan.constant + freq @ plan.weights.reshape(-1)
+    values = freq @ plan.weights.reshape(-1)
     return float(values) if values.ndim == 0 else values
 
 
-def expectation(circuit: Circuit, observable: PauliSum, shots: int, seed=None):
-    """Shot-sampled <psi|O|psi>: a float, or one value per state of a (B, P) batch.
+def expectation(circuit: Circuit, plan: MeasurementPlan, shots: int, seed=None):
+    """Shot-sampled <psi|H|psi>: a float, or one value per state of a (B, P) batch.
 
-    The circuit is simulated once and each state is repeated over the
-    observable's G qubit-wise groups.  The groups' stacked basis changes
-    rotate the whole (B, G, dim) block in one `_apply_u3_layer`, and one
-    multinomial draw of `shots` per (state, group) row samples it, the first
-    state's groups first.  A state's value is the I...I constant plus
-    sum_g freq_g . W_g, with W_g its group's readout weights
-    (`PauliSum.readout`).  Error bars come from repeated draws
-    (`vqe.estimate_error`).
+    The circuit is simulated once and each state is read out through the
+    plan's G offset circuits as one (B, G, dim) block of outcome
+    distributions.  One multinomial draw of `shots` per (state, circuit) row
+    samples it, the first state's circuits first, and a state's value is
+    sum_g freq_g . W_g, with W_g the plan's weights.  Offset 0's frequencies
+    sum to 1, so diag H carries any constant at no added variance.  Error
+    bars come from repeated draws (`vqe.estimate_error`).
     """
-    return _sampled_expectation(_readout_probabilities(circuit, observable), observable, shots, seed)
+    return _sampled_expectation(_readout_probabilities(circuit, plan), plan, shots, seed)

@@ -18,10 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import spectrum as spec_mod
-from .circuits import AnsatzShape, Circuit, run
+from .circuits import AnsatzShape, Circuit, measurement_plan, run
 from .config import ConfigError, echo_text, parse_config
 from .oscillator import ModelSpec, build_model
-from .pauli import decompose
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
@@ -30,19 +29,18 @@ from .vqe import SpsaConfig, estimate_error, vqe_run
 # two-mode density grid (3.1-3.4x), where reconstruct_wavefunction holds psi
 # (complex) and |psi| at once
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-# dim x dim float64 matrices each other command holds at once.  Building the
-# observables holds the model, H^2 for constraint, and two real arrays while
-# pauli.decompose runs (the check's difference, then one per-axis step's
-# input and output).  Shot readout then holds a (states, groups, dim)
-# complex block, two states for an SPSA pair, and up to three such blocks
-# while one basis-change step runs (its input, gemm result and reordered
-# copy).  That sets the peak above the import floor: 11-14 matrices for vqe
-# and 5.6-9.4 for noise-scan on DoubleWell at 10-12 qubits, 8.7-11.3 for
-# constraint on ClosedPhi4 at 5-6 qubits per mode, 3.6 for vqe and
-# noise-scan on ClosedPhi4 at 6 (47 groups): 0.7-2.8x these counts.  One
-# matrix fewer for noise-scan or constraint would put them above that, at
-# 3.1x and 2.84x
-MATRICES_HELD = {"vqe": 5, "constraint": 5, "noise-scan": 4}
+# dim x dim float64 matrices each other command holds at once.  A two-mode
+# build_model holds three while it forms the Kronecker sum; measurement_plan
+# then holds its input and the Hermiticity check's difference, and for
+# constraint H^2 beside the model.  Shot readout holds (states, G, dim)
+# blocks, G = 2n - 2 circuits for one mode (18 at DoubleWell 10) and 72 for
+# ClosedPhi4's H^2 at 5 per mode, far below one matrix.  Peaks above the
+# import floor: 2.0-2.7 matrices for vqe and 2.0-2.2 for noise-scan on
+# DoubleWell at 10-12 qubits, 3.0 for both on ClosedPhi4 at 5-6 qubits per
+# mode, and 4.5 and 3.4 for constraint on ClosedPhi4 at 5 and 6: 0.50-0.91x
+# these counts.  One matrix fewer for noise-scan or constraint would put
+# ClosedPhi4 at 5 above that, at 1.01x and 1.13x
+MATRICES_HELD = {"vqe": 4, "constraint": 5, "noise-scan": 4}
 # u3 stacks counted for each other command under ansatz.depth: `run` builds
 # the u3 gates of every layer as one (states, depth + 1, n, 2, 2) complex
 # stack, two states for an SPSA pair and one for noise-scan, beside the
@@ -457,7 +455,7 @@ def noise_scan(cfg: dict) -> ShotNoiseReport:
     grid = cfg["noise.shots_grid"]
     repetitions = cfg["noise.repetitions"]
     model = _model_spec(cfg)
-    observable = decompose(build_model(model))
+    plan = measurement_plan(build_model(model))
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     root = np.random.SeedSequence(_seed(cfg))
     ss_params, ss_reps = root.spawn(2)
@@ -465,7 +463,7 @@ def noise_scan(cfg: dict) -> ShotNoiseReport:
     circuit = Circuit(shape, params)
     stddevs = []
     for shots, child in zip(grid, ss_reps.spawn(len(grid))):
-        _, std = estimate_error(circuit, observable, shots, repetitions, child)
+        _, std = estimate_error(circuit, plan, shots, repetitions, child)
         stddevs.append(std)
     log_x = np.log(np.asarray(grid, dtype=float))
     log_y = np.log(np.asarray(stddevs))

@@ -1,4 +1,4 @@
-"""Pauli-string decomposition of Hermitian matrices and measurement grouping.
+"""Pauli-string decomposition of Hermitian matrices, the reference form of an observable.
 
 A Pauli sum is its coefficients and each string's base-4 index, qubit 0 the
 most significant digit and I, X, Y, Z = 0, 1, 2, 3; words over IXYZ appear
@@ -15,16 +15,17 @@ product of I, X, -iY = [[0, -1], [1, 0]] and Z, so trace(sigma H) / 2^n is
 k: a real H has no odd-k strings and a complex one takes a second transform.
 Reconstruction gives Re H from the even-k terms and Im H from the odd-k ones.
 
-Grouping works on each string's (x, z) bit masks, its binary symplectic form
-(Aaronson & Gottesman, arXiv:quant-ph/0406196): X sets x, Z sets z and Y sets
-both, qubit 0 in the most significant bit.  A group is an array of term positions.
+No command measures through this form: `circuits.measurement_plan` reads an
+observable straight from its matrix.  A string's x bit mask (X and Y set it)
+is the XOR offset of the entries it touches, so the offsets of a real H are
+the distinct x masks of its decomposition, once each side drops its rounding
+residue (COEFF_CUTOFF here, `circuits.ENTRY_CUTOFF` there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +38,6 @@ _BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
 # _TAU[a, 2r + c] = tau_a[r, c] for tau = I, X, -iY, Z, and each letter's Y count
 _TAU = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
 _Y_COUNT = np.array([0, 0, 1, 0], dtype=np.uint8)
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-class Readout(NamedTuple):
-    """How an observable is read out of its groups' measured histograms.
-
-    weights[g, i] = sum of c_s * (-1)^popcount(i & sup_s) over group g's
-    strings s other than I...I, whose coefficient is `constant`; bases[g, q]
-    is 0 where group g measures Z or nothing on qubit q, 1 for X and 2 for Y.
-    """
-
-    constant: float
-    weights: np.ndarray
-    bases: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,34 +79,6 @@ class PauliSum:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-    @cached_property
-    def groups(self) -> list[np.ndarray]:
-        """The qubit-wise measurement groups as term positions, computed once; the sum is frozen."""
-        return group_by_basis(self)
-
-    @cached_property
-    def readout(self) -> Readout:
-        """The groups' readout plan, computed once and shared; callers must not modify it.
-
-        Within a group a string is fixed by its support, so the weights are the
-        Walsh-Hadamard transform of each group's coefficients placed at their support
-        masks; members agree where they act, so a qubit's basis is their largest x (1 + z).
-        """
-        n, groups = self.n_qubits, self.groups
-        rows = np.zeros(len(self.index), dtype=np.intp)
-        for g, group in enumerate(groups):
-            rows[group] = g
-        x, z = _masks(self.index, n)
-        support = x | z
-        measured = support > 0
-        placed = np.zeros((len(groups), self.dim))
-        placed[rows[measured], support[measured]] = self.coeffs[measured]
-        weights = _per_axis(_HADAMARD, placed.T, n).reshape(len(groups), self.dim)
-        shifts = np.arange(n - 1, -1, -1)
-        bases = np.zeros((len(groups), n), dtype=np.intp)
-        np.maximum.at(bases, rows, ((x[:, None] >> shifts) & 1) * (1 + ((z[:, None] >> shifts) & 1)))
-        return Readout(float(self.coeffs[~measured].sum()), weights, bases)
 
 
 def _per_axis(table: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -181,32 +140,3 @@ def reconstruct(psum: PauliSum) -> np.ndarray:
     rows_then_columns = [0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2)]
     re, im = interleaved.transpose(rows_then_columns).reshape(2, psum.dim, psum.dim)
     return re + 1j * im
-
-
-def group_by_basis(psum: PauliSum) -> list[np.ndarray]:
-    """Greedy first-fit grouping of qubit-wise compatible strings: term positions, input order.
-
-    String s fits open group g when the two agree on every qubit both act on:
-    (sup_s & sup_g) & ((x_s ^ x_g) | (z_s ^ z_g)) == 0, with sup = x | z and
-    (x_g, z_g) the union of g's members.  Packing x above z into one word, and
-    the support into both halves, makes that one test over every open group:
-    (word_s ^ word_g) & support_s & support_g == 0.
-    """
-    n = psum.n_qubits
-    x, z = _masks(psum.index, n)
-    words, supports = ((x << n) | z).tolist(), ((x | z) * ((1 << n) + 1)).tolist()
-    group_words = np.zeros(len(words), dtype=np.int64)
-    group_supports = np.zeros(len(words), dtype=np.int64)
-    members: list[list[int]] = []
-    for position, (word, support) in enumerate(zip(words, supports)):
-        clash = group_words[: len(members)] ^ word
-        clash &= support
-        clash &= group_supports[: len(members)]
-        g = int(clash.argmin()) if members else 0
-        if not members or clash[g]:
-            g = len(members)
-            members.append([])
-        members[g].append(position)
-        group_words[g] |= word
-        group_supports[g] |= support
-    return [np.array(group, dtype=np.int64) for group in members]

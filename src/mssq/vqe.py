@@ -3,7 +3,9 @@
 Energy mode minimizes the shot-estimated <H> to upper-bound a ground energy.
 Constraint mode minimizes <H^2>, which targets the zero eigenspace directly
 and stays bounded below even when H itself is unbounded; the final report
-carries both <H> and <H^2> of the optimized state.
+carries both <H> and <H^2> of the optimized state.  Each observable is
+measured through its `circuits.measurement_plan`, built once per run from the
+dense model (and from its square for constraint mode).
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import pauli
-from .circuits import AnsatzShape, Circuit, _readout_probabilities, _sampled_expectation, expectation
+from .circuits import (
+    AnsatzShape,
+    Circuit,
+    MeasurementPlan,
+    _readout_probabilities,
+    _sampled_expectation,
+    expectation,
+    measurement_plan,
+)
 from .oscillator import ModelSpec, build_model, matrix_square
 
 DEFAULT_CALIBRATION_STEP = 0.1  # radians, first-iteration parameter change
@@ -150,7 +159,7 @@ def spsa_minimize(objective, initial, config: SpsaConfig, out: Trajectory | None
     return trajectory.params[best_k].copy(), trajectory
 
 
-def estimate_error(circuit: Circuit, observable: pauli.PauliSum, shots, repetitions, seed):
+def estimate_error(circuit: Circuit, plan: MeasurementPlan, shots, repetitions, seed):
     """Sample mean and standard deviation of repeated shot-mode expectations.
 
     The circuit is simulated once; each repetition draws its shots from that
@@ -159,9 +168,9 @@ def estimate_error(circuit: Circuit, observable: pauli.PauliSum, shots, repetiti
     if repetitions < 2:
         raise ValueError("repetitions must be at least 2")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    pvals = _readout_probabilities(circuit, observable)
+    pvals = _readout_probabilities(circuit, plan)
     values = [
-        _sampled_expectation(pvals, observable, shots, np.random.default_rng(child))
+        _sampled_expectation(pvals, plan, shots, np.random.default_rng(child))
         for child in root.spawn(repetitions)
     ]
     return float(np.mean(values)), float(np.std(values, ddof=1))
@@ -181,7 +190,7 @@ def vqe_run(
     restarts: int = 1,
     refinements: tuple[tuple[int, float, int], ...] = (),
 ) -> VqeResult:
-    """Full variational run: build, decompose, SPSA-minimize, re-measure.
+    """Full variational run: build, plan the measurement, SPSA-minimize, re-measure.
 
     objective_kind "energy" minimizes <H>; "constraint" minimizes <H^2> and
     reports <H> of the optimized state alongside it.  h_mean and h_stderr
@@ -206,9 +215,9 @@ def vqe_run(
     if spsa is None:
         spsa = SpsaConfig(iterations=300)
     hamiltonian = build_model(spec)
-    h_sum = pauli.decompose(hamiltonian)
+    h_plan = measurement_plan(hamiltonian)
     constraint = objective_kind == "constraint"
-    objective_sum = pauli.decompose(matrix_square(hamiltonian)) if constraint else h_sum
+    objective_plan = measurement_plan(matrix_square(hamiltonian)) if constraint else h_plan
 
     root = np.random.SeedSequence(spsa.seed)
     ss_init, ss_shots, ss_final, ss_stages = root.spawn(4)
@@ -217,7 +226,7 @@ def vqe_run(
     current_shots = shots
 
     def objective(pair):
-        return expectation(Circuit(shape, pair), objective_sum, shots=current_shots, seed=shot_rng)
+        return expectation(Circuit(shape, pair), objective_plan, shots=current_shots, seed=shot_rng)
 
     stage_seeds = iter(ss_stages.spawn(restarts + len(refinements)))
     candidates = []
@@ -248,7 +257,7 @@ def vqe_run(
     best_circuit = Circuit(shape, best_params)
 
     ss_h, ss_h2 = ss_final.spawn(2)
-    h_mean, h_std = estimate_error(best_circuit, h_sum, shots, repetitions, ss_h)
+    h_mean, h_std = estimate_error(best_circuit, h_plan, shots, repetitions, ss_h)
     h_stderr = h_std / np.sqrt(repetitions)
     result = VqeResult(
         best_params=best_params,
@@ -260,7 +269,7 @@ def vqe_run(
         circuit=best_circuit,
     )
     if constraint:
-        h2_mean, h2_std = estimate_error(best_circuit, objective_sum, shots, repetitions, ss_h2)
+        h2_mean, h2_std = estimate_error(best_circuit, objective_plan, shots, repetitions, ss_h2)
         result.h2_mean = h2_mean
         result.h2_stderr = float(h2_std / np.sqrt(repetitions))
     return result

@@ -4,11 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mssq.circuits import AnsatzShape, Circuit, expectation, run, u3_matrix
-from mssq import circuits, pauli
-from mssq.pauli import PauliSum, decompose, group_by_basis, reconstruct
+from mssq.circuits import AnsatzShape, Circuit, expectation, measurement_plan, run, u3_matrix
+from mssq import circuits, vqe
 from mssq.oscillator import Family, ModelSpec, build_model
-from test_pauli import group_letters
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -129,22 +127,22 @@ def test_batched_states_bit_equal_to_separate_runs():
                 assert np.array_equal(state, run(Circuit(shape, row)))
 
 
-def test_batched_rotations_bit_equal_to_per_group_loop():
-    rotations = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
+def test_readout_amplitudes_match_gate_level_fanout():
+    """Each offset's outcome distribution is the state's after its fan-out CNOTs and its
+    Hadamard, applied one gate at a time with the reference kernels."""
     rng = np.random.default_rng(8)
     for n in range(1, 7):
-        states = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
-        bases = rng.choice(np.array(["X", "Y", "Z", None], dtype=object), size=(7, n))
-        codes = np.array([[{"X": 1, "Y": 2}.get(b, 0) for b in row] for row in bases])
-        block = np.repeat(states[:, None, :], len(bases), axis=1)
-        rotated = circuits._apply_u3_layer(block, circuits._basis_changes()[codes])
-        for state, per_state in zip(states, rotated):
-            for basis, got in zip(bases, per_state):
-                expected = state
-                for q, b in enumerate(basis):
-                    if b in rotations:
-                        expected = apply_gate(expected, u3_reference(*rotations[b]), q)
-                assert np.array_equal(got, expected)
+        shape = AnsatzShape(n, int(rng.integers(0, 3)))
+        batch = rng.uniform(-np.pi, np.pi, (3, shape.parameter_count))
+        a = rng.normal(size=(2**n, 2**n))
+        plan = measurement_plan(a + a.T)
+        assert plan.offsets.tolist() == list(range(2**n))
+        probs = circuits._readout_probabilities(Circuit(shape, batch), plan)
+        assert probs.shape == (3, 2**n, 2**n)
+        for row, per_state in zip(batch, probs):
+            for m, got in zip(plan.offsets.tolist(), per_state):
+                expected = np.abs(offset_basis_state(run(Circuit(shape, row)), m)) ** 2
+                assert np.max(np.abs(got - expected)) <= 8 * np.finfo(float).eps
 
 
 def test_empty_circuit():
@@ -240,87 +238,111 @@ def test_ansatz_reaches_real_states():
 
 def test_expectation_shot_x_on_zero_state():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
-    value = expectation(circuit, PauliSum.from_terms(1, ((1.0, "X"),)), shots=8192, seed=3)
+    value = expectation(circuit, measurement_plan(np.array([[0.0, 1.0], [1.0, 0.0]])), shots=8192, seed=3)
     assert isinstance(value, float)
     assert abs(value) < 4 / np.sqrt(8192)
 
 
 def test_expectation_ansatz_zero_params_matches_matrix_element():
-    # the harmonic Hamiltonian is diagonal, so every shot on |00> reads the same parities
+    # the harmonic Hamiltonian is diagonal, so its one circuit is the Z basis and every shot
+    # on |00> reads H[0, 0]
     h = build_model(ModelSpec(Family.HARMONIC_OSC, 2))
     circuit = Circuit(AnsatzShape(2, 2), np.zeros(18))
-    value = expectation(circuit, decompose(h), shots=64, seed=0)
+    plan = measurement_plan(h)
+    assert plan.offsets.tolist() == [0]
+    value = expectation(circuit, plan, shots=64, seed=0)
     assert value == pytest.approx(h[0, 0])
 
 
 def test_expectation_qubit_mismatch():
     with pytest.raises(ValueError):
-        expectation(Circuit(AnsatzShape(2, 0), np.zeros(6)), PauliSum.from_terms(1, ((1.0, "Z"),)), shots=1)
+        expectation(Circuit(AnsatzShape(2, 0), np.zeros(6)), measurement_plan(np.diag([1.0, -1.0])), shots=1)
+
+
+def test_plan_rejects_complex_and_non_power_of_two_matrices():
+    with pytest.raises(ValueError, match="needs a real symmetric matrix"):
+        measurement_plan(np.array([[0.0, -1j], [1j, 0.0]]))
+    # a complex dtype is refused even when every imaginary part is zero
+    with pytest.raises(ValueError, match="needs a real symmetric matrix"):
+        measurement_plan(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="power of two, got 3"):
+        measurement_plan(np.eye(3))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        measurement_plan(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_shot_expectation_unbiased():
     rng = np.random.default_rng(9)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    psum = decompose((a + a.conj().T) / 2)
+    a = rng.normal(size=(4, 4))
+    h = (a + a.T) / 2
+    plan = measurement_plan(h)
     circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
     psi = run(circuit)
-    exact = np.vdot(psi, reconstruct(psum) @ psi).real
-    values = [expectation(circuit, psum, shots=2048, seed=seed) for seed in range(200)]
+    exact = np.vdot(psi, h @ psi).real
+    values = [expectation(circuit, plan, shots=2048, seed=seed) for seed in range(200)]
     combined = np.std(values, ddof=1) / np.sqrt(200)
     assert abs(np.mean(values) - exact) < 4 * combined
 
 
 def test_stderr_scales_as_inverse_sqrt_shots():
     rng = np.random.default_rng(13)
-    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
+    plan = measurement_plan(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
     circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
     shots_grid = [256, 1024, 4096, 16384]
     stds = []
     for shots in shots_grid:
-        vals = [expectation(circuit, psum, shots=shots, seed=s) for s in range(60)]
+        vals = [expectation(circuit, plan, shots=shots, seed=s) for s in range(60)]
         stds.append(np.std(vals))
     slope, _ = np.polyfit(np.log(shots_grid), np.log(stds), 1)
     assert -0.55 < slope < -0.45
 
 
-def resimulated_expectation(circuit: Circuit, observable: PauliSum, shots: int, seed):
-    """Reference shot-mode estimator that re-simulates the circuit for every group.
+def offset_basis_state(state: np.ndarray, m: int) -> np.ndarray:
+    """The state offset m's circuit measures, built gate by gate: with pivot k the highest set
+    bit of m, a CNOT from k to each other bit of m, then a Hadamard on k (none for m = 0)."""
+    n = int(np.log2(len(state)))
+    if m == 0:
+        return state
+    idx = np.arange(len(state))
+    pivot = m.bit_length() - 1
+    for target in (b for b in range(pivot) if m >> b & 1):
+        state = state[idx ^ (((idx >> pivot) & 1) << target)]
+    return apply_gate(state, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2), n - 1 - pivot)
 
-    The circuit is run from |0...0> once per group and that group's X/Y basis
-    rotations are applied as u3 gates; parities come from bit counts of i & mask.
+
+def offset_observable(h: np.ndarray, m: int) -> np.ndarray:
+    """H_m, the entries H[i, i ^ m] of H, in offset m's measured basis: U H_m U^T, with U the
+    real matrix of offset m's circuit, its columns built gate by gate."""
+    idx = np.arange(len(h))
+    u = np.stack([offset_basis_state(column, m) for column in np.eye(len(h))], axis=1)
+    return u @ np.where((idx[:, None] ^ idx[None, :]) == m, h, 0.0) @ u.T
+
+
+def resimulated_expectation(circuit: Circuit, h: np.ndarray, shots: int, seed):
+    """Reference shot-mode estimator that re-simulates the circuit for every offset of H.
+
+    Per offset with a nonzero entry, in ascending order, the circuit is run
+    from |0...0>, its fan-out CNOTs and Hadamard are applied gate by gate, and
+    the sampled frequencies weight each outcome by the diagonal of
+    `offset_observable`.
     """
-    rotations = {"X": (np.pi / 2, 0.0, np.pi), "Y": (np.pi / 2, 0.0, np.pi / 2)}
     rng = np.random.default_rng(seed)
-    n = circuit.n_qubits
-    idx = np.arange(2**n)
+    idx = np.arange(len(h))
     value = 0.0
-    for group in group_by_basis(observable):
-        state = run(circuit)
-        for q, basis in enumerate(group_letters(observable, group)):
-            if basis in rotations:
-                state = apply_gate(state, u3_reference(*rotations[basis]), q)
-        probs = np.abs(state) ** 2
+    for m in range(len(h)):
+        if not np.any(h[idx, idx ^ m]):
+            continue
+        probs = np.abs(offset_basis_state(run(circuit), m)) ** 2
         freq = rng.multinomial(shots, probs / probs.sum()) / shots
-        for coeff, string in (observable.terms[i] for i in group):
-            mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
-            if not mask:
-                value += coeff
-                continue
-            est = float(freq @ np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0))
-            value += coeff * est
-    return float(value)
+        value += float(freq @ np.diag(offset_observable(h, m)))
+    return value
 
 
-def rounding_bound(observable: PauliSum) -> float:
-    """First-order bound on the rounding gap between the per-string and the weight-vector sums.
-
-    The per-string estimator sums len(terms) products, each a dot over dim
-    histogram entries; the readout builds each weight in n butterfly steps and
-    dots groups x dim entries.  Every partial sum is bounded by sum |c|.
-    """
-    n, dim, groups = observable.n_qubits, observable.dim, len(observable.groups)
-    terms = len(observable.terms) + dim + n + groups * dim
-    return terms * np.finfo(float).eps * sum(abs(c) for c, _ in observable.terms)
+def rounding_bound(h: np.ndarray) -> float:
+    """First-order bound on the rounding gap between the oracle's estimate and the plan's: each
+    oracle weight is a sum of dense products (2 dim of them, each off by a few eps relative),
+    then G x dim weighted frequencies are summed, every partial sum bounded by sum |H|."""
+    return 2 * len(h) ** 2 * np.finfo(float).eps * np.abs(h).sum()
 
 
 def test_shot_expectation_matches_resimulating_oracle():
@@ -328,18 +350,23 @@ def test_shot_expectation_matches_resimulating_oracle():
     for trial in range(30):
         circuit = random_circuit(rng)
         dim = 2**circuit.n_qubits
-        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        observable = decompose((a + a.conj().T) / 2)
-        bases = {b for group in group_by_basis(observable) for b in group_letters(observable, group)}
-        assert bases >= {"X", "Y", "Z"}
+        a = rng.normal(size=(dim, dim))
+        h = (a + a.T) / 2
+        # every third trial zeroes about half the entries (whole offsets at small dims), and
+        # the odd trials zero the diagonal, so offset 0 is not measured
+        h[rng.random((dim, dim)) < 0.5 * (trial % 3 == 0)] = 0.0
+        h = np.triu(h) + np.triu(h, 1).T
+        if trial % 2:
+            np.fill_diagonal(h, 0.0)
+        plan = measurement_plan(h)
         for seed in (trial, 1000 + trial, 2**40 + trial):
             shots = int(rng.choice([1, 64, 4096]))
             drawn, oracle_drawn = RecordingGenerator(seed), RecordingGenerator(seed)
-            got = expectation(circuit, observable, shots=shots, seed=drawn)
-            expected = resimulated_expectation(circuit, observable, shots, oracle_drawn)
-            assert len(drawn.draws) == 1
-            assert np.array_equal(drawn.draws[0], np.stack(oracle_drawn.draws))
-            assert abs(got - expected) <= rounding_bound(observable)
+            got = expectation(circuit, plan, shots=shots, seed=drawn)
+            expected = resimulated_expectation(circuit, h, shots, oracle_drawn)
+            assert len(drawn.draws) == 1 and len(oracle_drawn.draws) == len(plan.offsets)
+            assert np.array_equal(drawn.draws[0], np.reshape(oracle_drawn.draws, (-1, dim)))
+            assert abs(got - expected) <= rounding_bound(h)
 
 
 def test_batched_expectation_draws_each_state_in_turn():
@@ -348,16 +375,14 @@ def test_batched_expectation_draws_each_state_in_turn():
         n = int(rng.integers(1, 5))
         shape = AnsatzShape(n, int(rng.integers(0, 3)))
         batch = rng.uniform(-np.pi, np.pi, (int(rng.integers(1, 4)), shape.parameter_count))
-        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        observable = decompose((a + a.conj().T) / 2)
+        a = rng.normal(size=(2**n, 2**n))
+        h = (a + a.T) / 2
         drawn, oracle_drawn = RecordingGenerator(trial), RecordingGenerator(trial)
-        got = expectation(Circuit(shape, batch), observable, shots=512, seed=drawn)
-        expected = [
-            resimulated_expectation(Circuit(shape, row), observable, 512, oracle_drawn) for row in batch
-        ]
+        got = expectation(Circuit(shape, batch), measurement_plan(h), shots=512, seed=drawn)
+        expected = [resimulated_expectation(Circuit(shape, row), h, 512, oracle_drawn) for row in batch]
         assert got.shape == (len(batch),) and len(drawn.draws) == 1
         assert np.array_equal(drawn.draws[0].reshape(-1, 2**n), np.stack(oracle_drawn.draws))
-        assert np.all(np.abs(got - expected) <= rounding_bound(observable))
+        assert np.all(np.abs(got - expected) <= rounding_bound(h))
 
 
 def test_shot_expectation_runs_circuit_once(monkeypatch):
@@ -369,43 +394,70 @@ def test_shot_expectation_runs_circuit_once(monkeypatch):
 
     monkeypatch.setattr(circuits, "run", counting_run)
     circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(5).uniform(-np.pi, np.pi, 18))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
-    assert len(group_by_basis(observable)) > 1
-    expectation(circuit, observable, shots=1024, seed=0)
+    plan = measurement_plan(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
+    assert len(plan.offsets) > 1
+    expectation(circuit, plan, shots=1024, seed=0)
     assert calls == [circuit]
 
 
-def test_shot_expectation_groups_observable_once(monkeypatch):
+def test_vqe_run_builds_each_plan_once(monkeypatch):
+    """vqe_run plans H once, and H^2 once more for constraint; no SPSA step, restart,
+    refinement or repetition plans again."""
     calls = []
 
-    def counting_group_by_basis(psum):
-        calls.append(psum)
-        return group_by_basis(psum)
+    def counting_plan(h):
+        calls.append(h)
+        return measurement_plan(h)
 
-    monkeypatch.setattr(pauli, "group_by_basis", counting_group_by_basis)
-    circuit = Circuit(AnsatzShape(3, 1), np.random.default_rng(6).uniform(-np.pi, np.pi, 18))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        expectation(circuit, observable, shots=256, seed=rng)
-    assert len(calls) == 1 and calls[0] is observable
+    monkeypatch.setattr(vqe, "measurement_plan", counting_plan)
+    for spec, kind, plans in (
+        (ModelSpec(Family.DOUBLE_WELL, 2), "energy", 1),
+        (ModelSpec(Family.CLOSED_PHI4, 1), "constraint", 2),
+    ):
+        calls.clear()
+        vqe.vqe_run(
+            spec,
+            AnsatzShape(2, 1),
+            objective_kind=kind,
+            shots=64,
+            spsa=vqe.SpsaConfig(iterations=5, calibration_samples=2),
+            repetitions=3,
+            restarts=2,
+            refinements=((3, 0.05, 128),),
+        )
+        assert len(calls) == plans
+
+
+def test_plan_weights_match_dense_unitary_oracle():
+    """Offset m's circuit turns H_m diagonal, and that diagonal is the plan's weights."""
+    rng = np.random.default_rng(41)
+    eps = np.finfo(float).eps
+    for trial in range(20):
+        n = int(rng.integers(1, 6))
+        a = rng.normal(size=(2**n, 2**n)) * (rng.random((2**n, 2**n)) < rng.uniform(0.1, 1))
+        h = np.triu(a) + np.triu(a, 1).T
+        plan = measurement_plan(h)
+        for m, weights in zip(plan.offsets.tolist(), plan.weights):
+            # each entry sums at most two products of 1/sqrt(2)-scaled entries of H_m
+            bound = 8 * eps * max(1.0, np.abs(h).max())
+            assert np.max(np.abs(offset_observable(h, m) - np.diag(weights))) <= bound
 
 
 def test_readout_peak_memory():
-    # the (2, G, dim) complex block is 2x the returned float64 array; while one
-    # rotation step copies, the step's input, its gemm result and the copy are
-    # alive: 6x.  Holding the repeated block through the steps would make it 8x
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 8)))
+    # the (2, G, dim) complex block is 2x the returned float64 array; adding the gathered
+    # psi[low] into it in place holds 4x, and the float64 magnitudes beside the block 3x.
+    # Forming psi[low] + signs * psi[partner] out of place would hold 8x
+    plan = measurement_plan(build_model(ModelSpec(Family.DOUBLE_WELL, 8)))
     shape = AnsatzShape(8, 2)
     circuit = Circuit(shape, np.random.default_rng(7).uniform(-np.pi, np.pi, (2, shape.parameter_count)))
-    circuits._readout_probabilities(circuit, observable)  # build the cached plan and tables
+    circuits._readout_probabilities(circuit, plan)  # build the cached tables
     tracemalloc.start()
     try:
-        probs = circuits._readout_probabilities(circuit, observable)
+        probs = circuits._readout_probabilities(circuit, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert probs.shape == (2, len(group_by_basis(observable)), 256)
+    assert probs.shape == (2, len(plan.offsets), 256)
     assert peak <= 6.5 * probs.nbytes
 
 

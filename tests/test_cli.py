@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,14 +600,13 @@ def test_noise_scan_requires_four_points(tmp_path):
 
 
 def test_noise_scan_coefficient_linearity():
-    # doubling every observable coefficient doubles the fitted amplitude
-    from mssq.circuits import AnsatzShape, Circuit
+    # doubling every observable entry doubles the fitted amplitude
+    from mssq.circuits import AnsatzShape, Circuit, measurement_plan
     from mssq.oscillator import Family, ModelSpec, build_model
-    from mssq.pauli import PauliSum, decompose
     from mssq.vqe import estimate_error
 
-    psum = decompose(build_model(ModelSpec(Family.ANHARMONIC_OSC, 2)))
-    doubled = PauliSum.from_terms(2, tuple((2 * c, s) for c, s in psum.terms))
+    h = build_model(ModelSpec(Family.ANHARMONIC_OSC, 2))
+    plan, doubled = measurement_plan(h), measurement_plan(2 * h)
     shape = AnsatzShape(2, 1)
     params = np.random.default_rng(0).uniform(-np.pi, np.pi, shape.parameter_count)
     circuit = Circuit(shape, params)
@@ -617,7 +620,40 @@ def test_noise_scan_coefficient_linearity():
         slope, intercept = np.polyfit(np.log(grid), np.log(stds), 1)
         return np.exp(intercept), -slope
 
-    a1, beta1 = fit(psum)
+    a1, beta1 = fit(plan)
     a2, beta2 = fit(doubled)
     assert a2 / a1 == pytest.approx(2.0, rel=0.1)
     assert beta2 == pytest.approx(beta1, abs=0.02)
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from mssq.cli import main
+
+for command, family in (("vqe", "DoubleWell"), ("constraint", "ClosedPhi4"), ("noise-scan", "DoubleWell"),
+                        ("spectrum", "DoubleWell")):
+    overrides = ["--set", f"model.family = {family}", "--set", f"output.dir = {sys.argv[2]}/{command}"]
+    assert main([command, "-c", sys.argv[1], *overrides]) == 0, command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique without return_index imports numpy.ma, which lifts a run's peak RSS by about
+    1 MB; no command may reach it, checked in a fresh interpreter."""
+    cfg = write_config(
+        tmp_path,
+        "model.qubits_per_mode = 1\nansatz.depth = 1\nspsa.iterations = 2\nspsa.calibration_samples = 1\n"
+        "spsa.restarts = 2\nspsa.refinements = 2:0.05:128\nrun.shots = 64\nrun.repetitions = 2\n"
+        "grid.points = 11\nnoise.shots_grid = 64,128,256,512\nnoise.repetitions = 3\n"
+        "spectrum.scan_dims = 2\noutput.dir = unused\n",
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(cfg), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

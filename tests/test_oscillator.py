@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mssq.circuits import measurement_plan
 from mssq.oscillator import (
     COEFF_015_OVER_4,
     COEFF_0275_OVER_4,
@@ -319,7 +320,9 @@ def test_matrix_square_eigenvalues():
     assert sq_vals.min() >= -1e-12
 
 
-SOLVERS = pytest.mark.parametrize("solve", [eigendecompose, decompose], ids=lambda solve: solve.__name__)
+SOLVERS = pytest.mark.parametrize(
+    "solve", [eigendecompose, decompose, measurement_plan], ids=lambda solve: solve.__name__
+)
 
 
 @SOLVERS
@@ -341,6 +344,9 @@ def test_solvers_accept_within_tolerance(solve):
     if solve is decompose:
         # the Hermitian part's coefficients; the anti-Hermitian part would be an imaginary Y term
         assert result.terms == ((1.0000000025, "X"), (10000.0, "Z"))
+    elif solve is measurement_plan:
+        # the plan reads each pair of entries from the upper triangle
+        assert result.weights.tolist() == [[1e4, -1e4], [1 + 5e-9, -(1 + 5e-9)]]
     else:
         assert np.allclose(result.eigenvalues, [-np.hypot(1e4, 1), np.hypot(1e4, 1)], rtol=1e-15)
 

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mssq.circuits import measurement_plan
 from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
-from mssq.pauli import COEFF_CUTOFF, PauliSum, decompose, group_by_basis, reconstruct
+from mssq.pauli import COEFF_CUTOFF, PauliSum, _masks, decompose, reconstruct
 from test_oscillator import complex_quadratures
 
 PAULI_MATRICES = {
@@ -23,14 +24,6 @@ def kron_string(string):
 
 def strings_of(n):
     return ["".join(letters) for letters in itertools.product("IXYZ", repeat=n)]
-
-
-def group_letters(psum, group):
-    """A group's basis read off its members: each qubit's one non-I letter, or None."""
-    strings = [psum.terms[i][1] for i in group]
-    letters = [{string[q] for string in strings} - {"I"} for q in range(psum.n_qubits)]
-    assert all(len(found) <= 1 for found in letters)  # the members are qubit-wise compatible
-    return tuple(min(found, default=None) for found in letters)
 
 
 def random_hermitian(dim, seed, real=False):
@@ -228,26 +221,32 @@ def test_two_mode_four_qubit_h_squared_term_count():
     assert len(psum.terms) == 3059
 
 
+def plan_of(n, terms):
+    """The measurement plan of a real sum of (coeff, string) terms."""
+    return measurement_plan(reconstruct(PauliSum.from_terms(n, terms)).real)
+
+
 def test_group_compatible_pair():
-    psum = PauliSum.from_terms(2, ((1.0, "XI"), (2.0, "XZ")))
-    groups = group_by_basis(psum)
-    assert len(groups) == 1 and groups[0].dtype == np.int64 and groups[0].tolist() == [0, 1]
-    assert group_letters(psum, groups[0]) == ("X", "Z")
-    assert psum.readout.bases.tolist() == [[1, 0]]
+    # XI and XZ flip the same bit, so their entries share offset 2's circuit: qubit 0 read in
+    # X, as qubit-wise grouping read it, with the same weights 1 * (-1)^b0 + 2 * (-1)^(b0 + b1)
+    plan = plan_of(2, ((1.0, "XI"), (2.0, "XZ")))
+    assert plan.offsets.tolist() == [2]
+    assert plan.weights.tolist() == [[3.0, -1.0, -3.0, 1.0]]
 
 
 def test_group_conflicting_pair():
-    groups = group_by_basis(PauliSum.from_terms(2, ((1.0, "XI"), (2.0, "YI"))))
-    assert len(groups) == 2
+    # circuits follow the flipped bits, not the qubit-wise bases: XI and IX flip different
+    # bits and take two circuits, XX and YY flip the same two and share one
+    assert plan_of(2, ((1.0, "XI"), (2.0, "IX"))).offsets.tolist() == [1, 2]
+    assert plan_of(2, ((1.0, "XX"), (2.0, "YY"))).offsets.tolist() == [3]
 
 
 def test_group_count_bounded_by_terms():
-    psum = decompose(build_model(ModelSpec(Family.HARMONIC_OSC, 2)))
-    groups = group_by_basis(psum)
-    assert len(groups) <= len(psum.terms)
-    regrouped = [psum.terms[i] for group in groups for i in group]
-    assert sorted(regrouped) == sorted(psum.terms)
-    assert sorted(i for group in groups for i in group.tolist()) == list(range(len(psum.terms)))
+    h = build_model(ModelSpec(Family.DOUBLE_WELL, 4))
+    psum, plan = decompose(h), measurement_plan(h)
+    assert len(plan.offsets) <= len(psum.terms)
+    x, _ = _masks(psum.index, psum.n_qubits)
+    assert set(x.tolist()) == set(plan.offsets.tolist())
 
 
 def test_duplicate_strings_rejected():
@@ -291,90 +290,25 @@ def test_bad_strings_rejected(string):
 
 
 def test_grouped_estimator_unbiased():
-    # grouped and ungrouped shot estimates agree within 3 combined standard errors,
-    # each taken from the spread of repeated estimates
+    # the offset plan's shot estimates and the sum of each Pauli term measured on its own
+    # agree within 3 combined standard errors, each taken from the spread of repeated estimates
     from mssq.circuits import AnsatzShape, Circuit, expectation, run
 
     rng = np.random.default_rng(0)
     reps = 20
     for seed in range(3):
-        h = random_hermitian(4, 100 + seed)
+        h = random_hermitian(4, 100 + seed, real=True)
         psum = decompose(h)
+        plan, term_plans = measurement_plan(h), [plan_of(2, (term,)) for term in psum.terms]
         circuit = Circuit(AnsatzShape(2, 0), rng.uniform(-np.pi, np.pi, 6))
         psi = run(circuit)
         exact = np.vdot(psi, h @ psi).real
-        grouped = [expectation(circuit, psum, 10**5, seed=reps * seed + r) for r in range(reps)]
+        grouped = [expectation(circuit, plan, 10**5, seed=reps * seed + r) for r in range(reps)]
         ungrouped = [
-            sum(
-                expectation(circuit, PauliSum.from_terms(2, (term,)), 10**5, seed=1000 + reps * seed + r)
-                for term in psum.terms
-            )
+            sum(expectation(circuit, plan_r, 10**5, seed=1000 + reps * seed + r) for plan_r in term_plans)
             for r in range(reps)
         ]
         err_g = np.std(grouped, ddof=1) / np.sqrt(reps)
         combined = np.sqrt(err_g**2 + np.var(ungrouped, ddof=1) / reps)
         assert abs(np.mean(grouped) - np.mean(ungrouped)) < 3 * max(combined, 1e-12)
         assert abs(np.mean(grouped) - exact) < 5 * max(err_g, 1e-12)
-
-
-def test_readout_weights_match_bit_count_oracle():
-    rng = np.random.default_rng(41)
-    eps = np.finfo(float).eps
-    for trial in range(20):
-        n = int(rng.integers(1, 6))
-        strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
-        psum = PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings))
-        assert psum.groups is psum.groups and psum.readout is psum.readout
-        regrouped = group_by_basis(psum)
-        assert len(psum.groups) == len(regrouped)
-        assert all(np.array_equal(a, b) for a, b in zip(psum.groups, regrouped))
-        plan = psum.readout
-        assert plan.weights.shape == (len(psum.groups), 2**n) and plan.weights.dtype == np.float64
-        assert plan.constant == dict((s, c) for c, s in psum.terms).get("I" * n, 0.0)
-        idx = np.arange(2**n)
-        for g, group in enumerate(psum.groups):
-            members = [psum.terms[i] for i in group]
-            codes = [{"X": 1, "Y": 2}.get(b, 0) for b in group_letters(psum, group)]
-            assert plan.bases[g].tolist() == codes
-            expected = np.zeros(2**n)
-            for coeff, string in members:
-                mask = sum(1 << (n - 1 - q) for q, c in enumerate(string) if c != "I")
-                if mask:
-                    expected += coeff * np.where(np.bitwise_count(idx & mask) % 2, -1.0, 1.0)
-            # each weight is a sum of len(members) signed coefficients, added in another order
-            bound = 2 * (len(members) + n) * eps * sum(abs(coeff) for coeff, _ in members)
-            assert np.max(np.abs(plan.weights[g] - expected)) <= bound
-
-
-def greedy_string_grouping(psum: PauliSum) -> list[tuple[tuple, tuple]]:
-    """Reference first-fit grouping, one letter at a time: (basis, terms) per group."""
-    groups = []
-    for coeff, string in psum.terms:
-        for basis, terms in groups:
-            if all(c == "I" or basis[q] is None or basis[q] == c for q, c in enumerate(string)):
-                for q, c in enumerate(string):
-                    if c != "I":
-                        basis[q] = c
-                terms.append((coeff, string))
-                break
-        else:
-            groups.append(([c if c != "I" else None for c in string], [(coeff, string)]))
-    return [(tuple(basis), tuple(terms)) for basis, terms in groups]
-
-
-def test_group_by_basis_matches_greedy_string_reference():
-    rng = np.random.default_rng(43)
-    cases = [decompose(matrix_square(build_model(ModelSpec(Family.CLOSED_PHI4, 3))))]
-    for _ in range(40):
-        n = int(rng.integers(1, 7))
-        size = int(rng.integers(0, min(4**n, 300) + 1))
-        strings = rng.choice(strings_of(n), size=size, replace=False)
-        cases.append(PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings)))
-    for psum in cases:
-        expected = greedy_string_grouping(psum)
-        groups = group_by_basis(psum)
-        got = [(group_letters(psum, group), tuple(psum.terms[i] for i in group)) for group in groups]
-        assert got == expected
-        codes = [[{"X": 1, "Y": 2}.get(b, 0) for b in basis] for basis, _ in expected]
-        assert psum.readout.bases.tolist() == codes
-    assert len(cases[0].groups) == 25

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mssq.circuits import AnsatzShape, Circuit, run
+from mssq.circuits import AnsatzShape, Circuit, _readout_probabilities, measurement_plan, run
 from mssq.cli import _write_density, main
 from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
-from mssq.pauli import decompose, reconstruct
+from mssq.pauli import _masks, decompose, reconstruct
 from mssq.spectrum import WavefunctionGrid, _target_index, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv
 from test_oscillator import dense_mode_terms
@@ -42,6 +42,52 @@ def ansatz_points(draw, n_qubits, max_depth=3):
 @given(hermitian_matrices())
 def test_pauli_roundtrip_property(h):
     assert np.max(np.abs(reconstruct(decompose(h)) - h)) < 1e-9
+
+
+@st.composite
+def sparse_symmetric_matrices(draw, max_qubits=6):
+    """Real symmetric 2^n x 2^n matrices, n = 1..max_qubits, with a random share of zero
+    entries and, in some draws, an all-zero diagonal."""
+    dim = 2 ** draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    a = rng.normal(scale=draw(st.floats(1e-3, 1e3)), size=(dim, dim))
+    a[rng.random((dim, dim)) < draw(st.floats(0, 1))] = 0.0
+    h = np.triu(a) + np.triu(a, 1).T
+    if draw(st.booleans()):
+        np.fill_diagonal(h, 0.0)
+    return h
+
+
+@PROPERTY_SETTINGS
+@given(sparse_symmetric_matrices(), st.data())
+def test_plan_exact_estimate_is_the_expectation(h, data):
+    """sum_g p_g . W_g over the plan's exact outcome distributions is <psi|H|psi> for every
+    state of a batch."""
+    n = len(h).bit_length() - 1
+    shape, _ = data.draw(ansatz_points(n, max_depth=2))
+    batch = arrays(np.float64, (data.draw(st.integers(1, 3)), shape.parameter_count), elements=st.floats(-7, 7))
+    circuit = Circuit(shape, data.draw(batch))
+    plan = measurement_plan(h)
+    estimates = np.einsum("bgd,gd->b", _readout_probabilities(circuit, plan), plan.weights)
+    psi = run(circuit)
+    exact = np.einsum("bi,ij,bj->b", psi.conj(), h, psi).real
+    assert np.max(np.abs(estimates - exact)) <= 1e-12 * max(1.0, np.abs(h).max())
+
+
+OFFSET_CASES = [
+    *((family, q, "h") for family in Family if family not in TWO_MODE_FAMILIES for q in range(1, 7)),
+    *((family, q, power) for family in TWO_MODE_FAMILIES for q in range(1, 5) for power in ("h", "h2")),
+]
+
+
+@pytest.mark.parametrize("family,qubits,power", OFFSET_CASES, ids=lambda v: getattr(v, "value", v))
+def test_plan_offsets_are_decompose_x_masks(family, qubits, power):
+    """One circuit per distinct x mask of the Pauli decomposition, in ascending order."""
+    h = build_model(ModelSpec(family, qubits))
+    h = matrix_square(h) if power == "h2" else h
+    psum = decompose(h)
+    x, _ = _masks(psum.index, psum.n_qubits)
+    assert measurement_plan(h).offsets.tolist() == sorted(set(x.tolist()))
 
 
 @PROPERTY_SETTINGS

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mssq import circuits
-from mssq.circuits import AnsatzShape, Circuit, expectation, run
+from mssq.circuits import AnsatzShape, Circuit, expectation, measurement_plan, run
 from mssq.oscillator import Family, ModelSpec, build_model
-from mssq.pauli import PauliSum, decompose
 from mssq.spectrum import eigendecompose
 from mssq.vqe import SpsaConfig, SpsaDiverged, Trajectory, _smoothed, estimate_error, spsa_minimize, vqe_run
 
@@ -139,7 +138,7 @@ def test_spsa_pair_objective_matches_two_call_loop():
 
 def test_estimate_error_exact_mode_zero_spread():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
-    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
+    observable = measurement_plan(np.diag([1.0, -1.0]))
     # Z on |0> is deterministic, so every shot run returns exactly 1
     mean, std = estimate_error(circuit, observable, shots=512, repetitions=10, seed=0)
     assert mean == 1.0 and std == 0.0
@@ -147,7 +146,7 @@ def test_estimate_error_exact_mode_zero_spread():
 
 def test_estimate_error_binomial_scale():
     circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])  # |+>
-    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
+    observable = measurement_plan(np.diag([1.0, -1.0]))
     mean, std = estimate_error(circuit, observable, shots=8192, repetitions=100, seed=1)
     assert abs(mean) < 0.005
     assert 0.008 < std < 0.015
@@ -155,7 +154,7 @@ def test_estimate_error_binomial_scale():
 
 def test_estimate_error_shot_doubling():
     circuit = Circuit(AnsatzShape(1, 0), [np.pi / 2, 0, np.pi])
-    observable = PauliSum.from_terms(1, ((1.0, "Z"),))
+    observable = measurement_plan(np.diag([1.0, -1.0]))
     _, std1 = estimate_error(circuit, observable, shots=4096, repetitions=300, seed=2)
     _, std2 = estimate_error(circuit, observable, shots=8192, repetitions=300, seed=2)
     assert 0.6 < std2 / std1 < 0.8
@@ -172,7 +171,7 @@ def test_estimate_error_simulates_once_and_matches_expectation_loop(monkeypatch)
     monkeypatch.setattr(circuits, "run", counting_run)
     rng = np.random.default_rng(8)
     circuit = Circuit(AnsatzShape(3, 2), rng.uniform(-np.pi, np.pi, 27))
-    observable = decompose(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
+    observable = measurement_plan(build_model(ModelSpec(Family.DOUBLE_WELL, 3)))
     for entropy in (0, 5, 9):
         calls.clear()
         mean, std = estimate_error(circuit, observable, 1024, 7, np.random.SeedSequence(entropy))
@@ -185,7 +184,7 @@ def test_estimate_error_simulates_once_and_matches_expectation_loop(monkeypatch)
 def test_estimate_error_rejects_single_repetition():
     circuit = Circuit(AnsatzShape(1, 0), np.zeros(3))
     with pytest.raises(ValueError):
-        estimate_error(circuit, PauliSum.from_terms(1, ((1.0, "Z"),)), 100, 1, 0)
+        estimate_error(circuit, measurement_plan(np.diag([1.0, -1.0])), 100, 1, 0)
 
 
 def test_vqe_closed_free_single_qubit_modes():
