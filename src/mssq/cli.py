@@ -25,22 +25,21 @@ from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
 # an eighth of physical memory: temporaries lift a run's peak RSS to at most
-# 3.4x its counted arrays, above ~30 MiB for Python and numpy; the top is a
-# two-mode density grid (3.1-3.4x), where reconstruct_wavefunction holds psi
-# (complex) and |psi| at once
+# 1.8x its counted arrays (the u3 stacks, below), above ~30 MiB for Python
+# and numpy
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-# dim x dim float64 matrices each other command holds at once.  A two-mode
-# build_model holds three while it forms the Kronecker sum; measurement_plan
-# then holds its input and the Hermiticity check's difference, and for
-# constraint H^2 beside the model.  Shot readout holds (states, G, dim)
-# blocks, G = 2n - 2 circuits for one mode (18 at DoubleWell 10) and 72 for
-# ClosedPhi4's H^2 at 5 per mode, far below one matrix.  Peaks above the
-# import floor: 2.0-2.7 matrices for vqe and 2.0-2.2 for noise-scan on
-# DoubleWell at 10-12 qubits, 3.0 for both on ClosedPhi4 at 5-6 qubits per
-# mode, and 4.5 and 3.4 for constraint on ClosedPhi4 at 5 and 6: 0.50-0.91x
-# these counts.  One matrix fewer for noise-scan or constraint would put
-# ClosedPhi4 at 5 above that, at 1.01x and 1.13x
-MATRICES_HELD = {"vqe": 4, "constraint": 5, "noise-scan": 4}
+# dim x dim float64 matrices each other command holds at once.  build_model
+# forms a two-mode Kronecker sum in place in one matrix; measurement_plan then
+# holds its input and the Hermiticity check's difference, and for constraint
+# H^2 beside the model.  Shot readout holds (states, G, dim) blocks, G = 2n -
+# 2 circuits for one mode (18 at DoubleWell 10) and 72 for ClosedPhi4's H^2
+# at 5 per mode, far below one matrix.  Peaks above the import floor: 2.7,
+# 2.1 and 2.0 matrices for vqe and 2.2, 2.1 and 2.0 for noise-scan on
+# DoubleWell at 10-12 qubits, 2.2 and 2.0 (vqe) and 2.1 and 2.0 (noise-scan)
+# on ClosedPhi4 at 5-6 qubits per mode, and 4.5 and 3.4 for constraint on
+# ClosedPhi4 at 5 and 6: 0.67-0.91x these counts.  One matrix fewer for
+# constraint would put ClosedPhi4 at 5 at 1.13x
+MATRICES_HELD = {"vqe": 3, "constraint": 5, "noise-scan": 3}
 # u3 stacks counted for each other command under ansatz.depth: `run` builds
 # the u3 gates of every layer as one (states, depth + 1, n, 2, 2) complex
 # stack, two states for an SPSA pair and one for noise-scan, beside the
@@ -66,13 +65,24 @@ REPETITION_BYTES = 400
 # the 0.5 MiB blocks; five matrices would put it at 0.92x
 SCAN_MATRICES = 6
 SPECTRUM_VECTORS = 6
-# cells `_cell_words` formats per call.  Writing a 321 x 321 density peaks
-# at 0.62 MB under tracemalloc with 2048 (0.92 MB with 3072, 1.22 MB with
-# 4096), inside test_density_writer_memory_stays_at_one_row's 1 MB; peak RSS
-# of the vqe-doublewell and constraint-phi4-6q benchmark runs stayed within
-# 0.2 MB from 512 to 4096, and 512-cell blocks wrote the density 1.6-1.8x
-# slower
+# cells `_cell_words` formats per call.  Computing and writing a 321 x 321
+# density from 64 coefficients peaks at 0.73 MB under tracemalloc (0.82 MB
+# at 1281 points, one row a call), inside
+# test_density_writer_memory_stays_at_one_row's 1 MB; peak RSS of the
+# vqe-doublewell and constraint-phi4-6q benchmark runs stayed within 0.2 MB
+# from 512 to 4096, and 512-cell blocks wrote the density 1.6-1.8x slower
 CSV_BLOCK_CELLS = 2048
+# a density is computed and written one block of rows at a time
+# (`spectrum._density_blocks`, `_write_density`), so vqe and constraint count
+# DENSITY_TABLES mode_dim x grid.points Hermite tables (phi_a, its complex
+# cast and L = phi_a^T C while L is formed; L and the complex phi_chi after)
+# and DENSITY_CELL_FLOATS per cell of one block: psi, |psi|^2 and their text.
+# ru_maxrss above the import floor: 0.50-0.63x this count for DoubleWell 3
+# at 10^5-4 x 10^5 points and DoubleWell 8 at 20,001; ClosedPhi4 at 2 per
+# mode and 1,501-4,001 points, counted 1.2-3.1 MiB, peaked 8.5-10.0 MiB
+# above it, the fixed cost of any shot run at this size
+DENSITY_TABLES = 5
+DENSITY_CELL_FLOATS = 40
 
 
 @dataclass(frozen=True)
@@ -291,8 +301,9 @@ def _check_memory(command: str, cfg: dict) -> None:
     Counted at 8 B per float: for spectrum, SCAN_MATRICES d x d matrices at the
     larger of mode_dim and the largest scan dim d, plus SPECTRUM_VECTORS
     dim-long vectors; for the other commands, their dim x dim matrices; and,
-    for the density-writing commands, the Hermite tables (mode_dim x
-    grid.points per mode) and the density grid (grid.points^n_modes); and, at
+    for the density-writing commands, DENSITY_TABLES Hermite tables (mode_dim
+    x grid.points) and DENSITY_CELL_FLOATS per cell of one block of the
+    density (one row for one mode, else at least two); and, at
     16 B per complex, U3_STACKS u3 stacks for the ansatz; and, for vqe and
     constraint, the trajectory's parameter vectors.  The final error bars
     count REPETITION_BYTES per repetition: run.repetitions for vqe and
@@ -314,8 +325,8 @@ def _check_memory(command: str, cfg: dict) -> None:
         counted[repetitions] = REPETITION_BYTES * cfg[repetitions]
     if command in ("vqe", "constraint"):
         points = cfg["grid.points"]
-        tables = model.n_modes * model.mode_dim * points
-        counted["grid.points"] = 8 * (tables + points**model.n_modes)
+        cells = points if model.n_modes == 1 else max(2 * points, spec_mod.DENSITY_BLOCK_CELLS)
+        counted["grid.points"] = 8 * (DENSITY_TABLES * model.mode_dim * points + DENSITY_CELL_FLOATS * cells)
         # the SPSA trajectory, held while trajectory.csv is written: one
         # (steps, P) array that `vqe_run` fills in place, a parameter vector
         # per step of every restart and refinement (peaks grew by 1.0 vectors
@@ -337,29 +348,32 @@ def _check_memory(command: str, cfg: dict) -> None:
         )
 
 
-def _write_density(path: Path, grid_result: spec_mod.WavefunctionGrid) -> None:
-    """One line per grid point, the first axis varying slowest, as `_write_csv` prints it.
+def _write_density(path: Path, axes, blocks) -> None:
+    """The density on the product of the axes, one line per grid point, the first axis varying
+    slowest, as `_write_csv` prints it.
 
-    Each axis value is formatted once; the density is formatted and written
-    in blocks of about CSV_BLOCK_CELLS points, whole outer-axis rows each.
+    blocks are the density's consecutive blocks of whole outer-axis rows
+    (`spectrum._density_blocks`), each taken only once the one before it is
+    written.  Each axis value is formatted once; the density is formatted and
+    written in pieces of about CSV_BLOCK_CELLS points, whole rows each.
     """
-    *outer, inner = grid_result.axes
+    *outer, inner = axes
     header = "x,density" if not outer else "x_a,x_chi,density"
     prefix = _axis_text(outer[0]) if outer else np.empty((1, 0), np.uint8)
     inner_text = _axis_text(inner)
-    rows = grid_result.density.reshape(len(prefix), len(inner))
-    per = min(len(rows), max(1, CSV_BLOCK_CELLS // len(inner)))
+    per = min(len(prefix), max(1, CSV_BLOCK_CELLS // len(inner)))
     width = prefix.shape[1] + inner_text.shape[1]
     lines = np.empty((per, len(inner), width + 32), np.uint8)
     lines[:, :, prefix.shape[1] : width] = inner_text
+    start = 0
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(rows), per):
-            block = rows[start : start + per]
-            lines[: len(block), :, : prefix.shape[1]] = prefix[start : start + per, None]
-            text = _cell_words(block.ravel(), ord("\n")).view(np.uint8)
-            lines[: len(block), :, width:] = text.reshape(len(block), len(inner), 32)
-            fh.write(lines[: len(block)].tobytes().translate(None, b"\0"))
+        for rows in (block[top : top + per] for block in blocks for top in range(0, len(block), per)):
+            lines[: len(rows), :, : prefix.shape[1]] = prefix[start : start + len(rows), None]
+            text = _cell_words(rows.ravel(), ord("\n")).view(np.uint8)
+            lines[: len(rows), :, width:] = text.reshape(len(rows), len(inner), 32)
+            fh.write(lines[: len(rows)].tobytes().translate(None, b"\0"))
+            start += len(rows)
 
 
 def _axis_text(axis: np.ndarray) -> np.ndarray:
@@ -446,7 +460,7 @@ def cmd_variational(cfg: dict, objective_kind: str) -> Path:
         _, reference = spec_mod.ground_or_nearest_zero(model)
     axes = (spec_mod.default_grid(cfg["grid.extent"], cfg["grid.points"]),) * model.n_modes
     for name, coeffs in zip(names, (state, reference)):
-        _write_density(outdir / name, spec_mod.reconstruct_wavefunction(coeffs, axes, model.omega))
+        _write_density(outdir / name, axes, spec_mod._density_blocks(coeffs, axes, model.omega))
     return outdir
 
 

@@ -258,12 +258,23 @@ def _scatter(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 
 def build_model(spec: ModelSpec) -> np.ndarray:
-    """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms."""
+    """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms.
+
+    Built in place: h (x) I is written once, and I (x) term adds the signed
+    term to each of its diagonal blocks through a (d, d, d, d) view, so no
+    second matrix of the model's size exists.
+    """
     (sign, blocks), *rest = mode_terms(spec)
-    h = sign * _scatter(blocks)
+    h = _scatter(blocks)
+    h *= sign
     for sign, blocks in rest:
         term = _scatter(blocks)
-        h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
+        term *= sign
+        outer, inner = len(h), len(term)
+        h = np.kron(h, np.eye(inner))
+        diagonal_blocks = h.reshape(outer, inner, outer, inner)
+        for i in range(outer):
+            diagonal_blocks[i, :, i, :] += term
     return h
 
 

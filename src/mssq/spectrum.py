@@ -11,6 +11,8 @@ from .oscillator import ModelSpec, _band_matrix, _check_hermitian, _term_bands, 
 
 # rows of a band residual's off-diagonal products formed at a time (`_band_residual`)
 RESIDUAL_ROWS = 64
+# cells of |psi|^2 formed at a time (`_density_blocks`), whole outer-axis rows
+DENSITY_BLOCK_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,17 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruct_wavefunction(
-    coeffs, axes, omega: float = 1.0
-) -> WavefunctionGrid:
-    """Expand number-basis coefficients into a position-space density.
+def _density_blocks(coeffs, axes, omega: float = 1.0):
+    """|psi|^2 on the product of the axes, as an iterable of consecutive blocks of outer-axis rows.
 
-    One mode: psi(x) = sum_n c_n phi_n(x sqrt(omega)) omega^(1/4).
-    Two modes: coeffs has length d^2 in row-major (mode a, mode chi) order and
-    the density is evaluated on the product of the two axes.
+    One mode: psi(x) = sum_n c_n phi_n(x sqrt(omega)) omega^(1/4), one block
+    of one row.  Two modes: coeffs has length d^2 in row-major (mode a, mode
+    chi) order.  L = phi_a^T C (points x d) is formed here, once, and each
+    block is |L[rows] @ phi_chi|^2 for the rows of about DENSITY_BLOCK_CELLS
+    cells, and at least two: every product then has the same row count (the
+    last one re-forms rows the block before it gave), and a one-row product
+    would be a gemv, whose bits differ from the gemm's.  A block is formed
+    when it is taken, so one exists at a time beside the tables.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -95,15 +100,48 @@ def reconstruct_wavefunction(
     d = round(len(coeffs) ** (1 / len(axes)))
     if d ** len(axes) != len(coeffs):
         raise ValueError("two-mode coefficient vector length must be a square")
-    phi = [hermite_functions(d, axis * np.sqrt(omega)) * omega**0.25 for axis in axes]
-    psi = coeffs @ phi[0] if len(axes) == 1 else phi[0].T @ coeffs.reshape(d, d) @ phi[1]
-    # square |psi| in place once psi is freed, so psi never meets np.trapezoid's temporaries
-    density = np.abs(psi)
-    del psi
-    np.square(density, out=density)
-    norm = density
-    for axis in reversed(axes):
-        norm = np.trapezoid(norm, axis)
+    phi = (hermite_functions(d, axis * np.sqrt(omega)) * omega**0.25 for axis in axes)
+    if len(axes) == 1:
+        # formed at once, so phi is freed before the row is taken
+        return list(_row_blocks(coeffs[None], next(phi), 1))
+    left = next(phi).T @ coeffs.reshape(d, d)
+    # cast once: a complex @ real product casts its real operand on every call
+    right = next(phi).astype(complex)
+    return _row_blocks(left, right, min(len(left), max(2, DENSITY_BLOCK_CELLS // len(axes[1]))))
+
+
+def _row_blocks(left: np.ndarray, right: np.ndarray, rows: int):
+    """|left[block] @ right|^2 for blocks of `rows` consecutive rows of left, |.| squared in
+    place; the last block ends at the last row and yields only the rows not yet given."""
+    for start in range(0, len(left), rows):
+        top = min(start, len(left) - rows)
+        density = np.abs(left[top : top + rows] @ right)
+        np.square(density, out=density)
+        yield density[start - top :]
+
+
+def reconstruct_wavefunction(
+    coeffs, axes, omega: float = 1.0
+) -> WavefunctionGrid:
+    """Expand number-basis coefficients into a position-space density.
+
+    One mode: psi(x) = sum_n c_n phi_n(x sqrt(omega)) omega^(1/4).
+    Two modes: coeffs has length d^2 in row-major (mode a, mode chi) order and
+    the density is evaluated on the product of the two axes.  The density is
+    filled from `_density_blocks`, the blocks the CLI writes, and its norm
+    integrates each row as its block arrives, then the row integrals.
+    """
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    blocks = _density_blocks(coeffs, axes, omega)
+    density = np.empty(tuple(map(len, axes)))
+    rows = density.reshape(-1, len(axes[-1]))
+    row_norms = np.empty(len(rows))
+    start = 0
+    for block in blocks:
+        rows[start : start + len(block)] = block
+        row_norms[start : start + len(block)] = np.trapezoid(block, axes[-1])
+        start += len(block)
+    norm = row_norms[0] if len(axes) == 1 else np.trapezoid(row_norms, axes[0])
     return WavefunctionGrid(axes, density, float(norm))
 
 

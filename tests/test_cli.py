@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mssq.cli import _write_csv, _write_density, main, noise_scan
+from mssq.cli import _check_memory, _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, echo_text, parse_config, resolve
 from mssq.oscillator import Family, ModelSpec, build_model, mode_terms
 from mssq.spectrum import (
@@ -15,6 +15,7 @@ from mssq.spectrum import (
     default_grid,
     eigendecompose,
     ground_or_nearest_zero,
+    _density_blocks,
     reconstruct_wavefunction,
     spectrum,
 )
@@ -238,6 +239,13 @@ def parent_write_csv(path, header, rows):
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def write_grid(path, grid, rows=None):
+    """`_write_density` of a whole WavefunctionGrid, its density's rows given in blocks of `rows`."""
+    density = grid.density.reshape(-1, len(grid.axes[-1]))
+    rows = rows or len(density)
+    _write_density(path, grid.axes, (density[i : i + rows] for i in range(0, len(density), rows)))
+
+
 def parent_density_rows(grid_result):
     """The per-point density rows of the row-loop writer; the byte reference."""
     if len(grid_result.axes) == 1:
@@ -303,9 +311,10 @@ def test_column_writer_matches_row_writer(tmp_path):
         grids.append(WavefunctionGrid((axis,), special_density(rng, len(axis)), 1.0))
     for grid in grids:
         header = "x,density" if len(grid.axes) == 1 else "x_a,x_chi,density"
-        _write_density(new, grid)
         parent_write_csv(old, header, parent_density_rows(grid))
-        assert new.read_bytes() == old.read_bytes()
+        for rows in (None, 1, 5):
+            write_grid(new, grid, rows)
+            assert new.read_bytes() == old.read_bytes()
     ints = [0, 1, -7, 2**40, 12]
     floats = [float("nan"), -0.0, 1e-300, 1 / 3, -np.inf]
     _write_csv(new, "index,value", np.array(ints), np.array(floats))
@@ -348,18 +357,41 @@ def test_csv_writer_matches_savetxt(tmp_path):
         assert new.read_bytes() == old.read_bytes()
 
 
+def savetxt_density(path, grid):
+    """np.savetxt of one (axis values..., density) line per grid point, the first axis slowest."""
+    header = "x,density" if len(grid.axes) == 1 else "x_a,x_chi,density"
+    points = np.meshgrid(*grid.axes, indexing="ij")
+    columns = [axis.ravel() for axis in points] + [grid.density.ravel()]
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+@pytest.mark.parametrize("points", [2, 3, 7, 321, 343])
+def test_streamed_density_matches_savetxt_of_reconstruction(tmp_path, points):
+    """The CLI's streamed density CSV is np.savetxt of reconstruct_wavefunction's density, byte
+    for byte, at grid sizes whose row count the block height does and does not divide."""
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    rng = np.random.default_rng(points)
+    xs = default_grid(8.0, points)
+    for axes, size in [((xs,), 8), ((xs, default_grid(6.0, points + 1)), 64), ((xs, xs), 4)]:
+        for coeffs in (rng.normal(size=size), rng.normal(size=size) + 1j * rng.normal(size=size)):
+            _write_density(new, axes, _density_blocks(coeffs, axes, 0.7))
+            savetxt_density(old, reconstruct_wavefunction(coeffs, axes, 0.7))
+            assert new.read_bytes() == old.read_bytes()
+
+
 def test_density_writer_memory_stays_at_one_row(tmp_path):
-    """A 321 x 321 density is written without a per-point array or a whole-file string."""
-    xs = default_grid(8.0, 321)
-    rng = np.random.default_rng(5)
-    grid = reconstruct_wavefunction(rng.normal(size=64) + 1j * rng.normal(size=64), (xs, xs))
-    tracemalloc.start()
-    try:
-        _write_density(tmp_path / "density.csv", grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    """A two-mode density is computed and written from its coefficients without a grid-sized
+    array or a whole-file string: the traced peak covers psi, |psi|^2 and their text."""
+    coeffs = np.random.default_rng(5).normal(size=64) + 1j * np.random.default_rng(6).normal(size=64)
+    for points in (321, 1281):
+        xs = default_grid(8.0, points)
+        tracemalloc.start()
+        try:
+            _write_density(tmp_path / "density.csv", (xs, xs), _density_blocks(coeffs, (xs, xs)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, points
 
 
 def test_vqe_command_outputs_and_determinism(tmp_path):
@@ -540,6 +572,13 @@ def test_bad_value_exits_2_naming_key(
     assert main([command, "-c", str(cfg), *args]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # a rejected config writes nothing
+
+
+def test_memory_guard_counts_one_density_block_not_the_grid():
+    """A density is held one block at a time, so the guard counts the Hermite tables and one
+    block: a two-mode run at 12,001 points (1.07 GiB as a grid) passes it."""
+    cfg = resolve([(1, "model.family", "ClosedPhi4"), (2, "grid.points", "12001"), (3, "output.dir", "unused")])
+    _check_memory("constraint", cfg)
 
 
 def test_cli_set_override(tmp_path):

@@ -15,6 +15,7 @@ from mssq.oscillator import (
     Family,
     ModelSpec,
     _check_hermitian,
+    _scatter,
     _term_block,
     build_model,
     matrix_square,
@@ -216,6 +217,29 @@ def test_build_model_equals_dense_reference(family, n, omega):
     BAND_ULPS rounding steps."""
     spec = ModelSpec(family, n, omega=omega)
     assert_close(build_model(spec), dense_kronecker_sum(dense_mode_terms(spec)))
+
+
+@pytest.mark.parametrize("omega", [1.0, 0.7, 2.9])
+@pytest.mark.parametrize("family,n", [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)])
+def test_build_model_equals_out_of_place_kronecker_sum(family, n, omega):
+    """The in-place build holds the values of -A (x) I + I (x) B formed from whole Kronecker
+    products of the same scattered terms; only the sign of some zeros may differ."""
+    spec = ModelSpec(family, n, omega=omega)
+    terms = [(sign, _scatter(blocks)) for sign, blocks in mode_terms(spec)]
+    assert np.array_equal(build_model(spec), dense_kronecker_sum(terms))
+
+
+def test_two_mode_build_peak_stays_at_one_model():
+    """The Kronecker sum is formed in place in h (x) I, so building it holds one model-sized
+    matrix: the traced peak stays within 1.1 of its size (3.0 for whole Kronecker products)."""
+    spec = ModelSpec(Family.CLOSED_PHI4, 5)
+    tracemalloc.start()
+    try:
+        h = build_model(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * h.nbytes
 
 
 @pytest.mark.parametrize("n", [10, 11])

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mssq.circuits import AnsatzShape, Circuit, _readout_probabilities, measurement_plan, run
-from mssq.cli import _write_density, main
+from mssq.cli import main
 from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 from mssq.pauli import _masks, decompose, reconstruct
 from mssq.spectrum import WavefunctionGrid, _target_index, ground_or_nearest_zero, spectrum
-from test_cli import parent_density_rows, parent_write_csv
+from test_cli import parent_density_rows, parent_write_csv, write_grid
 from test_oscillator import dense_mode_terms
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -182,12 +182,13 @@ def density_grids(draw):
 
 
 @PROPERTY_SETTINGS
-@given(density_grids())
-def test_density_writer_matches_row_writer(grid):
+@given(density_grids(), st.integers(1, 40))
+def test_density_writer_matches_row_writer(grid, rows):
+    """Any float64 density, given to the writer in blocks of any number of whole rows."""
     header = "x,density" if len(grid.axes) == 1 else "x_a,x_chi,density"
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-        _write_density(new, grid)
+        write_grid(new, grid, rows)
         parent_write_csv(old, header, parent_density_rows(grid))
         assert new.read_bytes() == old.read_bytes()
 
