@@ -6,7 +6,8 @@ the convergence of the ground energy for each potential.
 
 import numpy as np
 
-from mssq import Family, ModelSpec, build_model, convergence_scan, eigendecompose
+from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.spectrum import convergence_scan, eigendecompose
 
 for family in (Family.HARMONIC_OSC, Family.ANHARMONIC_OSC, Family.DOUBLE_WELL):
     print(f"\n{family.value}")

@@ -7,18 +7,10 @@ overlap between the optimized and exact position-space densities.
 
 import numpy as np
 
-from mssq import (
-    AnsatzShape,
-    Family,
-    ModelSpec,
-    SpsaConfig,
-    build_model,
-    eigendecompose,
-    reconstruct_wavefunction,
-    vqe_run,
-)
-from mssq.circuits import run as run_circuit
-from mssq.spectrum import default_grid
+from mssq.circuits import AnsatzShape, run as run_circuit
+from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.spectrum import default_grid, eigendecompose, reconstruct_wavefunction
+from mssq.vqe import SpsaConfig, vqe_run
 
 spec = ModelSpec(Family.DOUBLE_WELL, 3)
 exact = eigendecompose(build_model(spec))

@@ -6,7 +6,9 @@ optimized state.  Multistart plus staged refinement (smaller perturbations,
 more shots) is what pushes <H^2> to the 1e-2 level.
 """
 
-from mssq import AnsatzShape, Family, ModelSpec, SpsaConfig, vqe_run
+from mssq.circuits import AnsatzShape
+from mssq.oscillator import Family, ModelSpec
+from mssq.vqe import SpsaConfig, vqe_run
 
 spec = ModelSpec(Family.CLOSED_FREE, 2)
 result = vqe_run(

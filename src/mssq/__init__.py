@@ -3,50 +3,11 @@ quantum-mechanical potentials and Wheeler-DeWitt mini-superspace models."""
 
 import os
 
-# OpenBLAS reads this once, when the library loads (the first numpy import,
-# just below).  An idle worker then spins 2^20 cycles (about 0.4 ms) before it
-# sleeps, not OpenBLAS's default 2^28 (about 0.1 s of a core after load and
-# after every threaded BLAS call); 2^20 still keeps it awake between eigh's
-# back-to-back BLAS calls.  A value the user set wins.  If numpy was imported
-# before mssq this has no effect, which is harmless: the timeout only decides
-# when an idle worker sleeps, so no result depends on it.
+# OpenBLAS reads this once, when the library loads (with numpy, at the first
+# import of a submodule).  An idle worker then spins 2^20 cycles (about
+# 0.4 ms) before it sleeps, not OpenBLAS's default 2^28 (about 0.1 s of a core
+# after load and after every threaded BLAS call); 2^20 still keeps it awake
+# between eigh's back-to-back BLAS calls.  A value the user set wins.  If
+# numpy was imported before mssq this has no effect, which is harmless: the
+# timeout only decides when an idle worker sleeps, so no result depends on it.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
-
-from .circuits import AnsatzShape, Circuit, MeasurementPlan, expectation, measurement_plan, run
-from .oscillator import Family, ModelSpec, build_model, matrix_square
-from .pauli import PauliSum, decompose, reconstruct
-from .spectrum import (
-    SpectrumResult,
-    WavefunctionGrid,
-    convergence_scan,
-    eigendecompose,
-    reconstruct_wavefunction,
-)
-from .vqe import SpsaConfig, Trajectory, VqeResult, estimate_error, spsa_minimize, vqe_run
-
-__all__ = [
-    "AnsatzShape",
-    "Circuit",
-    "Family",
-    "MeasurementPlan",
-    "ModelSpec",
-    "PauliSum",
-    "SpectrumResult",
-    "SpsaConfig",
-    "Trajectory",
-    "VqeResult",
-    "WavefunctionGrid",
-    "build_model",
-    "convergence_scan",
-    "decompose",
-    "eigendecompose",
-    "estimate_error",
-    "expectation",
-    "matrix_square",
-    "measurement_plan",
-    "reconstruct",
-    "reconstruct_wavefunction",
-    "run",
-    "spsa_minimize",
-    "vqe_run",
-]

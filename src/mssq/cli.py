@@ -1,9 +1,9 @@
 """Command-line harness: spectrum | vqe | constraint | noise-scan.
 
 Every command reads one config file, echoes the fully-resolved config into the
-output directory, and writes plot-ready CSV.  All randomness flows from the
-single run.seed (overridable via MSSQ_SEED), so a rerun with the same config
-reproduces every output byte for byte.
+output directory as config.txt, and writes plot-ready CSV.  All randomness
+flows from the config's run.seed, so a rerun from that config.txt reproduces
+every CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -270,9 +270,9 @@ def _model_spec(cfg: dict) -> ModelSpec:
     return _from_section("model", ModelSpec, **{f: cfg[f"model.{f}"] for f in fields})
 
 
-def _spsa_config(cfg: dict, seed: int) -> SpsaConfig:
+def _spsa_config(cfg: dict) -> SpsaConfig:
     fields = ("iterations", "a", "c", "stability", "alpha", "gamma", "calibration_samples")
-    return _from_section("spsa", SpsaConfig, seed=seed, **{f: cfg[f"spsa.{f}"] for f in fields})
+    return _from_section("spsa", SpsaConfig, seed=cfg["run.seed"], **{f: cfg[f"spsa.{f}"] for f in fields})
 
 
 def _prepare_outdir(cfg: dict) -> Path:
@@ -280,19 +280,6 @@ def _prepare_outdir(cfg: dict) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(echo_text(cfg))
     return outdir
-
-
-def _seed(cfg: dict) -> int:
-    env = os.environ.get("MSSQ_SEED")
-    if not env:
-        return cfg["run.seed"]
-    try:
-        seed = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"MSSQ_SEED (run.seed) must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise ConfigError(f"MSSQ_SEED (run.seed) must be at least 0, got {seed}")
-    return seed
 
 
 def _check_memory(command: str, cfg: dict) -> None:
@@ -415,7 +402,7 @@ def cmd_variational(cfg: dict, objective_kind: str) -> Path:
     constraint = objective_kind == "constraint"
     if constraint and model.n_modes == 1:
         raise ConfigError(f"constraint needs a two-mode model.family, got {model.family.value}")
-    spsa = _spsa_config(cfg, _seed(cfg))
+    spsa = _spsa_config(cfg)
     outdir = _prepare_outdir(cfg)
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     result = vqe_run(
@@ -440,16 +427,12 @@ def cmd_variational(cfg: dict, objective_kind: str) -> Path:
         f"family = {model.family.value}",
         f"objective = {result.objective_kind}",
         f"seed = {result.seed}",
-        f"energy = {_fmt(result.h_mean)}",
-        f"stderr = {_fmt(result.h_stderr)}",
         f"h_mean = {_fmt(result.h_mean)}",
         f"h_stderr = {_fmt(result.h_stderr)}",
     ]
     if result.h2_mean is not None:
         lines.append(f"h2_mean = {_fmt(result.h2_mean)}")
         lines.append(f"h2_stderr = {_fmt(result.h2_stderr)}")
-    lines.append("config:")
-    lines.extend("  " + ln for ln in echo_text(cfg).splitlines())
     (outdir / "result.txt").write_text("\n".join(lines) + "\n")
     if constraint:
         names = ("density_2d.csv", "reference_density.csv")
@@ -471,7 +454,7 @@ def noise_scan(cfg: dict) -> ShotNoiseReport:
     model = _model_spec(cfg)
     plan = measurement_plan(build_model(model))
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
-    root = np.random.SeedSequence(_seed(cfg))
+    root = np.random.SeedSequence(cfg["run.seed"])
     ss_params, ss_reps = root.spawn(2)
     params = np.random.default_rng(ss_params).uniform(-np.pi, np.pi, shape.parameter_count)
     circuit = Circuit(shape, params)

@@ -470,104 +470,100 @@ def test_cli_unknown_family_exit_code(tmp_path):
     assert main(["spectrum", "-c", str(cfg)]) == 2
 
 
+BAD_VALUES = [
+    ("vqe", ["run.shots=0"], "run.shots"),
+    ("vqe", ["run.repetitions=1"], "run.repetitions"),
+    ("noise-scan", ["noise.repetitions=1"], "noise.repetitions"),
+    ("spectrum", ["model.qubits_per_mode=0"], "model.qubits_per_mode"),
+    ("spectrum", ["model.omega=0"], "model.omega"),
+    ("vqe", ["grid.points=1"], "grid.points"),
+    ("vqe", ["run.seed=abc"], "run.seed"),
+    ("spectrum", ["model.family=ClosedFree", "model.lambda_abs=0.1"], "model.lambda_abs"),
+    ("spectrum", ["model.family=ClosedFree", "model.quartic_c=0.1"], "model.quartic_c"),
+    ("spectrum", ["model.quartic_c=0.1"], "model.quartic_c"),
+    ("spectrum", ["model.family=DoubleWell", "model.lambda_abs=0.1"], "model.lambda_abs"),
+    ("vqe", ["spsa.iterations=0"], "spsa.iterations"),
+    ("vqe", ["spsa.c=0"], "spsa.c"),
+    ("vqe", ["spsa.alpha=2"], "spsa.alpha"),
+    ("vqe", ["spsa.restarts=0"], "spsa.restarts"),
+    ("vqe", ["spsa.refinements=0:0.04:1000"], "spsa.refinements"),
+    ("vqe", ["ansatz.depth=-1"], "ansatz.depth"),
+    ("noise-scan", ["noise.shots_grid=0,256,512,1024"], "noise.shots_grid"),
+    ("noise-scan", ["noise.shots_grid=256,512"], "noise.shots_grid"),
+    ("spectrum", ["spectrum.scan_dims=3,8"], "spectrum.scan_dims"),
+    ("constraint", [], "model.family"),
+    ("vqe", ["spsa.c=nan"], "spsa.c"),
+    ("vqe", ["spsa.a=-1"], "spsa.a"),
+    ("vqe", ["spsa.stability=-5"], "spsa.stability"),
+    ("vqe", ["spsa.calibration_samples=0"], "spsa.calibration_samples"),
+    ("vqe", ["grid.extent=0"], "grid.extent"),
+    ("vqe", ["grid.extent=-3"], "grid.extent"),
+    ("vqe", ["grid.extent=nan"], "grid.extent"),
+    ("vqe", ["grid.extent=inf"], "grid.extent"),
+    ("spectrum", ["model.omega=nan"], "model.omega"),
+    ("spectrum", ["model.omega=inf"], "model.omega"),
+    ("spectrum", ["model.family=DoubleWell", "model.quartic_c=nan"], "model.quartic_c"),
+    ("spectrum", ["model.family=DoubleWell", "model.quartic_c=inf"], "model.quartic_c"),
+    ("spectrum", ["model.family=ClosedPhi4", "model.lambda_abs=nan"], "model.lambda_abs"),
+    ("vqe", ["run.seed=-1"], "run.seed"),
+    ("vqe", ["run.seed=1.5"], "run.seed"),
+    # refused on any machine; unguarded, each fails its first allocation at once
+    (
+        "spectrum",
+        ["model.family=ClosedFree", "model.qubits_per_mode=20"],
+        "model.qubits_per_mode",
+    ),
+    ("vqe", ["grid.points=1000000000000"], "grid.points"),
+    ("vqe", ["run.shots=99999999999999999999"], "run.shots"),
+    ("vqe", ["spsa.refinements=1:0.1:99999999999999999999"], "spsa.refinements"),
+    (
+        "noise-scan",
+        ["noise.shots_grid=256,512,1024,99999999999999999999"],
+        "noise.shots_grid",
+    ),
+    ("spectrum", ["spectrum.scan_dims=4,1048576"], "spectrum.scan_dims"),
+    (
+        "spectrum",
+        ["model.family=ClosedFree", "model.qubits_per_mode=1", "spectrum.scan_dims=4,1048576"],
+        "spectrum.scan_dims",
+    ),
+    ("vqe", ["spsa.c=inf"], "spsa.c"),
+    ("vqe", ["spsa.a=inf"], "spsa.a"),
+    ("vqe", ["spsa.stability=inf"], "spsa.stability"),
+    ("vqe", ["spsa.refinements=5:inf:100"], "spsa.refinements"),
+    ("vqe", ["ansatz.depth=1000000000000"], "ansatz.depth"),
+    ("noise-scan", ["ansatz.depth=1000000000000"], "ansatz.depth"),
+    ("vqe", ["ansatz.depth=1000000000000", "spsa.iterations=10000000000000"], "spsa.iterations"),
+    (
+        "constraint",
+        ["model.family=ClosedFree", "ansatz.depth=1000000000000", "spsa.refinements=10000000000000:0.1:64"],
+        "spsa.refinements",
+    ),
+    ("spectrum", ["spectrum.scan_dims=8,4"], "spectrum.scan_dims"),
+    ("spectrum", ["spectrum.scan_dims=4,4"], "spectrum.scan_dims"),
+    ("spectrum", ["model.family=Nope"], "model.family"),
+    # a mode term's entries would overflow (DoubleWell at 3 qubits)
+    ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-160"], "model.omega"),
+    ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-150"], "model.omega"),
+    ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e300"], "model.omega"),
+    ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.quartic_c=1e200"], "model.quartic_c"),
+    ("vqe", ["run.repetitions=100000000000"], "run.repetitions"),
+    ("noise-scan", ["noise.repetitions=100000000000"], "noise.repetitions"),
+    # the estimate passes float max, so it is formatted without a float division
+    ("spectrum", ["model.qubits_per_mode=600"], "model.qubits_per_mode"),
+    ("vqe", ["model.qubits_per_mode=600"], "model.qubits_per_mode"),
+]
+
+
 @pytest.mark.parametrize(
-    "command,overrides,env_seed,key",
-    [
-        ("vqe", ["run.shots=0"], None, "run.shots"),
-        ("vqe", ["run.repetitions=1"], None, "run.repetitions"),
-        ("noise-scan", ["noise.repetitions=1"], None, "noise.repetitions"),
-        ("spectrum", ["model.qubits_per_mode=0"], None, "model.qubits_per_mode"),
-        ("spectrum", ["model.omega=0"], None, "model.omega"),
-        ("vqe", ["grid.points=1"], None, "grid.points"),
-        ("vqe", [], "abc", "MSSQ_SEED"),
-        ("spectrum", ["model.family=ClosedFree", "model.lambda_abs=0.1"], None, "model.lambda_abs"),
-        ("spectrum", ["model.family=ClosedFree", "model.quartic_c=0.1"], None, "model.quartic_c"),
-        ("spectrum", ["model.quartic_c=0.1"], None, "model.quartic_c"),
-        ("spectrum", ["model.family=DoubleWell", "model.lambda_abs=0.1"], None, "model.lambda_abs"),
-        ("vqe", ["spsa.iterations=0"], None, "spsa.iterations"),
-        ("vqe", ["spsa.c=0"], None, "spsa.c"),
-        ("vqe", ["spsa.alpha=2"], None, "spsa.alpha"),
-        ("vqe", ["spsa.restarts=0"], None, "spsa.restarts"),
-        ("vqe", ["spsa.refinements=0:0.04:1000"], None, "spsa.refinements"),
-        ("vqe", ["ansatz.depth=-1"], None, "ansatz.depth"),
-        ("noise-scan", ["noise.shots_grid=0,256,512,1024"], None, "noise.shots_grid"),
-        ("noise-scan", ["noise.shots_grid=256,512"], None, "noise.shots_grid"),
-        ("spectrum", ["spectrum.scan_dims=3,8"], None, "spectrum.scan_dims"),
-        ("constraint", [], None, "model.family"),
-        ("vqe", ["spsa.c=nan"], None, "spsa.c"),
-        ("vqe", ["spsa.a=-1"], None, "spsa.a"),
-        ("vqe", ["spsa.stability=-5"], None, "spsa.stability"),
-        ("vqe", ["spsa.calibration_samples=0"], None, "spsa.calibration_samples"),
-        ("vqe", ["grid.extent=0"], None, "grid.extent"),
-        ("vqe", ["grid.extent=-3"], None, "grid.extent"),
-        ("vqe", ["grid.extent=nan"], None, "grid.extent"),
-        ("vqe", ["grid.extent=inf"], None, "grid.extent"),
-        ("spectrum", ["model.omega=nan"], None, "model.omega"),
-        ("spectrum", ["model.omega=inf"], None, "model.omega"),
-        ("spectrum", ["model.family=DoubleWell", "model.quartic_c=nan"], None, "model.quartic_c"),
-        ("spectrum", ["model.family=DoubleWell", "model.quartic_c=inf"], None, "model.quartic_c"),
-        ("spectrum", ["model.family=ClosedPhi4", "model.lambda_abs=nan"], None, "model.lambda_abs"),
-        ("vqe", ["run.seed=-1"], None, "run.seed"),
-        ("vqe", [], "-5", "MSSQ_SEED (run.seed)"),
-        # refused on any machine; unguarded, each fails its first allocation at once
-        (
-            "spectrum",
-            ["model.family=ClosedFree", "model.qubits_per_mode=20"],
-            None,
-            "model.qubits_per_mode",
-        ),
-        ("vqe", ["grid.points=1000000000000"], None, "grid.points"),
-        ("vqe", ["run.shots=99999999999999999999"], None, "run.shots"),
-        ("vqe", ["spsa.refinements=1:0.1:99999999999999999999"], None, "spsa.refinements"),
-        (
-            "noise-scan",
-            ["noise.shots_grid=256,512,1024,99999999999999999999"],
-            None,
-            "noise.shots_grid",
-        ),
-        ("spectrum", ["spectrum.scan_dims=4,1048576"], None, "spectrum.scan_dims"),
-        (
-            "spectrum",
-            ["model.family=ClosedFree", "model.qubits_per_mode=1", "spectrum.scan_dims=4,1048576"],
-            None,
-            "spectrum.scan_dims",
-        ),
-        ("vqe", ["spsa.c=inf"], None, "spsa.c"),
-        ("vqe", ["spsa.a=inf"], None, "spsa.a"),
-        ("vqe", ["spsa.stability=inf"], None, "spsa.stability"),
-        ("vqe", ["spsa.refinements=5:inf:100"], None, "spsa.refinements"),
-        ("vqe", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
-        ("noise-scan", ["ansatz.depth=1000000000000"], None, "ansatz.depth"),
-        ("vqe", ["ansatz.depth=1000000000000", "spsa.iterations=10000000000000"], None, "spsa.iterations"),
-        (
-            "constraint",
-            ["model.family=ClosedFree", "ansatz.depth=1000000000000", "spsa.refinements=10000000000000:0.1:64"],
-            None,
-            "spsa.refinements",
-        ),
-        ("spectrum", ["spectrum.scan_dims=8,4"], None, "spectrum.scan_dims"),
-        ("spectrum", ["spectrum.scan_dims=4,4"], None, "spectrum.scan_dims"),
-        ("spectrum", ["model.family=Nope"], None, "model.family"),
-        # a mode term's entries would overflow (DoubleWell at 3 qubits)
-        ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-160"], None, "model.omega"),
-        ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e-150"], None, "model.omega"),
-        ("spectrum", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.omega=1e300"], None, "model.omega"),
-        ("vqe", ["model.family=DoubleWell", "model.qubits_per_mode=3", "model.quartic_c=1e200"], None, "model.quartic_c"),
-        ("vqe", ["run.repetitions=100000000000"], None, "run.repetitions"),
-        ("noise-scan", ["noise.repetitions=100000000000"], None, "noise.repetitions"),
-        # the estimate passes float max, so it is formatted without a float division
-        ("spectrum", ["model.qubits_per_mode=600"], None, "model.qubits_per_mode"),
-        ("vqe", ["model.qubits_per_mode=600"], None, "model.qubits_per_mode"),
-    ],
+    "command,overrides,key",
+    BAD_VALUES,
+    # the names these cases have always had: row, "None" (once the slot of an
+    # environment seed) and key
+    ids=[f"{command}-overrides{row}-None-{key}" for row, (command, _, key) in enumerate(BAD_VALUES)],
 )
-def test_bad_value_exits_2_naming_key(
-    tmp_path, monkeypatch, capsys, command, overrides, env_seed, key
-):
+def test_bad_value_exits_2_naming_key(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, FAST_VQE.format(out=tmp_path / "out"))
-    if env_seed is None:
-        monkeypatch.delenv("MSSQ_SEED", raising=False)
-    else:
-        monkeypatch.setenv("MSSQ_SEED", env_seed)
     args = ["--set=" + item for item in overrides]
     assert main([command, "-c", str(cfg), *args]) == 2
     assert key in capsys.readouterr().err
@@ -604,14 +600,48 @@ def test_key_set_twice_exits_2_naming_both_places(tmp_path, capsys, extra, overr
     assert not (tmp_path / "out").exists()  # a rejected config writes nothing
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
+def test_set_seed_override(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    cfg1 = write_config(tmp_path, FAST_VQE.format(out=out1), "a.cfg")
-    cfg2 = write_config(tmp_path, FAST_VQE.format(out=out2), "b.cfg")
-    assert main(["vqe", "-c", str(cfg1)]) == 0
-    monkeypatch.setenv("MSSQ_SEED", "99")
-    assert main(["vqe", "-c", str(cfg2)]) == 0
+    cfg = write_config(tmp_path, FAST_VQE.format(out=out1))
+    assert main(["vqe", "-c", str(cfg)]) == 0
+    assert main(["vqe", "-c", str(cfg), "--set", "run.seed=99", "--set", f"output.dir={out2}"]) == 0
     assert (out1 / "trajectory.csv").read_bytes() != (out2 / "trajectory.csv").read_bytes()
+    assert "run.seed = 99\n" in (out2 / "config.txt").read_text()
+
+
+TINY_ANY = """
+ansatz.depth = 1
+spsa.iterations = 3
+spsa.calibration_samples = 1
+spsa.refinements = 2:0.05:128
+run.shots = 64
+run.repetitions = 2
+grid.points = 11
+noise.shots_grid = 64,128,256,512
+noise.repetitions = 3
+spectrum.scan_dims = 2,4
+output.dir = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "command,family,override",
+    [
+        ("spectrum", "DoubleWell", "model.omega=1.3"),
+        ("vqe", "DoubleWell", "spsa.c=0.17"),
+        ("constraint", "ClosedPhi4", "model.lambda_abs=0.3"),
+        ("noise-scan", "AnharmonicOsc", "noise.repetitions=4"),
+    ],
+)
+def test_rerun_from_config_txt_reproduces_every_csv(tmp_path, command, family, override):
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = write_config(tmp_path, f"model.family = {family}\n" + TINY_ANY.format(out=first))
+    assert main([command, "-c", str(cfg), "--set", "run.seed=7", "--set", override]) == 0
+    assert main([command, "-c", str(first / "config.txt"), "--set", f"output.dir={second}"]) == 0
+    names = sorted(path.name for path in first.glob("*.csv"))
+    assert names and names == sorted(path.name for path in second.glob("*.csv"))
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_noise_scan_small(tmp_path):
@@ -665,7 +695,7 @@ def test_noise_scan_coefficient_linearity():
     assert beta2 == pytest.approx(beta1, abs=0.02)
 
 
-NO_MASKED_ARRAYS = """
+COMMAND_IMPORTS = """
 import sys
 from mssq.cli import main
 
@@ -673,13 +703,12 @@ for command, family in (("vqe", "DoubleWell"), ("constraint", "ClosedPhi4"), ("n
                         ("spectrum", "DoubleWell")):
     overrides = ["--set", f"model.family = {family}", "--set", f"output.dir = {sys.argv[2]}/{command}"]
     assert main([command, "-c", sys.argv[1], *overrides]) == 0, command
-print("numpy.ma" in sys.modules)
+print(sys.argv[3] in sys.modules)
 """
 
 
-def test_no_command_imports_numpy_ma(tmp_path):
-    """np.unique without return_index imports numpy.ma, which lifts a run's peak RSS by about
-    1 MB; no command may reach it, checked in a fresh interpreter."""
+def _commands_import(tmp_path, module: str) -> str:
+    """"True" if running all four commands in a fresh interpreter imports `module`, else "False"."""
     cfg = write_config(
         tmp_path,
         "model.qubits_per_mode = 1\nansatz.depth = 1\nspsa.iterations = 2\nspsa.calibration_samples = 1\n"
@@ -689,10 +718,22 @@ def test_no_command_imports_numpy_ma(tmp_path):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", NO_MASKED_ARRAYS, str(cfg), str(tmp_path)],
+        [sys.executable, "-c", COMMAND_IMPORTS, str(cfg), str(tmp_path), module],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return proc.stdout.strip()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    """np.unique without return_index imports numpy.ma, which lifts a run's peak RSS by about
+    1 MB; no command may reach it, checked in a fresh interpreter."""
+    assert _commands_import(tmp_path, "numpy.ma") == "False"
+
+
+def test_no_command_imports_pauli(tmp_path):
+    """mssq.pauli is the reference decomposition that tests and the acceptance gate check the
+    measurement plan against; no command loads it."""
+    assert _commands_import(tmp_path, "mssq.pauli") == "False"

@@ -55,3 +55,8 @@ def test_idle_openblas_workers_sleep():
 def test_user_thread_timeout_wins():
     code = "import os, mssq; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
     assert _run(code, OPENBLAS_THREAD_TIMEOUT="28") == "28"
+
+
+def test_import_sets_timeout_before_numpy_loads():
+    code = "import os, sys, mssq; print(os.environ['OPENBLAS_THREAD_TIMEOUT'], 'numpy' in sys.modules)"
+    assert _run(code) == "20 False"

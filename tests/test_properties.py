@@ -1,9 +1,7 @@
 """Properties checked over random inputs drawn by hypothesis."""
 
-import os
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,14 +206,13 @@ output.dir = {out}
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32))
-def test_rerun_determinism_under_env_seed(seed):
-    env = {"MSSQ_SEED": str(seed)}
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env):
+def test_rerun_determinism_under_set_seed(seed):
+    with tempfile.TemporaryDirectory() as tmp:
         outputs = []
         for label in ("a", "b"):
             cfg = Path(tmp) / f"{label}.cfg"
             cfg.write_text(TINY_VQE.format(out=Path(tmp) / label))
-            assert main(["vqe", "-c", str(cfg)]) == 0
+            assert main(["vqe", "-c", str(cfg), "--set", f"run.seed={seed}"]) == 0
             outputs.append({p.name: p.read_bytes() for p in (Path(tmp) / label).glob("*.csv")})
         assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
         assert f"seed = {seed}\n" in (Path(tmp) / "a" / "result.txt").read_text()
