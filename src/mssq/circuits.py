@@ -8,7 +8,8 @@ a (B, P) stack simulates and measures its B rows at once.
 An observable is measured straight from its real symmetric matrix H, one
 circuit per XOR offset m of H: the entries H[i, i ^ m] are read out together
 by the extended Bell measurement of Kondo, Mori, Koh & Watanabe, Quantum 6,
-688 (2022), arXiv:2110.09735 (`measurement_plan`).
+688 (2022), arXiv:2110.09735 (`measurement_plan`).  A model's plan is built
+per mode from its bands (`model_plan`), with no matrix of the model's size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import _check_hermitian
+from .oscillator import ModelSpec, _check_hermitian, _level_bands, _term_signs
 
 # an offset is measured when one of its entries exceeds ENTRY_CUTOFF * max(1, max|H|); below
 # that it holds only rounding residue, as where HarmonicOsc's x^2 and p^2 parts cancel to 1e-16
@@ -139,6 +140,24 @@ class MeasurementPlan(NamedTuple):
     signs: np.ndarray
 
 
+def _plan(offsets: np.ndarray, dim: int, entries) -> MeasurementPlan:
+    """The plan of a real symmetric dim x dim H at its ascending candidate offsets, entries(low,
+    partner) giving H[low, partner] as a new (G, dim) array, less each offset whose entries all
+    lie within ENTRY_CUTOFF * max(1, max|H|)."""
+    # each offset's highest set bit, and 0 for offset 0: m = f 2^e with f in [0.5, 1)
+    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
+    outcomes = np.arange(dim)
+    low = outcomes & ~pivots[:, None]
+    partner = low ^ offsets[:, None]
+    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
+    weights = entries(low, partner)
+    weights *= signs
+    largest = np.abs(weights).max(axis=1, initial=0.0)
+    keep = largest > ENTRY_CUTOFF * max(1.0, largest.max(initial=0.0))
+    plan = MeasurementPlan(offsets, weights, low, partner, signs)
+    return plan if keep.all() else MeasurementPlan(*(array[keep] for array in plan))
+
+
 def measurement_plan(h) -> MeasurementPlan:
     """The plan of a real symmetric 2^n x 2^n matrix: one circuit per offset above ENTRY_CUTOFF.
 
@@ -152,19 +171,58 @@ def measurement_plan(h) -> MeasurementPlan:
     dim = len(h)
     if dim & (dim - 1):
         raise ValueError(f"matrix dimension must be a power of two, got {dim}")
-    bound = ENTRY_CUTOFF * max(1.0, h.max(), -h.min())
-    rows, cols = np.nonzero((h > bound) | (h < -bound))
+    rows, cols = np.nonzero(h)
     # a boolean mask, not np.unique, which imports numpy.ma on first use
     present = np.zeros(dim, dtype=bool)
     present[rows ^ cols] = True
-    offsets = np.flatnonzero(present)
-    # each offset's highest set bit, and 0 for offset 0: m = f 2^e with f in [0.5, 1)
-    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
-    outcomes = np.arange(dim)
-    low = outcomes & ~pivots[:, None]
-    partner = low ^ offsets[:, None]
-    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
-    return MeasurementPlan(offsets, signs * h[low, partner], low, partner, signs)
+    return _plan(np.flatnonzero(present), dim, lambda low, partner: h[low, partner])
+
+
+def _mode_offsets(qubits: int, reach: int) -> list[int]:
+    """The XOR offsets n ^ (n + 2k), k <= reach <= 4, of a mode's levels, ascending.  Adding 2k
+    changes n's low four bits and the run of ones that its carry clears above them, so the
+    levels l + 16 (2^t - 1), l < 16, give every offset in O(qubits), at any qubit count."""
+    levels = {low + 16 * ((1 << t) - 1) for low in range(16) for t in range(qubits)}
+    return sorted({n ^ (n + 2 * k) for n in levels for k in range(reach + 1) if n + 2 * k < 1 << qubits})
+
+
+def _offset_count(spec: ModelSpec, squared: bool = False) -> int:
+    """The candidate offsets of `model_plan(spec, squared)`, an upper bound on its circuits."""
+    single = len(_mode_offsets(spec.qubits_per_mode, 4 if squared else 2))
+    cross = len(_mode_offsets(spec.qubits_per_mode, 2)) - 1 if squared and spec.n_modes == 2 else 0
+    return spec.n_modes * (single - 1) + 1 + cross * cross
+
+
+def model_plan(spec: ModelSpec, squared: bool = False) -> MeasurementPlan:
+    """measurement_plan(build_model(spec)), or of its square, from the mode terms' bands, with no
+    matrix of the model's size and no matrix product.  The candidates are each mode's offsets
+    (`_mode_offsets`) with the other's 0 and, for the 2 s_a s_b A (x) B of H^2, each pair of
+    nonzero ones; a row's entries are gathered per mode and combined as an outer sum or product.
+    H's weights are bit for bit the dense plan's; H^2's differ from `matrix_square`'s in the last bits."""
+    q, d, two_modes = spec.qubits_per_mode, spec.mode_dim, spec.n_modes == 2
+    single = _mode_offsets(q, 4 if squared else 2)
+    cross = _mode_offsets(q, 2)[1:] if squared and two_modes else []
+    offsets = [a << q for a in single] + single[1:] + [a << q | b for a in cross for b in cross] if two_modes else single
+    levels = [_level_bands(spec, term) for term in range(spec.n_modes)]
+    squares = [_level_bands(spec, term, squared=True) for term in range(spec.n_modes)] if squared else levels
+
+    def entries(low, partner):
+        modes = []  # per mode: its signed term's entries, its part of the sum, whether its offset is 0
+        for shift, sign, level, square in zip((q, 0) if two_modes else (0,), _term_signs(spec), levels, squares):
+            # the mode's bits of low and partner, each row read where the other mode's are 0
+            n, m = ((index[:, :: 1 << shift][:, :d] >> shift) & (d - 1) for index in (low, partner))
+            at = np.minimum(np.abs(m - n) >> 1, len(level) - 1), np.minimum(n, m)
+            term = sign * level[at]
+            modes.append((term, square[at] if squared else term, (n == m).all(axis=1, keepdims=True)))
+        if not two_modes:
+            return modes[0][1]
+        (a, a_part, a_zero), (b, b_part, b_zero) = modes
+        full = (2 * a)[:, :, None] * b[:, None, :] if squared else np.zeros((len(low), d, d))
+        full += (a_part * b_zero)[:, :, None]
+        full += (b_part * a_zero)[:, None, :]
+        return full.reshape(len(low), -1)
+
+    return _plan(np.array(sorted(offsets)), spec.dim, entries)
 
 
 def _readout_probabilities(circuit: Circuit, plan: MeasurementPlan) -> np.ndarray:

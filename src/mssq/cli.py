@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import spectrum as spec_mod
-from .circuits import AnsatzShape, Circuit, measurement_plan, run
+from .circuits import AnsatzShape, Circuit, _offset_count, model_plan, run
 from .config import ConfigError, echo_text, parse_config
-from .oscillator import ModelSpec, build_model
+from .oscillator import ModelSpec
 from .vqe import SpsaConfig, estimate_error, vqe_run
 
 
@@ -28,18 +28,11 @@ from .vqe import SpsaConfig, estimate_error, vqe_run
 # 1.8x its counted arrays (the u3 stacks, below), above ~30 MiB for Python
 # and numpy
 MEMORY_BOUND = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-# dim x dim float64 matrices each other command holds at once.  build_model
-# forms a two-mode Kronecker sum in place in one matrix; measurement_plan then
-# holds its input and the Hermiticity check's difference, and for constraint
-# H^2 beside the model.  Shot readout holds (states, G, dim) blocks, G = 2n -
-# 2 circuits for one mode (18 at DoubleWell 10) and 72 for ClosedPhi4's H^2
-# at 5 per mode, far below one matrix.  Peaks above the import floor: 2.7,
-# 2.1 and 2.0 matrices for vqe and 2.2, 2.1 and 2.0 for noise-scan on
-# DoubleWell at 10-12 qubits, 2.2 and 2.0 (vqe) and 2.1 and 2.0 (noise-scan)
-# on ClosedPhi4 at 5-6 qubits per mode, and 4.5 and 3.4 for constraint on
-# ClosedPhi4 at 5 and 6: 0.67-0.91x these counts.  One matrix fewer for
-# constraint would put ClosedPhi4 at 5 at 1.13x
-MATRICES_HELD = {"vqe": 3, "constraint": 5, "noise-scan": 3}
+# bytes a shot command holds per basis state: PLAN_BYTES per circuit of each plan (four
+# (G, dim) arrays) and, per state read out at once, READOUT_BYTES per circuit (complex
+# amplitudes and psi[low], float probabilities) and STATEVECTORS complex statevectors.
+# ru_maxrss above the import floor: 0.96-1.25x the count on ClosedPhi4 at 7 per mode
+PLAN_BYTES, READOUT_BYTES, STATEVECTORS = 32, 40, 3
 # u3 stacks counted for each other command under ansatz.depth: `run` builds
 # the u3 gates of every layer as one (states, depth + 1, n, 2, 2) complex
 # stack, two states for an SPSA pair and one for noise-scan, beside the
@@ -287,9 +280,11 @@ def _check_memory(command: str, cfg: dict) -> None:
 
     Counted at 8 B per float: for spectrum, SCAN_MATRICES d x d matrices at the
     larger of mode_dim and the largest scan dim d, plus SPECTRUM_VECTORS
-    dim-long vectors; for the other commands, their dim x dim matrices; and,
-    for the density-writing commands, DENSITY_TABLES Hermite tables (mode_dim
-    x grid.points) and DENSITY_CELL_FLOATS per cell of one block of the
+    dim-long vectors; for the other commands, their plans and readout
+    (PLAN_BYTES, above), circuits counted by `circuits._offset_count`, and for
+    vqe the exact reference's block solve as spectrum counts it; and, for the
+    density-writing commands, DENSITY_TABLES Hermite tables (mode_dim x
+    grid.points) and DENSITY_CELL_FLOATS per cell of one block of the
     density (one row for one mode, else at least two); and, at
     16 B per complex, U3_STACKS u3 stacks for the ansatz; and, for vqe and
     constraint, the trajectory's parameter vectors.  The final error bars
@@ -304,8 +299,12 @@ def _check_memory(command: str, cfg: dict) -> None:
         key = "spectrum.scan_dims" if scan_dim > model.mode_dim else "model.qubits_per_mode"
         counted[key] += 8 * SCAN_MATRICES * max(scan_dim, model.mode_dim) ** 2
     else:
-        counted = {"model.qubits_per_mode": 8 * MATRICES_HELD[command] * model.dim**2}
         states = 1 if command == "noise-scan" else 2
+        read = _offset_count(model, squared=command == "constraint")
+        planned = _offset_count(model) + (read if command == "constraint" else 0)
+        held = PLAN_BYTES * planned + states * (READOUT_BYTES * read + 16 * STATEVECTORS)
+        reference = 8 * SCAN_MATRICES * model.mode_dim**2 if command == "vqe" else 0
+        counted = {"model.qubits_per_mode": held * model.dim + reference}
         layers = cfg["ansatz.depth"] + 1
         counted["ansatz.depth"] = 16 * U3_STACKS * states * layers * model.total_qubits * 4
         repetitions = "noise.repetitions" if command == "noise-scan" else "run.repetitions"
@@ -452,7 +451,7 @@ def noise_scan(cfg: dict) -> ShotNoiseReport:
     grid = cfg["noise.shots_grid"]
     repetitions = cfg["noise.repetitions"]
     model = _model_spec(cfg)
-    plan = measurement_plan(build_model(model))
+    plan = model_plan(model)
     shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
     root = np.random.SeedSequence(cfg["run.seed"])
     ss_params, ss_reps = root.spawn(2)

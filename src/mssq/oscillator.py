@@ -208,6 +208,31 @@ def _term_bands(spec: ModelSpec, term: int, parity: int) -> tuple[np.ndarray, np
     )
 
 
+def _square_bands(bands: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The 2K + 1 bands of S @ S, S the symmetric matrix holding bands[k], k <= K, on its k-th
+    diagonals: (S S)[j, j + k] = sum_a S[j, j + a] S[j + a, j + k], each band in O(size)."""
+    size, reach = len(bands[0]), len(bands) - 1
+    # rows[reach + a, reach + j] = S[j, j + a], zero past either end
+    rows = np.zeros((2 * reach + 1, size + 2 * reach))
+    for a, band in enumerate(bands):
+        rows[reach + a, reach : reach + len(band)] = rows[reach - a, reach + a : reach + a + len(band)] = band
+    return tuple(
+        sum(rows[reach + a, reach : reach + n] * rows[reach + k - a, reach + a : reach + a + n] for a in range(k - reach, reach + 1))
+        for k, n in enumerate(max(size - k, 0) for k in range(2 * reach + 1))
+    )
+
+
+def _level_bands(spec: ModelSpec, term: int, squared: bool = False) -> np.ndarray:
+    """spec's unsigned mode term T `term`, or T^2, by level distance: row k < 5 holds T[n, n + 2k] at
+    column n, and row 5, of zeros, every farther pair; each parity block's bands are interleaved."""
+    table = np.zeros((6, spec.mode_dim))
+    for parity in (0, 1):
+        bands = _term_bands(spec, term, parity)
+        for k, band in enumerate(_square_bands(bands) if squared else bands):
+            table[k, parity::2][: len(band)] = band
+    return table
+
+
 def _band_matrix(bands: tuple[np.ndarray, ...]) -> np.ndarray:
     """The dense symmetric matrix holding bands[k] on its k-th diagonal above and below the
     main one, +0.0 everywhere else.

@@ -4,8 +4,8 @@ Energy mode minimizes the shot-estimated <H> to upper-bound a ground energy.
 Constraint mode minimizes <H^2>, which targets the zero eigenspace directly
 and stays bounded below even when H itself is unbounded; the final report
 carries both <H> and <H^2> of the optimized state.  Each observable is
-measured through its `circuits.measurement_plan`, built once per run from the
-dense model (and from its square for constraint mode).
+measured through its `circuits.model_plan`, built once per run from the mode
+terms' bands (and from their squares for constraint mode).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .circuits import (
     _readout_probabilities,
     _sampled_expectation,
     expectation,
-    measurement_plan,
+    model_plan,
 )
-from .oscillator import ModelSpec, build_model, matrix_square
+from .oscillator import ModelSpec
 
 DEFAULT_CALIBRATION_STEP = 0.1  # radians, first-iteration parameter change
 SMOOTHING_WINDOW = 5
@@ -214,10 +214,9 @@ def vqe_run(
         raise ValueError("restarts must be positive")
     if spsa is None:
         spsa = SpsaConfig(iterations=300)
-    hamiltonian = build_model(spec)
-    h_plan = measurement_plan(hamiltonian)
+    h_plan = model_plan(spec)
     constraint = objective_kind == "constraint"
-    objective_plan = measurement_plan(matrix_square(hamiltonian)) if constraint else h_plan
+    objective_plan = model_plan(spec, squared=True) if constraint else h_plan
 
     root = np.random.SeedSequence(spsa.seed)
     ss_init, ss_shots, ss_final, ss_stages = root.spawn(4)

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mssq.circuits import AnsatzShape, Circuit, expectation, measurement_plan, run, u3_matrix
+from mssq.circuits import AnsatzShape, Circuit, _offset_count, expectation, measurement_plan, model_plan, run, u3_matrix
 from mssq import circuits, vqe
-from mssq.oscillator import Family, ModelSpec, build_model
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -405,11 +405,11 @@ def test_vqe_run_builds_each_plan_once(monkeypatch):
     refinement or repetition plans again."""
     calls = []
 
-    def counting_plan(h):
-        calls.append(h)
-        return measurement_plan(h)
+    def counting_plan(spec, squared=False):
+        calls.append(squared)
+        return model_plan(spec, squared)
 
-    monkeypatch.setattr(vqe, "measurement_plan", counting_plan)
+    monkeypatch.setattr(vqe, "model_plan", counting_plan)
     for spec, kind, plans in (
         (ModelSpec(Family.DOUBLE_WELL, 2), "energy", 1),
         (ModelSpec(Family.CLOSED_PHI4, 1), "constraint", 2),
@@ -425,7 +425,7 @@ def test_vqe_run_builds_each_plan_once(monkeypatch):
             restarts=2,
             refinements=((3, 0.05, 128),),
         )
-        assert len(calls) == plans
+        assert sorted(calls) == [False, True][:plans]
 
 
 def test_plan_weights_match_dense_unitary_oracle():
@@ -497,3 +497,55 @@ def test_layer_kernel_matches_tensordot_reference():
     perm = circuits._cnot_chain(3)
     with pytest.raises(ValueError):
         perm[0] = 1
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("omega", [1.0, 0.7, 2.9])
+def test_model_plan_equals_dense_plan(family, qubits, omega):
+    """H's plan from the bands is the dense model's plan, bit for bit."""
+    spec = ModelSpec(family, qubits, omega=omega)
+    got, want = model_plan(spec), measurement_plan(build_model(spec))
+    for name, a, b in zip(got._fields, got, want):
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert len(got.offsets) <= _offset_count(spec)
+
+
+@pytest.mark.parametrize("family", TWO_MODE_FAMILIES, ids=lambda f: f.value)
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+def test_model_plan_of_square_matches_dense_square(family, qubits):
+    """H^2's plan from the bands has the dense square's offsets and indices, and its weights
+    within 8 eps max(1, max|H^2|) of the gemm's."""
+    spec = ModelSpec(family, qubits)
+    square = matrix_square(build_model(spec))
+    got, want = model_plan(spec, squared=True), measurement_plan(square)
+    for name in ("offsets", "low", "partner", "signs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    bound = 8 * np.finfo(float).eps * max(1.0, np.abs(square).max())
+    assert np.abs(got.weights - want.weights).max(initial=0.0) <= bound
+    assert len(got.offsets) <= _offset_count(spec, squared=True)
+
+
+def test_offset_count_matches_plan_sizes():
+    """The guard's count: 2n - 2 circuits for one mode, 4q - 5 for two-mode H and 16-160
+    for ClosedPhi4's H^2 at 3-7 qubits per mode, with no plan built."""
+    assert [_offset_count(ModelSpec(Family.DOUBLE_WELL, n)) for n in (3, 10)] == [4, 18]
+    assert [_offset_count(ModelSpec(Family.CLOSED_PHI4, q)) for q in (3, 7)] == [7, 23]
+    squares = [_offset_count(ModelSpec(Family.CLOSED_PHI4, q), squared=True) for q in range(3, 8)]
+    assert squares == [16, 40, 72, 112, 160]
+    assert len(model_plan(ModelSpec(Family.CLOSED_PHI4, 4), squared=True).offsets) == 40
+
+
+def test_model_plan_of_square_peak_memory():
+    """ClosedPhi4's H^2 plan at 6 qubits per mode: four (112, 4096) arrays, 14.7 MB, built
+    under half of one 4096 x 4096 float64 matrix (64 MiB)."""
+    spec = ModelSpec(Family.CLOSED_PHI4, 6)
+    tracemalloc.start()
+    try:
+        plan = model_plan(spec, squared=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.weights.shape == (112, 4096)
+    assert peak < 8 * spec.dim**2 / 2
+

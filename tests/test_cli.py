@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mssq import circuits, cli, oscillator
 from mssq.cli import _check_memory, _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, echo_text, parse_config, resolve
 from mssq.oscillator import Family, ModelSpec, build_model, mode_terms
@@ -575,6 +576,45 @@ def test_memory_guard_counts_one_density_block_not_the_grid():
     block: a two-mode run at 12,001 points (1.07 GiB as a grid) passes it."""
     cfg = resolve([(1, "model.family", "ClosedPhi4"), (2, "grid.points", "12001"), (3, "output.dir", "unused")])
     _check_memory("constraint", cfg)
+
+
+def test_memory_guard_counts_the_plans_not_dense_matrices(tmp_path, capsys, monkeypatch):
+    """Under a 1 GiB bound the shot commands on ClosedPhi4 at 7 qubits per mode pass, counted
+    by their plans and readout rather than as 16384 x 16384 matrices; at 10 the plan alone
+    exceeds the bound, and the run exits 2 naming the key before writing anything."""
+    monkeypatch.setattr(cli, "MEMORY_BOUND", 2**30)
+    admitted = resolve([(1, "model.family", "ClosedPhi4"), (2, "model.qubits_per_mode", "7"), (3, "output.dir", "unused")])
+    refused = write_config(tmp_path, f"model.family = ClosedPhi4\nmodel.qubits_per_mode = 10\noutput.dir = {tmp_path / 'out'}\n")
+    for command in ("vqe", "constraint", "noise-scan"):
+        _check_memory(command, admitted)
+        assert main([command, "-c", str(refused)]) == 2
+        assert "model.qubits_per_mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_no_shot_command_builds_a_dense_model(tmp_path, monkeypatch):
+    """vqe, constraint and noise-scan plan from the mode terms' bands: with build_model,
+    matrix_square and the dense measurement_plan raising at every alias in mssq, each exits 0."""
+    dense = (oscillator.build_model, oscillator.matrix_square, circuits.measurement_plan)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shot command formed a dense model")
+
+    for name, module in list(sys.modules.items()):
+        if name == "mssq" or name.startswith("mssq."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in dense):
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = write_config(
+        tmp_path,
+        "model.qubits_per_mode = 2\nansatz.depth = 1\nspsa.iterations = 2\nspsa.calibration_samples = 1\n"
+        "run.shots = 64\nrun.repetitions = 2\ngrid.points = 11\nnoise.shots_grid = 64,128,256,512\n"
+        "noise.repetitions = 3\noutput.dir = unused\n",
+    )
+    runs = (("vqe", "DoubleWell"), ("vqe", "ClosedPhi4"), ("constraint", "ClosedPhi4"), ("noise-scan", "ClosedPhi4"))
+    for command, family in runs:
+        overrides = ["--set", f"model.family={family}", "--set", f"output.dir={tmp_path / command / family}"]
+        assert main([command, "-c", str(cfg), *overrides]) == 0, (command, family)
 
 
 def test_cli_set_override(tmp_path):
