@@ -59,8 +59,8 @@ REPETITION_BYTES = 400
 SCAN_MATRICES = 6
 SPECTRUM_VECTORS = 6
 # cells `_cell_words` formats per call.  Computing and writing a 321 x 321
-# density from 64 coefficients peaks at 0.73 MB under tracemalloc (0.82 MB
-# at 1281 points, one row a call), inside
+# density from 64 coefficients peaks at 0.37 MB under tracemalloc (0.75 MB
+# at 1281 points, one row a call, where the Hermite tables dominate), inside
 # test_density_writer_memory_stays_at_one_row's 1 MB; peak RSS of the
 # vqe-doublewell and constraint-phi4-6q benchmark runs stayed within 0.2 MB
 # from 512 to 4096, and 512-cell blocks wrote the density 1.6-1.8x slower
@@ -69,13 +69,16 @@ CSV_BLOCK_CELLS = 2048
 # (`spectrum._density_blocks`, `_write_density`), so vqe and constraint count
 # DENSITY_TABLES mode_dim x grid.points Hermite tables (phi_a, its complex
 # cast and L = phi_a^T C while L is formed; L and the complex phi_chi after)
-# and DENSITY_CELL_FLOATS per cell of one block: psi, |psi|^2 and their text.
-# ru_maxrss above the import floor: 0.50-0.63x this count for DoubleWell 3
-# at 10^5-4 x 10^5 points and DoubleWell 8 at 20,001; ClosedPhi4 at 2 per
-# mode and 1,501-4,001 points, counted 1.2-3.1 MiB, peaked 8.5-10.0 MiB
-# above it, the fixed cost of any shot run at this size
+# and DENSITY_CELL_FLOATS per cell of one block: psi, |psi|^2, the
+# kernel's arrays and the text of one row of lines.  ru_maxrss above the
+# 28.7 MiB import floor, median of three runs: 0.78-0.83x this count for
+# DoubleWell 1 at 4 x 10^5-10^6 points, where the cells dominate (28 floats
+# would be 0.86-0.92x), 0.46-0.70x for DoubleWell 2-3 at 10^5-10^6 and
+# DoubleWell 8 at 20,001; ClosedPhi4 at 2 per mode and 1,501-4,001 points,
+# counted 1.0-2.6 MiB, peaked 9.3-10.8 MiB above it, the fixed cost of any
+# shot run at this size
 DENSITY_TABLES = 5
-DENSITY_CELL_FLOATS = 40
+DENSITY_CELL_FLOATS = 32
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ _SPLIT = 134217729.0
 
 @cache
 def _text_tables() -> dict[str, np.ndarray]:
-    """The lookup tables of `_cell_words`, built on its first call (a few ms).
+    """The lookup tables of `_cell_words`, built in place on its first call (a few ms).
 
     Word tables are built from bytes, so they hold in either byte order.
     """
@@ -109,12 +112,14 @@ def _text_tables() -> dict[str, np.ndarray]:
         return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), np.uint64)
 
     # 10^k = hi + lo for k = 16 - e, each part correctly rounded (int / int
-    # is), and hi's Veltkamp halves for Dekker's exact product
-    powers = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(16 - _EXP_SPAN, 17 + _EXP_SPAN)]
-    hi = [num / den for num, den in powers]
-    ratios = [h.as_integer_ratio() for h in hi]
-    lo = [(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(powers, ratios)]
-    hi = np.array(hi)
+    # is), and hi's Veltkamp halves for Dekker's exact product; one power's
+    # big ints at a time
+    hi, lo = np.empty((2, 2 * _EXP_SPAN + 1))
+    for i, k in enumerate(range(16 - _EXP_SPAN, 17 + _EXP_SPAN)):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi[i] = h = num / den
+        n, d = h.as_integer_ratio()
+        lo[i] = (num * d - n * den) / (den * d)
     big = hi * _SPLIT - (hi * _SPLIT - hi)
     # quad[g]: the 4 digits of g in 4 bytes; sig[j, g]: the digits shown
     # through group j's last nonzero digit (group j holds digits 1 + 4j ..
@@ -132,7 +137,7 @@ def _text_tables() -> dict[str, np.ndarray]:
         "hi": hi,
         "hi_big": big,
         "hi_small": hi - big,
-        "lo": np.array(lo),
+        "lo": lo,
         "quad": ascii4.view(np.uint32).ravel(),
         "sig": sig,
         # keep[w, s]: the bytes of digits 1 + 8w .. 8 + 8w a text of s digits shows
@@ -158,7 +163,9 @@ def _cell_words(cells: np.ndarray, ends, ints: np.ndarray | None = None) -> np.n
 
     The 17 significant digits are N = round(|x| 10^(16 - e)), e = floor(log10
     |x|), exact from Dekker's two-product of |x| and 10^(16 - e) as a
-    double-double (Numer. Math. 18, 224 (1971)).  Python prints a cell instead
+    double-double (Numer. Math. 18, 224 (1971)), its partial products formed
+    in place in one scratch array, and its float arrays freed before the
+    digits are laid out.  Python prints a cell instead
     when |x| is outside [1e-280, 1e280] (zeros, inf and nan too), when the
     fraction of |x| 10^(16 - e) is within 1e-6 of a half (ties round half to
     even), when e is one off (log10's rounding, or a carry into an 18th
@@ -173,26 +180,35 @@ def _cell_words(cells: np.ndarray, ends, ints: np.ndarray | None = None) -> np.n
         whole = np.where(a < 2**53, x, 0.5)
         python |= ints & (whole != np.trunc(whole))
     a[python] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
+    s = np.log10(a)
+    e = np.floor(s, out=s).astype(np.int64)
     k = _EXP_SPAN - e
+    # p = a hi and its error f = (((a_big big - p) + a_big small + a_small big)
+    # + a_small small) + a lo, each product formed in the scratch s and summed
+    # in that order (k is in range, and mode="clip" lets take write s unbuffered)
     p = a * t["hi"][k]
-    a_big = a * _SPLIT - (a * _SPLIT - a)
+    a_big = a * _SPLIT
+    a_big -= np.subtract(a_big, a, out=s)
     a_small = a - a_big
-    big, small = t["hi_big"][k], t["hi_small"][k]
-    f = (((a_big * big - p) + a_big * small + a_small * big) + a_small * small) + a * t["lo"][k]
-    r = np.rint(f)
+    f = a_big * t["hi_big"][k]
+    f -= p
+    for part, table in ((a_big, "hi_small"), (a_small, "hi_big"), (a_small, "hi_small"), (a, "lo")):
+        t[table].take(k, out=s, mode="clip")
+        s *= part
+        f += s
+    r = np.rint(f, out=s)
     n = p.astype(np.int64) + r.astype(np.int64)
     python |= (np.abs(f - r) > 0.5 - 1e-6) | ((p - 1e16) + f < 0) | (n >= 10**17)
+    del a, a_big, a_small, k, p, f, r, s
     n[python] = 10**16
-    top = n // 10**8
-    lead = top // 10**8
-    # digits 1-4, 5-8, 9-12 and 13-16 as 4-digit groups
-    g1, g3 = top - lead * 10**8, n - top * 10**8
-    g0, g2 = g1 // 10**4, g3 // 10**4
-    g1 -= g0 * 10**4
-    g3 -= g2 * 10**4
+    # digit 0, then digits 1-4, 5-8, 9-12 and 13-16 as 4-digit groups
+    lead, n = np.divmod(n, 10**16)
+    g1, g3 = np.divmod(n, 10**8)
+    del n
+    g0, g1 = np.divmod(g1, 10**4)
+    g2, g3 = np.divmod(g3, 10**4)
     sig = t["sig"]
-    ei = e + _EXP_SPAN
+    ei = np.add(e, _EXP_SPAN, out=e)
     shown = np.maximum(sig[0][g0], sig[1][g1])
     np.maximum(shown, sig[2][g2], out=shown)
     np.maximum(shown, sig[3][g3], out=shown)
@@ -200,7 +216,8 @@ def _cell_words(cells: np.ndarray, ends, ints: np.ndarray | None = None) -> np.n
     dot_after = t["dot_after"][ei]
     words = np.empty((len(x), 4), np.uint64)
     lead += 10 * ((dot_after == 0) & (shown > 1))
-    words[:, 0] = t["head"][2 * ei + np.signbit(x)] | t["lead"][lead]
+    words[:, 0] = t["head"][2 * ei + np.signbit(x)]
+    words[:, 0] |= t["lead"][lead]
     quads = words.view(np.uint32)
     for i, g in enumerate((g0, g1, g2, g3)):
         quads[:, 2 + i] = t["quad"][g]
@@ -340,8 +357,10 @@ def _write_density(path: Path, axes, blocks) -> None:
 
     blocks are the density's consecutive blocks of whole outer-axis rows
     (`spectrum._density_blocks`), each taken only once the one before it is
-    written.  Each axis value is formatted once; the density is formatted and
-    written in pieces of about CSV_BLOCK_CELLS points, whole rows each.
+    written.  Each axis value is formatted once; the density is formatted by
+    one `_cell_words` call per piece of about CSV_BLOCK_CELLS points, whole
+    rows each, and its lines are staged and written one outer-axis row at a
+    time.
     """
     *outer, inner = axes
     header = "x,density" if not outer else "x_a,x_chi,density"
@@ -349,17 +368,19 @@ def _write_density(path: Path, axes, blocks) -> None:
     inner_text = _axis_text(inner)
     per = min(len(prefix), max(1, CSV_BLOCK_CELLS // len(inner)))
     width = prefix.shape[1] + inner_text.shape[1]
-    lines = np.empty((per, len(inner), width + 32), np.uint8)
-    lines[:, :, prefix.shape[1] : width] = inner_text
-    start = 0
+    line = np.empty((len(inner), width + 32), np.uint8)
+    line[:, prefix.shape[1] : width] = inner_text
+    outer_text = iter(prefix)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for rows in (block[top : top + per] for block in blocks for top in range(0, len(block), per)):
-            lines[: len(rows), :, : prefix.shape[1]] = prefix[start : start + len(rows), None]
             text = _cell_words(rows.ravel(), ord("\n")).view(np.uint8)
-            lines[: len(rows), :, width:] = text.reshape(len(rows), len(inner), 32)
-            fh.write(lines[: len(rows)].tobytes().translate(None, b"\0"))
-            start += len(rows)
+            for row_text in text.reshape(len(rows), len(inner), 32):
+                line[:, : prefix.shape[1]] = next(outer_text)
+                line[:, width:] = row_text
+                fh.write(line.tobytes().translate(None, b"\0"))
+            # freed before the next piece is formatted
+            del text, row_text
 
 
 def _axis_text(axis: np.ndarray) -> np.ndarray:

@@ -395,6 +395,60 @@ def test_density_writer_memory_stays_at_one_row(tmp_path):
         assert peak < 1e6, points
 
 
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of calling fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def big_int_float_tables():
+    """The kernel's float tables built from lists of big-int powers, their ratios and floats;
+    the reference the in-place build must equal."""
+    powers = [(10**k, 1) if k >= 0 else (1, 10**-k) for k in range(16 - cli._EXP_SPAN, 17 + cli._EXP_SPAN)]
+    hi = [num / den for num, den in powers]
+    ratios = [h.as_integer_ratio() for h in hi]
+    lo = [(num * d - n * den) / (den * d) for (num, den), (n, d) in zip(powers, ratios)]
+    hi = np.array(hi)
+    big = hi * cli._SPLIT - (hi * cli._SPLIT - hi)
+    return {"hi": hi, "hi_big": big, "hi_small": hi - big, "lo": np.array(lo)}
+
+
+def test_text_tables_equal_the_big_int_build():
+    tables = cli._text_tables()
+    for name, reference in big_int_float_tables().items():
+        assert tables[name].dtype == np.float64 and tables[name].tobytes() == reference.tobytes(), name
+
+
+def test_text_tables_build_in_place():
+    """A cold build fills the float tables one power at a time: its traced peak stays under
+    380 kB (the big-int lists peaked at 440-500 kB)."""
+    cli._text_tables.cache_clear()
+    assert traced_peak(cli._text_tables) < 380e3
+
+
+def test_cell_words_forms_its_products_in_one_scratch():
+    """One call over CSV_BLOCK_CELLS cells of mixed exponents peaks under 330 kB traced (a
+    fresh array per partial product peaked at about 420 kB)."""
+    rng = np.random.default_rng(3)
+    cells = rng.normal(size=cli.CSV_BLOCK_CELLS) * 10.0 ** rng.integers(-300, 300, cli.CSV_BLOCK_CELLS)
+    cli._text_tables()
+    assert traced_peak(lambda: cli._cell_words(cells, ord(","))) < 330e3
+
+
+def test_density_writer_stages_one_line_row(tmp_path):
+    """A 321 x 321 density is written under 550 kB traced: its lines are staged one row at a
+    time (a block of rows and its whole-block bytes peaked at about 720 kB)."""
+    coeffs = np.random.default_rng(5).normal(size=64) + 1j * np.random.default_rng(6).normal(size=64)
+    xs = default_grid(8.0, 321)
+    cli._text_tables()
+    peak = traced_peak(lambda: _write_density(tmp_path / "density.csv", (xs, xs), _density_blocks(coeffs, (xs, xs))))
+    assert peak < 550e3
+
+
 def test_vqe_command_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     cfg1 = write_config(tmp_path, FAST_VQE.format(out=out1), "a.cfg")
