@@ -5,11 +5,11 @@ most-significant-first convention of the Pauli strings in `pauli`.  Both
 `run` and `expectation` work on a batch of states: a circuit whose params are
 a (B, P) stack simulates and measures its B rows at once.
 
-An observable is measured straight from its real symmetric matrix H, one
-circuit per XOR offset m of H: the entries H[i, i ^ m] are read out together
-by the extended Bell measurement of Kondo, Mori, Koh & Watanabe, Quantum 6,
-688 (2022), arXiv:2110.09735 (`measurement_plan`).  A model's plan is built
-per mode from its bands (`model_plan`), with no matrix of the model's size.
+A real symmetric observable H is measured with one circuit per XOR offset m
+of H: the entries H[i, i ^ m] are read out together by the extended Bell
+measurement of Kondo, Mori, Koh & Watanabe, Quantum 6, 688 (2022),
+arXiv:2110.09735.  A model's plan is built per mode from its bands
+(`model_plan`), with no matrix of the model's size.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .oscillator import ModelSpec, _check_hermitian, _level_bands, _term_signs
+from .oscillator import ModelSpec, _level_bands, _term_signs
 
 # an offset is measured when one of its entries exceeds ENTRY_CUTOFF * max(1, max|H|); below
 # that it holds only rounding residue, as where HarmonicOsc's x^2 and p^2 parts cancel to 1e-16
@@ -140,44 +140,6 @@ class MeasurementPlan(NamedTuple):
     signs: np.ndarray
 
 
-def _plan(offsets: np.ndarray, dim: int, entries) -> MeasurementPlan:
-    """The plan of a real symmetric dim x dim H at its ascending candidate offsets, entries(low,
-    partner) giving H[low, partner] as a new (G, dim) array, less each offset whose entries all
-    lie within ENTRY_CUTOFF * max(1, max|H|)."""
-    # each offset's highest set bit, and 0 for offset 0: m = f 2^e with f in [0.5, 1)
-    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
-    outcomes = np.arange(dim)
-    low = outcomes & ~pivots[:, None]
-    partner = low ^ offsets[:, None]
-    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
-    weights = entries(low, partner)
-    weights *= signs
-    largest = np.abs(weights).max(axis=1, initial=0.0)
-    keep = largest > ENTRY_CUTOFF * max(1.0, largest.max(initial=0.0))
-    plan = MeasurementPlan(offsets, weights, low, partner, signs)
-    return plan if keep.all() else MeasurementPlan(*(array[keep] for array in plan))
-
-
-def measurement_plan(h) -> MeasurementPlan:
-    """The plan of a real symmetric 2^n x 2^n matrix: one circuit per offset above ENTRY_CUTOFF.
-
-    Over the outcomes of offset m, sum_r p(r) weights[r] = sum_i conj(psi_i)
-    H[i, i ^ m] psi_(i ^ m), so the offsets' exact estimates sum to <psi|H|psi>,
-    short of the dropped offsets' residue.
-    """
-    h = _check_hermitian(h)
-    if np.iscomplexobj(h):
-        raise ValueError("a measurement plan needs a real symmetric matrix, got a complex one")
-    dim = len(h)
-    if dim & (dim - 1):
-        raise ValueError(f"matrix dimension must be a power of two, got {dim}")
-    rows, cols = np.nonzero(h)
-    # a boolean mask, not np.unique, which imports numpy.ma on first use
-    present = np.zeros(dim, dtype=bool)
-    present[rows ^ cols] = True
-    return _plan(np.flatnonzero(present), dim, lambda low, partner: h[low, partner])
-
-
 def _mode_offsets(qubits: int, reach: int) -> list[int]:
     """The XOR offsets n ^ (n + 2k), k <= reach <= 4, of a mode's levels, ascending.  Adding 2k
     changes n's low four bits and the run of ones that its carry clears above them, so the
@@ -194,35 +156,52 @@ def _offset_count(spec: ModelSpec, squared: bool = False) -> int:
 
 
 def model_plan(spec: ModelSpec, squared: bool = False) -> MeasurementPlan:
-    """measurement_plan(build_model(spec)), or of its square, from the mode terms' bands, with no
-    matrix of the model's size and no matrix product.  The candidates are each mode's offsets
-    (`_mode_offsets`) with the other's 0 and, for the 2 s_a s_b A (x) B of H^2, each pair of
-    nonzero ones; a row's entries are gathered per mode and combined as an outer sum or product.
-    H's weights are bit for bit the dense plan's; H^2's differ from `matrix_square`'s in the last bits."""
+    """The plan of build_model(spec), or of its square, from the mode terms' bands, with no
+    matrix of the model's size and no matrix product: one circuit per XOR offset whose
+    entries exceed ENTRY_CUTOFF * max(1, max|H|).
+
+    Over the outcomes of offset m, sum_r p(r) weights[r] = sum_i conj(psi_i) H[i, i ^ m]
+    psi_(i ^ m), so the offsets' exact estimates sum to <psi|H|psi>, short of the dropped
+    offsets' residue.  The candidates are each mode's offsets (`_mode_offsets`) with the
+    other's 0 and, for the 2 s_a s_b A (x) B of H^2, each pair of nonzero ones; a row's
+    entries are gathered per mode and combined as an outer sum or product.  H's weights are
+    bit for bit those read from the dense matrix; H^2's differ from a dense H @ H's in the
+    last bits.
+    """
     q, d, two_modes = spec.qubits_per_mode, spec.mode_dim, spec.n_modes == 2
     single = _mode_offsets(q, 4 if squared else 2)
     cross = _mode_offsets(q, 2)[1:] if squared and two_modes else []
     offsets = [a << q for a in single] + single[1:] + [a << q | b for a in cross for b in cross] if two_modes else single
+    offsets = np.array(sorted(offsets))
+    # each offset's highest set bit, and 0 for offset 0: m = f 2^e with f in [0.5, 1)
+    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
+    outcomes = np.arange(spec.dim)
+    low = outcomes & ~pivots[:, None]
+    partner = low ^ offsets[:, None]
+    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
+
     levels = [_level_bands(spec, term) for term in range(spec.n_modes)]
     squares = [_level_bands(spec, term, squared=True) for term in range(spec.n_modes)] if squared else levels
-
-    def entries(low, partner):
-        modes = []  # per mode: its signed term's entries, its part of the sum, whether its offset is 0
-        for shift, sign, level, square in zip((q, 0) if two_modes else (0,), _term_signs(spec), levels, squares):
-            # the mode's bits of low and partner, each row read where the other mode's are 0
-            n, m = ((index[:, :: 1 << shift][:, :d] >> shift) & (d - 1) for index in (low, partner))
-            at = np.minimum(np.abs(m - n) >> 1, len(level) - 1), np.minimum(n, m)
-            term = sign * level[at]
-            modes.append((term, square[at] if squared else term, (n == m).all(axis=1, keepdims=True)))
-        if not two_modes:
-            return modes[0][1]
+    modes = []  # per mode: its signed term's entries, its part of the sum, whether its offset is 0
+    for shift, sign, level, square in zip((q, 0) if two_modes else (0,), _term_signs(spec), levels, squares):
+        # the mode's bits of low and partner, each row read where the other mode's are 0
+        n, m = ((index[:, :: 1 << shift][:, :d] >> shift) & (d - 1) for index in (low, partner))
+        at = np.minimum(np.abs(m - n) >> 1, len(level) - 1), np.minimum(n, m)
+        term = sign * level[at]
+        modes.append((term, square[at] if squared else term, (n == m).all(axis=1, keepdims=True)))
+    if two_modes:
         (a, a_part, a_zero), (b, b_part, b_zero) = modes
-        full = (2 * a)[:, :, None] * b[:, None, :] if squared else np.zeros((len(low), d, d))
+        full = (2 * a)[:, :, None] * b[:, None, :] if squared else np.zeros((len(offsets), d, d))
         full += (a_part * b_zero)[:, :, None]
         full += (b_part * a_zero)[:, None, :]
-        return full.reshape(len(low), -1)
-
-    return _plan(np.array(sorted(offsets)), spec.dim, entries)
+        weights = full.reshape(len(offsets), -1)
+    else:
+        weights = modes[0][1]
+    weights *= signs
+    largest = np.abs(weights).max(axis=1, initial=0.0)
+    keep = largest > ENTRY_CUTOFF * max(1.0, largest.max(initial=0.0))
+    plan = MeasurementPlan(offsets, weights, low, partner, signs)
+    return plan if keep.all() else MeasurementPlan(*(array[keep] for array in plan))
 
 
 def _readout_probabilities(circuit: Circuit, plan: MeasurementPlan) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Truncated-oscillator operator algebra and model Hamiltonians.
 
-All operators are dense matrices in the harmonic-oscillator number basis,
-truncated to a power-of-two dimension so they can be mapped onto qubits.
-Position and momentum come from the truncated ladder matrices first and are
-then multiplied, band by band, so the last row/column of x^2, p^2 etc. carry
-the usual truncation artifacts; convergence is handled by increasing the
-qubit count, not by patching entries.
+Operators live in the harmonic-oscillator number basis, truncated to a
+power-of-two dimension so they can be mapped onto qubits.  Each mode term is
+formed as its bands (`_term_bands`, `_level_bands`); the exact solver's parity
+blocks, the measurement plans and the dense `build_model` are written from
+them.  Position and momentum come from the truncated ladder matrices first
+and are then multiplied, band by band, so the last row/column of x^2, p^2
+etc. carry the usual truncation artifacts; convergence is handled by
+increasing the qubit count, not by patching entries.
 """
 
 from __future__ import annotations
@@ -255,55 +257,32 @@ def _term_block(spec: ModelSpec, term: int, parity: int) -> np.ndarray:
 
 
 def _term_signs(spec: ModelSpec) -> tuple[int, ...]:
-    """The sign of each of spec's mode terms, mode a first; `_term_block` takes their indices."""
+    """The sign of each of spec's mode terms, mode a first; `_term_bands` takes their indices."""
     return tuple(sign for sign, *_ in FAMILY_TERMS[spec.family])
 
 
-def mode_terms(spec: ModelSpec) -> tuple[tuple[int, tuple[np.ndarray, np.ndarray]], ...]:
-    """H as signed per-mode terms, each as its (even-n, odd-n) blocks (`_term_block`):
-    ((1, H),) for one mode, ((-1, A), (1, B)) for two.
-
-    A term's entries between the two parities are 0.  H is the Kronecker sum
-    of the terms, -A (x) I + I (x) B for two modes, with mode a the most
-    significant qubit block.
-    """
-    return tuple(
-        (sign, (_term_block(spec, term, 0), _term_block(spec, term, 1)))
-        for term, sign in enumerate(_term_signs(spec))
-    )
-
-
-def _scatter(blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The d x d matrix holding blocks[0] at its even-n rows and columns, blocks[1] at its odd-n ones."""
-    half = len(blocks[0])
-    full = np.zeros((2 * half, 2 * half))
-    for parity, block in enumerate(blocks):
-        full[parity::2, parity::2] = block
-    return full
-
-
 def build_model(spec: ModelSpec) -> np.ndarray:
-    """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's mode terms.
+    """The dense, real symmetric (float64) Hamiltonian: the Kronecker sum of spec's signed mode
+    terms, -A (x) I + I (x) B for two modes, with mode a the most significant qubit block.
 
-    Built in place: h (x) I is written once, and I (x) term adds the signed
-    term to each of its diagonal blocks through a (d, d, d, d) view, so no
-    second matrix of the model's size exists.
+    Each term is written from its level bands (`_level_bands`): levels n and n + 2k are k
+    apart, on diagonal 2k, and the odd diagonals, between the parities, hold +0.0.  The sum
+    is built in place: h (x) I is written once, and I (x) term adds the signed term to each
+    of its diagonal blocks through a (d, d, d, d) view, so no second matrix of the model's
+    size exists.
     """
-    (sign, blocks), *rest = mode_terms(spec)
-    h = _scatter(blocks)
-    h *= sign
-    for sign, blocks in rest:
-        term = _scatter(blocks)
-        term *= sign
-        outer, inner = len(h), len(term)
-        h = np.kron(h, np.eye(inner))
-        diagonal_blocks = h.reshape(outer, inner, outer, inner)
+    d = spec.mode_dim
+    terms = []
+    for term, sign in enumerate(_term_signs(spec)):
+        levels = _level_bands(spec, term)
+        matrix = _band_matrix([np.zeros(d - k) if k % 2 else levels[k // 2, : d - k] for k in range(min(5, d))])
+        matrix *= sign
+        terms.append(matrix)
+    h, *rest = terms
+    for term in rest:
+        outer = len(h)
+        h = np.kron(h, np.eye(d))
+        diagonal_blocks = h.reshape(outer, d, outer, d)
         for i in range(outer):
             diagonal_blocks[i, :, i, :] += term
     return h
-
-
-def matrix_square(h: np.ndarray) -> np.ndarray:
-    """H -> H @ H, symmetrized: the objective for zero-eigenstate searches."""
-    sq = h @ h
-    return (sq + sq.conj().T) / 2

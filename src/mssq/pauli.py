@@ -2,8 +2,8 @@
 
 A Pauli sum is its coefficients and each string's base-4 index, qubit 0 the
 most significant digit and I, X, Y, Z = 0, 1, 2, 3; words over IXYZ appear
-only in `PauliSum.from_terms` and `.terms`.  Decomposition and reconstruction
-are one tensorized transform (Hantzko, Binkowski, Gupta, arXiv:2310.13421): H
+only in `PauliSum.terms`.  Decomposition and reconstruction are one
+tensorized transform (Hantzko, Binkowski, Gupta, arXiv:2310.13421): H
 reshaped to (2,)*2n with each qubit's row and column bit interleaved into one
 axis of size 4, and one real 4x4 change of basis between those (row, column)
 pairs and {I, X, -iY, Z} applied per axis.  All 4^n coefficients come out at
@@ -15,11 +15,11 @@ product of I, X, -iY = [[0, -1], [1, 0]] and Z, so trace(sigma H) / 2^n is
 k: a real H has no odd-k strings and a complex one takes a second transform.
 Reconstruction gives Re H from the even-k terms and Im H from the odd-k ones.
 
-No command measures through this form: `circuits.measurement_plan` reads an
-observable straight from its matrix.  A string's x bit mask (X and Y set it)
-is the XOR offset of the entries it touches, so the offsets of a real H are
-the distinct x masks of its decomposition, once each side drops its rounding
-residue (COEFF_CUTOFF here, `circuits.ENTRY_CUTOFF` there).
+No command measures through this form: `circuits.model_plan` reads an
+observable straight from its model's bands.  A string's x bit mask (X and Y
+set it) is the XOR offset of the entries it touches, so the offsets of a real
+H are the distinct x masks of its decomposition, once each side drops its
+rounding residue (COEFF_CUTOFF here, `circuits.ENTRY_CUTOFF` there).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .oscillator import _check_hermitian
 
 PAULI_LETTERS = "IXYZ"
 COEFF_CUTOFF = 1e-12
-_BASE4_DIGITS = str.maketrans(PAULI_LETTERS, "0123")
 
 # _TAU[a, 2r + c] = tau_a[r, c] for tau = I, X, -iY, Z, and each letter's Y count
 _TAU = np.array([[1.0, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]])
@@ -58,16 +57,6 @@ class PauliSum:
         if len(first) < len(self.index):
             again = np.setdiff1d(np.arange(len(self.index)), first)[0]
             raise ValueError(f"duplicate Pauli string {self.terms[again][1]!r}")
-
-    @classmethod
-    def from_terms(cls, n_qubits: int, terms) -> PauliSum:
-        """The sum of (coeff, string) pairs, each string a word over IXYZ, qubit 0 first."""
-        terms = tuple(terms)
-        for _, string in terms:
-            if len(string) != n_qubits or any(c not in PAULI_LETTERS for c in string):
-                raise ValueError(f"bad Pauli string {string!r} for {n_qubits} qubits")
-        index = np.array([int(s.translate(_BASE4_DIGITS) or "0", 4) for _, s in terms], dtype=np.int64)
-        return cls(n_qubits, np.array([coeff for coeff, _ in terms], dtype=np.float64), index)
 
     @cached_property
     def terms(self) -> tuple[tuple[float, str], ...]:

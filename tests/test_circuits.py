@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mssq.circuits import AnsatzShape, Circuit, _offset_count, expectation, measurement_plan, model_plan, run, u3_matrix
+from mssq.circuits import AnsatzShape, Circuit, _offset_count, expectation, model_plan, run, u3_matrix
 from mssq import circuits, vqe
-from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model
+from test_oscillator import matrix_square, measurement_plan
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mssq import circuits, cli, oscillator
+from mssq import cli, oscillator
 from mssq.cli import _check_memory, _write_csv, _write_density, main, noise_scan
 from mssq.config import ConfigError, echo_text, parse_config, resolve
-from mssq.oscillator import Family, ModelSpec, build_model, mode_terms
+from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.spectrum import (
     WavefunctionGrid,
     default_grid,
@@ -20,6 +20,7 @@ from mssq.spectrum import (
     reconstruct_wavefunction,
     spectrum,
 )
+from test_oscillator import measurement_plan, term_blocks
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -169,7 +170,7 @@ def test_spectrum_one_mode_matches_dense_eigh(tmp_path):
     assert main(["spectrum", "-c", str(cfg)]) == 0
     written = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)[:, 1]
     spec = ModelSpec(Family.DOUBLE_WELL, 6)
-    ((_, blocks),) = mode_terms(spec)
+    ((_, blocks),) = term_blocks(spec)
     by_block = np.concatenate([eigendecompose(block).eigenvalues for block in blocks])
     assert np.array_equal(written, np.sort(by_block, kind="stable"))
     dense = eigendecompose(build_model(spec)).eigenvalues
@@ -647,9 +648,9 @@ def test_memory_guard_counts_the_plans_not_dense_matrices(tmp_path, capsys, monk
 
 
 def test_no_shot_command_builds_a_dense_model(tmp_path, monkeypatch):
-    """vqe, constraint and noise-scan plan from the mode terms' bands: with build_model,
-    matrix_square and the dense measurement_plan raising at every alias in mssq, each exits 0."""
-    dense = (oscillator.build_model, oscillator.matrix_square, circuits.measurement_plan)
+    """vqe, constraint and noise-scan plan from the mode terms' bands: with build_model
+    raising at every alias in mssq, each exits 0."""
+    dense = (oscillator.build_model,)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a shot command formed a dense model")
@@ -764,7 +765,7 @@ def test_noise_scan_requires_four_points(tmp_path):
 
 def test_noise_scan_coefficient_linearity():
     # doubling every observable entry doubles the fitted amplitude
-    from mssq.circuits import AnsatzShape, Circuit, measurement_plan
+    from mssq.circuits import AnsatzShape, Circuit
     from mssq.oscillator import Family, ModelSpec, build_model
     from mssq.vqe import estimate_error
 

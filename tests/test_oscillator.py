@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mssq.circuits import measurement_plan
+from mssq.circuits import ENTRY_CUTOFF, MeasurementPlan
 from mssq.oscillator import (
     COEFF_015_OVER_4,
     COEFF_0275_OVER_4,
@@ -15,14 +15,71 @@ from mssq.oscillator import (
     Family,
     ModelSpec,
     _check_hermitian,
-    _scatter,
     _term_block,
+    _term_signs,
     build_model,
-    matrix_square,
-    mode_terms,
 )
-from mssq.pauli import decompose
+from mssq.pauli import PAULI_LETTERS, PauliSum, decompose
 from mssq.spectrum import eigendecompose
+
+# Test references shared by the test modules: dense forms of what the package builds from
+# bands, and a PauliSum from its words.
+
+
+def matrix_square(h):
+    """H @ H, symmetrized: the dense reference for the squared model's plan and Pauli sum."""
+    sq = h @ h
+    return (sq + sq.conj().T) / 2
+
+
+def measurement_plan(h):
+    """The plan of a real symmetric 2^n x 2^n matrix read entry by entry: the dense reference
+    for `circuits.model_plan`, with one circuit per offset above ENTRY_CUTOFF.
+
+    Over the outcomes of offset m, sum_r p(r) weights[r] = sum_i conj(psi_i) H[i, i ^ m]
+    psi_(i ^ m), so the offsets' exact estimates sum to <psi|H|psi>, short of the dropped
+    offsets' residue.
+    """
+    h = _check_hermitian(h)
+    if np.iscomplexobj(h):
+        raise ValueError("a measurement plan needs a real symmetric matrix, got a complex one")
+    dim = len(h)
+    if dim & (dim - 1):
+        raise ValueError(f"matrix dimension must be a power of two, got {dim}")
+    rows, cols = np.nonzero(h)
+    offsets = np.unique(rows ^ cols)
+    pivots = (1 << np.frexp(offsets)[1].astype(np.intp)) >> 1
+    outcomes = np.arange(dim)
+    low = outcomes & ~pivots[:, None]
+    partner = low ^ offsets[:, None]
+    signs = np.where(outcomes & pivots[:, None], -1.0, 1.0)
+    weights = signs * h[low, partner]
+    largest = np.abs(weights).max(axis=1, initial=0.0)
+    keep = largest > ENTRY_CUTOFF * max(1.0, largest.max(initial=0.0))
+    return MeasurementPlan(*(array[keep] for array in (offsets, weights, low, partner, signs)))
+
+
+def pauli_sum(n_qubits, terms):
+    """The PauliSum of (coeff, string) pairs, each string a word over IXYZ, qubit 0 first."""
+    digits = str.maketrans(PAULI_LETTERS, "0123")
+    index = np.array([int(string.translate(digits) or "0", 4) for _, string in terms], dtype=np.int64)
+    return PauliSum(n_qubits, np.array([coeff for coeff, _ in terms], dtype=np.float64), index)
+
+
+def term_blocks(spec):
+    """spec's signed mode terms, mode a first, each as its (even-n, odd-n) parity blocks."""
+    return tuple(
+        (sign, (_term_block(spec, term, 0), _term_block(spec, term, 1))) for term, sign in enumerate(_term_signs(spec))
+    )
+
+
+def scatter(blocks):
+    """The d x d matrix holding blocks[0] at its even-n rows and columns, blocks[1] at its odd-n ones."""
+    half = len(blocks[0])
+    full = np.zeros((2 * half, 2 * half))
+    for parity, block in enumerate(blocks):
+        full[parity::2, parity::2] = block
+    return full
 
 
 def ladder(dim):
@@ -108,7 +165,7 @@ def test_even_powers_equal_complex_quadrature_products(n, omega):
     blocks = [tuple(power[parity::2, parity::2] for power in powers) for parity in (0, 1)]
     for family in Family:
         spec = ModelSpec(family, n, omega=omega)
-        for (sign, got), (want_sign, want) in zip(mode_terms(spec), slice_mode_terms(spec, blocks), strict=True):
+        for (sign, got), (want_sign, want) in zip(term_blocks(spec), slice_mode_terms(spec, blocks), strict=True):
             assert sign == want_sign
             for got_block, want_block in zip(got, want, strict=True):
                 assert_close_banded(got_block, want_block)
@@ -192,7 +249,7 @@ def test_banded_slices_equal_dense_slices(family, n, omega):
     steps, with +0.0 off the bands."""
     spec = ModelSpec(family, n, omega=omega)
     want_terms = slice_mode_terms(spec, dense_slice_powers(spec))
-    for (sign, blocks), (want_sign, want_blocks) in zip(mode_terms(spec), want_terms, strict=True):
+    for (sign, blocks), (want_sign, want_blocks) in zip(term_blocks(spec), want_terms, strict=True):
         assert sign == want_sign
         for block, want_block in zip(blocks, want_blocks, strict=True):
             assert_close_banded(block, want_block)
@@ -203,6 +260,21 @@ def dense_kronecker_sum(terms):
     h = sign * h
     for sign, term in rest:
         h = np.kron(h, np.eye(len(term))) + sign * np.kron(np.eye(len(h)), term)
+    return h
+
+
+def in_place_kronecker_sum(terms):
+    """The Kronecker sum with I (x) term added to the diagonal blocks of h (x) I in place, which
+    keeps each zero's sign from h (x) I outside those blocks."""
+    (sign, h), *rest = terms
+    h = sign * h
+    for sign, term in rest:
+        term = sign * term
+        outer, inner = len(h), len(term)
+        h = np.kron(h, np.eye(inner))
+        diagonal_blocks = h.reshape(outer, inner, outer, inner)
+        for i in range(outer):
+            diagonal_blocks[i, :, i, :] += term
     return h
 
 
@@ -220,13 +292,19 @@ def test_build_model_equals_dense_reference(family, n, omega):
 
 
 @pytest.mark.parametrize("omega", [1.0, 0.7, 2.9])
-@pytest.mark.parametrize("family,n", [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)])
+@pytest.mark.parametrize(
+    "family,n",
+    [(f, n) for f in TWO_MODE_FAMILIES for n in range(1, 6)] + [(f, n) for f in ONE_MODE_FAMILIES for n in range(1, 7)],
+)
 def test_build_model_equals_out_of_place_kronecker_sum(family, n, omega):
-    """The in-place build holds the values of -A (x) I + I (x) B formed from whole Kronecker
-    products of the same scattered terms; only the sign of some zeros may differ."""
+    """The build from the level bands holds the values of -A (x) I + I (x) B formed from whole
+    Kronecker products of the scattered parity blocks, and, zero signs included, the bits of
+    the same blocks summed in place; the whole products differ only in the sign of some zeros."""
     spec = ModelSpec(family, n, omega=omega)
-    terms = [(sign, _scatter(blocks)) for sign, blocks in mode_terms(spec)]
-    assert np.array_equal(build_model(spec), dense_kronecker_sum(terms))
+    terms = [(sign, scatter(blocks)) for sign, blocks in term_blocks(spec)]
+    h, want = build_model(spec), in_place_kronecker_sum(terms)
+    assert np.array_equal(h, dense_kronecker_sum(terms))
+    assert np.array_equal(h, want) and np.array_equal(np.signbit(h), np.signbit(want))
 
 
 def test_two_mode_build_peak_stays_at_one_model():

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mssq.circuits import measurement_plan
-from mssq.oscillator import Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.pauli import COEFF_CUTOFF, PauliSum, _masks, decompose, reconstruct
-from test_oscillator import complex_quadratures
+from test_oscillator import complex_quadratures, matrix_square, measurement_plan, pauli_sum
 
 PAULI_MATRICES = {
     "I": np.eye(2),
@@ -53,11 +52,11 @@ def test_roundtrip_random_8x8(seed):
 
 
 def test_reconstruct_z():
-    assert np.allclose(reconstruct(PauliSum.from_terms(1, ((0.5, "Z"),))), np.diag([0.5, -0.5]))
+    assert np.allclose(reconstruct(pauli_sum(1, ((0.5, "Z"),))), np.diag([0.5, -0.5]))
 
 
 def test_reconstruct_empty():
-    assert np.array_equal(reconstruct(PauliSum.from_terms(2, ())), np.zeros((4, 4)))
+    assert np.array_equal(reconstruct(pauli_sum(2, ())), np.zeros((4, 4)))
 
 
 def test_model_roundtrip():
@@ -108,7 +107,7 @@ def test_lexicographic_order():
 def test_string_matrix_against_kron():
     for string in ["X", "Y", "XZ", "YY", "IZX", "ZIY"]:
         expected = kron_string(string)
-        assert np.allclose(reconstruct(PauliSum.from_terms(len(string), ((1.0, string),))), expected)
+        assert np.allclose(reconstruct(pauli_sum(len(string), ((1.0, string),))), expected)
         ((coeff, decomposed),) = decompose(expected).terms
         assert decomposed == string and coeff == pytest.approx(1.0)
 
@@ -143,7 +142,7 @@ def test_decompose_matches_trace_oracle(h):
 def test_reconstruct_matches_kron_sum(n):
     rng = np.random.default_rng(300 + n)
     strings = rng.choice(strings_of(n), size=int(rng.integers(1, 4**n + 1)), replace=False)
-    psum = PauliSum.from_terms(n, tuple((float(rng.normal()), str(s)) for s in strings))
+    psum = pauli_sum(n, tuple((float(rng.normal()), str(s)) for s in strings))
     expected = sum(c * kron_string(s) for c, s in psum.terms)
     assert np.max(np.abs(reconstruct(psum) - expected)) < 1e-12
 
@@ -223,7 +222,7 @@ def test_two_mode_four_qubit_h_squared_term_count():
 
 def plan_of(n, terms):
     """The measurement plan of a real sum of (coeff, string) terms."""
-    return measurement_plan(reconstruct(PauliSum.from_terms(n, terms)).real)
+    return measurement_plan(reconstruct(pauli_sum(n, terms)).real)
 
 
 def test_group_compatible_pair():
@@ -251,7 +250,7 @@ def test_group_count_bounded_by_terms():
 
 def test_duplicate_strings_rejected():
     with pytest.raises(ValueError, match="duplicate Pauli string 'X'"):
-        PauliSum.from_terms(1, ((1.0, "X"), (2.0, "X")))
+        pauli_sum(1, ((1.0, "X"), (2.0, "X")))
     with pytest.raises(ValueError, match="duplicate Pauli string 'ZY'"):
         PauliSum(2, np.ones(4), np.array([14, 1, 14, 1]))  # ZY = 3 * 4 + 2
 
@@ -261,10 +260,10 @@ def test_terms_round_trip_through_arrays(n):
     rng = np.random.default_rng(500 + n)
     for _ in range(5):
         strings = rng.choice(strings_of(n), size=int(rng.integers(0, min(4**n, 200) + 1)), replace=False)
-        psum = PauliSum.from_terms(n, [(float(rng.normal()), str(s)) for s in strings])
+        psum = pauli_sum(n, [(float(rng.normal()), str(s)) for s in strings])
         assert psum.coeffs.dtype == np.float64 and psum.index.dtype == np.int64
         assert psum.index.tolist() == [strings_of(n).index(s) for s in strings]
-        again = PauliSum.from_terms(n, psum.terms)
+        again = pauli_sum(n, psum.terms)
         assert np.array_equal(again.coeffs, psum.coeffs) and np.array_equal(again.index, psum.index)
 
 
@@ -281,12 +280,6 @@ def test_terms_round_trip_through_arrays(n):
 def test_bad_arrays_rejected(coeffs, index, message):
     with pytest.raises(ValueError, match=message):
         PauliSum(2, np.array(coeffs), np.array(index))
-
-
-@pytest.mark.parametrize("string", ["XQ", "X", "XYZ", "xy"])
-def test_bad_strings_rejected(string):
-    with pytest.raises(ValueError, match=f"bad Pauli string {string!r} for 2 qubits"):
-        PauliSum.from_terms(2, [(1.0, "ZZ"), (1.0, string)])
 
 
 def test_grouped_estimator_unbiased():

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mssq.circuits import AnsatzShape, Circuit, _readout_probabilities, measurement_plan, run
+from mssq.circuits import AnsatzShape, Circuit, _readout_probabilities, run
 from mssq.cli import main
-from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model, matrix_square
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, build_model
 from mssq.pauli import _masks, decompose, reconstruct
 from mssq.spectrum import WavefunctionGrid, _target_index, ground_or_nearest_zero, spectrum
 from test_cli import parent_density_rows, parent_write_csv, write_grid
-from test_oscillator import dense_mode_terms
+from test_oscillator import dense_mode_terms, matrix_square, measurement_plan
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)

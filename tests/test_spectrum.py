@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, _term_bands, build_model, mode_terms
+from mssq.oscillator import TWO_MODE_FAMILIES, Family, ModelSpec, _term_bands, build_model
 from mssq.spectrum import (
     _band_residual,
     _outer_sum,
@@ -17,6 +17,7 @@ from mssq.spectrum import (
     reconstruct_wavefunction,
     spectrum,
 )
+from test_oscillator import term_blocks
 
 
 def dense_target(spec):
@@ -231,7 +232,7 @@ def test_two_mode_exact_state_is_lowest_product_zero_mode(family, n):
     it in the odd block, as for OpenPhi4 at 2-3 qubits.
     """
     spec = ModelSpec(family, n)
-    (_, a), (_, b) = mode_terms(spec)
+    (_, a), (_, b) = term_blocks(spec)
     assert all(np.array_equal(block_a, block_b) for block_a, block_b in zip(a, b))
     energy, state = ground_or_nearest_zero(spec)
     (even_vals, even_vecs), (odd_vals, odd_vecs) = map(np.linalg.eigh, a)
@@ -297,10 +298,10 @@ def test_spectrum_peak_stays_under_1_4_full_matrices(family, n):
 @pytest.mark.parametrize("family,n", [(f, n) for f in Family for n in range(1, 6)])
 def test_spectrum_equals_eigendecompose_of_each_block(family, n):
     """spectrum's eigenvalues and sort orders are those of `eigendecompose` run on each
-    block of `mode_terms`, bit for bit.  Its max residual is the largest column norm of
+    parity block of each mode term, bit for bit.  Its max residual is the largest column norm of
     the band residuals, each within 16 eps max|T| of the dense block @ vecs - vecs * vals."""
     spec = ModelSpec(family, n)
-    signs, terms = zip(*mode_terms(spec))
+    signs, terms = zip(*term_blocks(spec))
     block_solves = [[eigendecompose(block) for block in blocks] for blocks in terms]
     term_vals = [np.concatenate([solve.eigenvalues for solve in solves]) for solves in block_solves]
     orders = [np.argsort(vals, kind="stable") for vals in term_vals]
@@ -362,7 +363,7 @@ def embedded_eigenvectors(blocks):
 def test_exact_state_equals_kron_of_embedded_columns(spec):
     """Placing only the picked column at its parity rows gives the Kronecker product of the
     full embedded eigenvector matrices' columns bit for bit, signed zeros included."""
-    signs, terms = zip(*mode_terms(spec))
+    signs, terms = zip(*term_blocks(spec))
     solves = [embedded_eigenvectors(blocks) for blocks in terms]
     vals = _outer_sum([sign * term_vals for sign, (term_vals, _) in zip(signs, solves)])
     flat = _target_index(vals, nearest_zero=spec.n_modes == 2)

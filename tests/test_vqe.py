@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from mssq import circuits
-from mssq.circuits import AnsatzShape, Circuit, expectation, measurement_plan, run
+from mssq.circuits import AnsatzShape, Circuit, expectation, run
 from mssq.oscillator import Family, ModelSpec, build_model
 from mssq.spectrum import eigendecompose
 from mssq.vqe import SpsaConfig, SpsaDiverged, Trajectory, _smoothed, estimate_error, spsa_minimize, vqe_run
+from test_oscillator import measurement_plan
 
 
 def test_spsa_quadratic():
