@@ -21,7 +21,7 @@ from . import spectrum as spec_mod
 from .circuits import AnsatzShape, Circuit, _offset_count, model_plan, run
 from .config import ConfigError, echo_text, parse_config
 from .oscillator import ModelSpec
-from .vqe import SpsaConfig, estimate_error, vqe_run
+from .vqe import SpsaConfig, VqeResult, estimate_error, vqe_run
 
 
 # an eighth of physical memory: temporaries lift a run's peak RSS to at most
@@ -48,7 +48,7 @@ REPETITION_BYTES = 400
 # at a time, keeps only eigenvalues, and allocates nothing larger.  It counts
 # SCAN_MATRICES d x d float64 matrices for one block: the block, written from
 # its O(d) bands, and its solve (LAPACK's copy and workspace, the
-# eigenvectors, the residual, whose band products take 64 rows at a time),
+# eigenvectors, then the residual and one band's products beside them),
 # and SPECTRUM_VECTORS dim-long vectors (the flat and sorted eigenvalues, the
 # CSV columns).  ru_maxrss above the 29.4 MiB import floor, median of five
 # runs: 0.28x and 0.23x this count for DoubleWell at 10 and 11 qubits (scan
@@ -58,10 +58,10 @@ REPETITION_BYTES = 400
 # the 0.5 MiB blocks; five matrices would put it at 0.92x
 SCAN_MATRICES = 6
 SPECTRUM_VECTORS = 6
-# cells `_cell_words` formats per call.  Computing and writing a 321 x 321
-# density from 64 coefficients peaks at 0.37 MB under tracemalloc (0.75 MB
-# at 1281 points, one row a call, where the Hermite tables dominate), inside
-# test_density_writer_memory_stays_at_one_row's 1 MB; peak RSS of the
+# cells `_write_csv` formats per `_cell_words` call.  A 321 x 321 density from
+# 64 coefficients is computed and written at a tracemalloc peak of 0.37 MB
+# (0.81 MB at 1281 points, where the Hermite tables dominate), a one-mode row
+# of 10^5 points written at 0.33 MB, inside a test's 1 MB; peak RSS of the
 # vqe-doublewell and constraint-phi4-6q benchmark runs stayed within 0.2 MB
 # from 512 to 4096, and 512-cell blocks wrote the density 1.6-1.8x slower
 CSV_BLOCK_CELLS = 2048
@@ -69,14 +69,14 @@ CSV_BLOCK_CELLS = 2048
 # (`spectrum._density_blocks`, `_write_density`), so vqe and constraint count
 # DENSITY_TABLES mode_dim x grid.points Hermite tables (phi_a, its complex
 # cast and L = phi_a^T C while L is formed; L and the complex phi_chi after)
-# and DENSITY_CELL_FLOATS per cell of one block: psi, |psi|^2, the
-# kernel's arrays and the text of one row of lines.  ru_maxrss above the
-# 28.7 MiB import floor, median of three runs: 0.78-0.83x this count for
-# DoubleWell 1 at 4 x 10^5-10^6 points, where the cells dominate (28 floats
-# would be 0.86-0.92x), 0.46-0.70x for DoubleWell 2-3 at 10^5-10^6 and
-# DoubleWell 8 at 20,001; ClosedPhi4 at 2 per mode and 1,501-4,001 points,
-# counted 1.0-2.6 MiB, peaked 9.3-10.8 MiB above it, the fixed cost of any
-# shot run at this size
+# and DENSITY_CELL_FLOATS per cell of one block (for one mode, the row that
+# `_write_csv` streams): psi, |psi|^2, the kernel's arrays (14-15 floats a
+# cell traced) and the text of one row of lines.  ru_maxrss above the 35.1
+# MiB floor of numpy.random and mssq.cli, median of three runs: 0.25-0.26x
+# this count for DoubleWell 1 at 4 x 10^5-10^6 points, 0.32-0.40x for
+# DoubleWell 2-3 at 10^5-10^6, 0.61x for DoubleWell 8 at 20,001; ClosedPhi4 at
+# 2 per mode and 1,501-4,001 points, counted 1.0-2.6 MiB, peaked 2.4-4.2 MiB
+# above the floor, the fixed cost of any shot run at this size
 DENSITY_TABLES = 5
 DENSITY_CELL_FLOATS = 32
 
@@ -302,7 +302,7 @@ def _check_memory(command: str, cfg: dict) -> None:
     vqe the exact reference's block solve as spectrum counts it; and, for the
     density-writing commands, DENSITY_TABLES Hermite tables (mode_dim x
     grid.points) and DENSITY_CELL_FLOATS per cell of one block of the
-    density (one row for one mode, else at least two); and, at
+    density (the whole row for one mode, else at least two rows); and, at
     16 B per complex, U3_STACKS u3 stacks for the ansatz; and, for vqe and
     constraint, the trajectory's parameter vectors.  The final error bars
     count REPETITION_BYTES per repetition: run.repetitions for vqe and
@@ -356,30 +356,28 @@ def _write_density(path: Path, axes, blocks) -> None:
     slowest, as `_write_csv` prints it.
 
     blocks are the density's consecutive blocks of whole outer-axis rows
-    (`spectrum._density_blocks`), each taken only once the one before it is
-    written.  Each axis value is formatted once; the density is formatted by
-    one `_cell_words` call per piece of about CSV_BLOCK_CELLS points, whole
-    rows each, and its lines are staged and written one outer-axis row at a
-    time.
+    (`spectrum._density_blocks`).  One mode's one row goes to `_write_csv`.
+    A two-mode block is taken once the one before it is written and formatted
+    by one `_cell_words` call; each axis value is formatted once, and the
+    lines are staged and written one outer-axis row at a time.
     """
-    *outer, inner = axes
-    header = "x,density" if not outer else "x_a,x_chi,density"
-    prefix = _axis_text(outer[0]) if outer else np.empty((1, 0), np.uint8)
-    inner_text = _axis_text(inner)
-    per = min(len(prefix), max(1, CSV_BLOCK_CELLS // len(inner)))
+    if len(axes) == 1:
+        (block,) = blocks
+        return _write_csv(path, "x,density", *axes, *block)
+    prefix, inner_text = map(_axis_text, axes)
     width = prefix.shape[1] + inner_text.shape[1]
-    line = np.empty((len(inner), width + 32), np.uint8)
+    line = np.empty((len(inner_text), width + 32), np.uint8)
     line[:, prefix.shape[1] : width] = inner_text
     outer_text = iter(prefix)
     with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for rows in (block[top : top + per] for block in blocks for top in range(0, len(block), per)):
-            text = _cell_words(rows.ravel(), ord("\n")).view(np.uint8)
-            for row_text in text.reshape(len(rows), len(inner), 32):
+        fh.write(b"x_a,x_chi,density\n")
+        for block in blocks:
+            text = _cell_words(block.ravel(), ord("\n")).view(np.uint8)
+            for row_text in text.reshape(len(block), len(inner_text), 32):
                 line[:, : prefix.shape[1]] = next(outer_text)
                 line[:, width:] = row_text
                 fh.write(line.tobytes().translate(None, b"\0"))
-            # freed before the next piece is formatted
+            # freed before the next block is formed
             del text, row_text
 
 
@@ -412,6 +410,20 @@ def cmd_spectrum(cfg: dict) -> Path:
     return outdir
 
 
+def variational_run(cfg: dict, model: ModelSpec, spsa: SpsaConfig, objective_kind: str) -> VqeResult:
+    """`vqe_run` of model and spsa, `_spsa_config(cfg)`, as the vqe and constraint commands run it."""
+    return vqe_run(
+        model,
+        AnsatzShape(model.total_qubits, cfg["ansatz.depth"]),
+        objective_kind=objective_kind,
+        shots=cfg["run.shots"],
+        spsa=spsa,
+        repetitions=cfg["run.repetitions"],
+        restarts=cfg["spsa.restarts"],
+        refinements=cfg["spsa.refinements"],
+    )
+
+
 def cmd_variational(cfg: dict, objective_kind: str) -> Path:
     """VQE on <H> ("energy") or on <H^2> ("constraint"), then the density CSVs.
 
@@ -424,22 +436,9 @@ def cmd_variational(cfg: dict, objective_kind: str) -> Path:
         raise ConfigError(f"constraint needs a two-mode model.family, got {model.family.value}")
     spsa = _spsa_config(cfg)
     outdir = _prepare_outdir(cfg)
-    shape = AnsatzShape(model.total_qubits, cfg["ansatz.depth"])
-    result = vqe_run(
-        model,
-        shape,
-        objective_kind=objective_kind,
-        shots=cfg["run.shots"],
-        spsa=spsa,
-        repetitions=cfg["run.repetitions"],
-        restarts=cfg["spsa.restarts"],
-        refinements=cfg["spsa.refinements"],
-    )
-    trajectory = result.trajectory
+    result = variational_run(cfg, model, spsa, objective_kind)
     header = "iteration,objective," + ",".join(f"p{i}" for i in range(len(result.best_params)))
-    _write_csv(
-        outdir / "trajectory.csv", header, np.arange(len(trajectory)), trajectory.objectives, trajectory.params
-    )
+    _write_csv(outdir / "trajectory.csv", header, np.arange(len(result.trajectory)), result.trajectory)
     state = run(result.circuit)
     indices = np.arange(len(state))
     _write_csv(outdir / "probabilities.csv", "basis_index,probability", indices, np.abs(state) ** 2)

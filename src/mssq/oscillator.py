@@ -182,31 +182,28 @@ def _term_bands(spec: ModelSpec, term: int, parity: int) -> tuple[np.ndarray, np
     change the parity of n, so each even power maps a parity onto itself: x^2
     and p^2 are tridiagonal in the block index, and x^4, the truncated x^2
     squared before it is scaled, is pentadiagonal.  Every band is formed in
-    O(d), after spec.check_scale has passed.
+    O(d) by `_square_bands`, after spec.check_scale has passed.
     """
     spec.check_scale()
     _, p2_coeff, x2_coeff, coupling, _ = FAMILY_TERMS[spec.family][term]
     root = np.sqrt(np.arange(1, spec.mode_dim))
 
     def square(ladder):
-        """The block's main and first bands of S @ S, S the symmetric tridiagonal matrix with
-        S[n-1, n] = ladder[n-1]: S[n, n-1]^2 + S[n, n+1]^2 and S[n, n+1] S[n+1, n+2]."""
-        squares = np.concatenate(([0.0], ladder * ladder, [0.0]))
-        return (squares[:-1] + squares[1:])[parity::2], (ladder[:-1] * ladder[1:])[parity::2]
+        """The block's main and first bands of S @ S, S the symmetric matrix with S[n-1, n] =
+        ladder[n-1] and a zero diagonal: its main and second diagonals, split by parity."""
+        main, _, second = _square_bands((np.zeros(spec.mode_dim), ladder))
+        return main[parity::2], second[parity::2]
 
     x2_main, x2_first = square(root * (1 / np.sqrt(2 * spec.omega)))
     # q is S = |q| with its upper side negated, so q q has -(S @ S)'s main band and
     # (S @ S)'s first one, and p^2 = -q q the opposite signs
     p2_main, q2_first = square(np.sqrt(spec.omega / 2) * root)
-    first_squares = x2_first * x2_first
-    x4_main = x2_main * x2_main
-    x4_main[1:] += first_squares
-    x4_main[:-1] += first_squares
+    x4_main, x4_first, x4_second = _square_bands((x2_main, x2_first))
     c = getattr(spec, coupling)
     return (
         p2_coeff * p2_main + x2_coeff * x2_main + c * x4_main,
-        p2_coeff * -q2_first + x2_coeff * x2_first + c * (x2_main[:-1] * x2_first + x2_first * x2_main[1:]),
-        c * (x2_first[:-1] * x2_first[1:]),
+        p2_coeff * -q2_first + x2_coeff * x2_first + c * x4_first,
+        c * x4_second,
     )
 
 

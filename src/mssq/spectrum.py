@@ -9,8 +9,6 @@ import numpy as np
 
 from .oscillator import ModelSpec, _band_matrix, _check_hermitian, _term_bands, _term_block, _term_signs
 
-# rows of a band residual's off-diagonal products formed at a time (`_band_residual`)
-RESIDUAL_ROWS = 64
 # cells of |psi|^2 formed at a time (`_density_blocks`), whole outer-axis rows
 DENSITY_BLOCK_CELLS = 2048
 
@@ -21,7 +19,6 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,6 @@ class WavefunctionGrid:
 
     axes: tuple[np.ndarray, ...]
     density: np.ndarray
-    norm: float
 
 
 def eigendecompose(h: np.ndarray) -> SpectrumResult:
@@ -38,12 +34,7 @@ def eigendecompose(h: np.ndarray) -> SpectrumResult:
 
     The eigenvectors are orthonormal; ordering inside a degenerate cluster is unspecified.
     """
-    entries = _check_hermitian(h)
-    vals, vecs = np.linalg.eigh(entries)
-    r = entries @ vecs
-    r -= vecs * vals
-    residual = float(np.max(np.linalg.norm(r, axis=0)))
-    return SpectrumResult(vals, vecs, residual)
+    return SpectrumResult(*np.linalg.eigh(_check_hermitian(h)))
 
 
 def _target_index(vals: np.ndarray, nearest_zero: bool) -> int:
@@ -128,21 +119,16 @@ def reconstruct_wavefunction(
     One mode: psi(x) = sum_n c_n phi_n(x sqrt(omega)) omega^(1/4).
     Two modes: coeffs has length d^2 in row-major (mode a, mode chi) order and
     the density is evaluated on the product of the two axes.  The density is
-    filled from `_density_blocks`, the blocks the CLI writes, and its norm
-    integrates each row as its block arrives, then the row integrals.
+    filled from `_density_blocks`, the blocks the CLI writes.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    blocks = _density_blocks(coeffs, axes, omega)
     density = np.empty(tuple(map(len, axes)))
     rows = density.reshape(-1, len(axes[-1]))
-    row_norms = np.empty(len(rows))
     start = 0
-    for block in blocks:
+    for block in _density_blocks(coeffs, axes, omega):
         rows[start : start + len(block)] = block
-        row_norms[start : start + len(block)] = np.trapezoid(block, axes[-1])
         start += len(block)
-    norm = row_norms[0] if len(axes) == 1 else np.trapezoid(row_norms, axes[0])
-    return WavefunctionGrid(axes, density, float(norm))
+    return WavefunctionGrid(axes, density)
 
 
 def default_grid(extent: float = 8.0, points: int = 321) -> np.ndarray:
@@ -169,22 +155,15 @@ def _band_residual(bands: tuple[np.ndarray, ...], vals: np.ndarray, vecs: np.nda
     """T vecs - vecs * vals for the symmetric T holding bands[k] on its k-th diagonals (`_band_matrix`).
 
     r = (diag(T) - vals) * vecs is formed in place; each off-diagonal band then
-    adds its products above and below the diagonal RESIDUAL_ROWS rows at a
-    time, so nothing as large as r is allocated beside it.
+    adds its products above the diagonal, then those below it.
     """
     main, *off_bands = bands
     r = np.subtract.outer(main, vals)
     r *= vecs
-    strip = np.empty((min(RESIDUAL_ROWS, len(main)), len(vals)))
-    for offset, band in enumerate(off_bands, start=1):
-        for top in range(0, len(band), RESIDUAL_ROWS):
-            rows = band[top : top + RESIDUAL_ROWS, None]
-            part = strip[: len(rows)]
-            # T[k, k + offset] v[k + offset] and T[k + offset, k] v[k], for the strip's rows k
-            np.multiply(rows, vecs[top + offset : top + offset + len(rows)], out=part)
-            r[top : top + len(rows)] += part
-            np.multiply(rows, vecs[top : top + len(rows)], out=part)
-            r[top + offset : top + offset + len(rows)] += part
+    for k, band in enumerate(off_bands, start=1):
+        # T[j, j + k] v[j + k] and T[j + k, j] v[j], for rows j < len(band)
+        r[:-k] += band[:, None] * vecs[k:]
+        r[k:] += band[:, None] * vecs[:-k]
     return r
 
 

@@ -66,28 +66,10 @@ class SpsaConfig:
         return 0.1 * self.iterations if self.stability is None else self.stability
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """SPSA iterates, one row per step: params (steps, P) and the objective estimates (steps,)."""
-
-    params: np.ndarray
-    objectives: np.ndarray
-
-    @classmethod
-    def empty(cls, steps: int, n_params: int) -> Trajectory:
-        return cls(np.empty((steps, n_params)), np.empty(steps))
-
-    def __len__(self) -> int:
-        return len(self.objectives)
-
-    def __getitem__(self, rows: slice) -> Trajectory:
-        return Trajectory(self.params[rows], self.objectives[rows])
-
-
 @dataclass
 class VqeResult:
     best_params: np.ndarray
-    trajectory: Trajectory
+    trajectory: np.ndarray  # (steps, 1 + P): each step's objective estimate, then its params
     seed: int
     objective_kind: str
     h_mean: float
@@ -105,7 +87,7 @@ def _smoothed(values: np.ndarray, window: int = SMOOTHING_WINDOW) -> np.ndarray:
     return (csum[stop] - csum[start]) / (stop - start)
 
 
-def spsa_minimize(objective, initial, config: SpsaConfig, out: Trajectory | None = None):
+def spsa_minimize(objective, initial, config: SpsaConfig, out: np.ndarray | None = None):
     """Minimize a noisy objective with simultaneous-perturbation gradients.
 
     objective takes the (2, P) stack [theta + c delta, theta - c delta] and
@@ -117,15 +99,15 @@ def spsa_minimize(objective, initial, config: SpsaConfig, out: Trajectory | None
     When config.a is None the numerator a is calibrated so the first step
     moves parameters by about 0.1 rad.
 
-    Returns (best_params, trajectory); trajectory holds each iteration's
-    params and objective estimate, written in place into `out` when given
-    (config.iterations rows), and best_params is the iterate whose window-5
-    smoothed objective is lowest.
+    Returns (best_params, trajectory); trajectory is a (config.iterations,
+    1 + P) array, or `out` filled in place when given, whose row k holds
+    iteration k's objective estimate and then its params, and best_params is
+    the iterate whose window-5 smoothed objective is lowest.
     """
     theta = np.asarray(initial, dtype=float).copy()
     if theta.size == 0:
-        return theta, Trajectory.empty(0, 0)
-    trajectory = Trajectory.empty(config.iterations, theta.size) if out is None else out
+        return theta, np.empty((0, 1))
+    trajectory = np.empty((config.iterations, 1 + theta.size)) if out is None else out
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     big_a = config.stability_const
 
@@ -152,11 +134,11 @@ def spsa_minimize(objective, initial, config: SpsaConfig, out: Trajectory | None
         delta = rng.choice([-1.0, 1.0], size=theta.shape)
         f_plus, f_minus = pair(c_k, delta, k)
         ghat = (f_plus - f_minus) / (2 * c_k) * (1.0 / delta)
-        trajectory.params[k] = theta
-        trajectory.objectives[k] = 0.5 * (f_plus + f_minus)
+        trajectory[k, 0] = 0.5 * (f_plus + f_minus)
+        trajectory[k, 1:] = theta
         theta = theta - a_k * ghat
-    best_k = int(np.argmin(_smoothed(trajectory.objectives)))
-    return trajectory.params[best_k].copy(), trajectory
+    best_k = int(np.argmin(_smoothed(trajectory[:, 0])))
+    return trajectory[best_k, 1:].copy(), trajectory
 
 
 def estimate_error(circuit: Circuit, plan: MeasurementPlan, shots, repetitions, seed):
@@ -202,7 +184,7 @@ def vqe_run(
     entry in refinements then continues from the best parameters with a
     recalibrated step size; shrinking c and growing shots pushes the plateau
     down, which the constraint objective needs to resolve its zero eigenspace.
-    All stage seeds derive from the one spsa.seed.
+    All stage seeds derive from the one spsa.seed, and each stage fills its rows of one trajectory.
     """
     if objective_kind not in ("energy", "constraint"):
         raise ValueError(f"unknown objective kind {objective_kind!r}")
@@ -231,14 +213,14 @@ def vqe_run(
     candidates = []
     # every restart and refinement fills its own rows of one trajectory
     ends = np.cumsum([0] + [spsa.iterations] * restarts + [stage[0] for stage in refinements])
-    trajectory = Trajectory.empty(ends[-1], shape.parameter_count)
+    trajectory = np.empty((ends[-1], 1 + shape.parameter_count))
     stage_rows = iter([trajectory[start:end] for start, end in zip(ends, ends[1:])])
     for _ in range(restarts):
         init_params = init_rng.uniform(-np.pi, np.pi, size=shape.parameter_count)
         stage_cfg = replace(spsa, seed=_child_seed(next(stage_seeds)))
         rows = next(stage_rows)
         params, _ = spsa_minimize(objective, init_params, stage_cfg, out=rows)
-        candidates.append((float(np.mean(rows.objectives[-20:])), params))
+        candidates.append((float(np.mean(rows[-20:, 0])), params))
     best_params = min(candidates, key=lambda t: t[0])[1]
     for stage_iters, stage_c, stage_shots in refinements:
         current_shots = stage_shots

@@ -176,7 +176,7 @@ def density_grids(draw):
     """One- or two-mode grids, 2-40 points per axis, any float64 axes and densities."""
     lengths = draw(st.lists(st.integers(2, 40), min_size=1, max_size=2))
     axes = tuple(draw(arrays(np.float64, n)) for n in lengths)
-    return WavefunctionGrid(axes, draw(arrays(np.float64, tuple(lengths))), 1.0)
+    return WavefunctionGrid(axes, draw(arrays(np.float64, tuple(lengths))))
 
 
 @PROPERTY_SETTINGS
